@@ -35,7 +35,7 @@ use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
 use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::{
-    serve_with_ops, BinClient, Client, IngestPipeline, OpsClient, RefreshConfig, Request, Response,
+    serve, BinClient, Client, IngestPipeline, OpsClient, RefreshConfig, Request, Response,
     ServeConfig, ServerConfig, ServingRepository,
 };
 use serde::Serialize;
@@ -290,18 +290,18 @@ fn main() {
             let serving_bare = &serving_bare;
             let serving_ops = &serving_ops;
             let bare_server = scope.spawn(move || {
-                serve_with_ops(
+                serve(
                     bare_listener,
                     None,
-                    serving_bare,
+                    IngestPipeline::new(serving_bare, RefreshConfig::default()),
                     ServerConfig { workers: 1 },
                 )
             });
             let ops_server = scope.spawn(move || {
-                serve_with_ops(
+                serve(
                     main_listener,
                     Some(ops_listener),
-                    serving_ops,
+                    IngestPipeline::new(serving_ops, RefreshConfig::default()),
                     ServerConfig { workers: 1 },
                 )
             });
@@ -451,7 +451,12 @@ fn main() {
         std::thread::scope(|scope| {
             let serving = &serving;
             let server = scope.spawn(move || {
-                serve_with_ops(listener, None, serving, ServerConfig { workers: 1 })
+                serve(
+                    listener,
+                    None,
+                    IngestPipeline::new(serving, RefreshConfig::default()),
+                    ServerConfig { workers: 1 },
+                )
             });
             let mut client =
                 BinClient::connect_with_retry(addr, Duration::from_secs(10)).expect("connects");

@@ -17,12 +17,61 @@ use crate::protocol::wire;
 use crate::protocol::{Request, Response, ResponseEnvelope};
 use crate::ServeError;
 
+/// Connects, retrying until `timeout` elapses — for scripted clients
+/// racing a server that is still binding its listener. Returns the last
+/// connection error once the deadline passes.
+fn retry<T>(timeout: Duration, connect: impl Fn() -> std::io::Result<T>) -> std::io::Result<T> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        match connect() {
+            Ok(client) => return Ok(client),
+            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+        }
+    }
+}
+
+/// One newline-delimited connection: a line out, a line back.
+#[derive(Debug)]
+struct Lines {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+}
+
+impl Lines {
+    fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        // One small line per direction per request: Nagle's algorithm
+        // would add a delayed-ACK round trip to every call.
+        stream.set_nodelay(true)?;
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(Self {
+            reader,
+            writer: BufWriter::new(stream),
+        })
+    }
+
+    /// Sends `line` plus a newline and reads one answer line back.
+    fn round_trip(&mut self, line: &[u8]) -> std::io::Result<String> {
+        self.writer.write_all(line)?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()?;
+        let mut answer = String::new();
+        if self.reader.read_line(&mut answer)? == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection before answering",
+            ));
+        }
+        Ok(answer)
+    }
+}
+
 /// A connected protocol client. One request/response in flight at a
 /// time, in order — exactly the server's per-connection contract.
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    lines: Lines,
 }
 
 impl Client {
@@ -32,14 +81,8 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        // One small JSON line per direction per request: Nagle's
-        // algorithm would add a delayed-ACK round trip to every call.
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
-            reader,
-            writer: BufWriter::new(stream),
+            lines: Lines::connect(addr)?,
         })
     }
 
@@ -53,14 +96,7 @@ impl Client {
         addr: impl ToSocketAddrs + Copy,
         timeout: Duration,
     ) -> std::io::Result<Self> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
+        retry(timeout, || Self::connect(addr))
     }
 
     /// Sends one request and reads its response.
@@ -71,17 +107,7 @@ impl Client {
     /// closed the connection without answering.
     pub fn request(&mut self, request: &Request) -> Result<Response, ServeError> {
         let json = serde_json::to_string(request).map_err(|e| ServeError::Json(e.to_string()))?;
-        self.writer.write_all(json.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        let read = self.reader.read_line(&mut line)?;
-        if read == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before answering",
-            )));
-        }
+        let line = self.lines.round_trip(json.as_bytes())?;
         serde_json::from_str(&line).map_err(|e| ServeError::Json(e.to_string()))
     }
 
@@ -104,17 +130,7 @@ impl Client {
         // Envelope by hand around the serialized request — same bytes
         // as serializing a RequestEnvelope, without cloning `request`.
         let line = format!("{{\"trace_id\":{trace_id},\"req\":{req_json}}}");
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        let read = self.reader.read_line(&mut line)?;
-        if read == 0 {
-            return Err(ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before answering",
-            )));
-        }
+        let line = self.lines.round_trip(line.as_bytes())?;
         if let Ok(envelope) = serde_json::from_str::<ResponseEnvelope>(&line) {
             return Ok((envelope.trace_id, envelope.resp));
         }
@@ -172,14 +188,7 @@ impl BinClient {
         addr: impl ToSocketAddrs + Copy,
         timeout: Duration,
     ) -> std::io::Result<Self> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
+        retry(timeout, || Self::connect(addr))
     }
 
     /// Frames and buffers one request without flushing, returning its
@@ -300,8 +309,7 @@ impl BinClient {
 /// `slowlog` / `quiesce`): one verb line out, one JSON line back.
 #[derive(Debug)]
 pub struct OpsClient {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    lines: Lines,
 }
 
 impl OpsClient {
@@ -311,12 +319,8 @@ impl OpsClient {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
-            reader,
-            writer: BufWriter::new(stream),
+            lines: Lines::connect(addr)?,
         })
     }
 
@@ -330,14 +334,7 @@ impl OpsClient {
         addr: impl ToSocketAddrs + Copy,
         timeout: Duration,
     ) -> std::io::Result<Self> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
+        retry(timeout, || Self::connect(addr))
     }
 
     /// Sends one ops verb and returns the raw JSON reply line.
@@ -346,17 +343,7 @@ impl OpsClient {
     ///
     /// Fails on I/O errors or a closed connection.
     pub fn query(&mut self, verb: &str) -> std::io::Result<String> {
-        self.writer.write_all(verb.trim().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        let read = self.reader.read_line(&mut line)?;
-        if read == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "ops endpoint closed the connection before answering",
-            ));
-        }
+        let line = self.lines.round_trip(verb.trim().as_bytes())?;
         Ok(line.trim().to_string())
     }
 }

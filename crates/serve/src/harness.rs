@@ -17,6 +17,7 @@ use std::collections::VecDeque;
 use std::io::{Error, ErrorKind};
 use std::sync::atomic::Ordering;
 
+use crate::refresh::{IngestPipeline, RefreshConfig};
 use crate::server::{Conn, Scratch, ServerShared, Transport};
 use crate::serving::ServingRepository;
 
@@ -130,10 +131,13 @@ pub struct ConnHarness<'a> {
 }
 
 impl<'a> ConnHarness<'a> {
-    /// A fresh connection in the sniffing state.
+    /// A fresh connection in the sniffing state, over the same counters
+    /// and flags as a live single-shard server with an in-memory
+    /// pipeline and no listeners.
     #[must_use]
     pub fn new(serving: &'a ServingRepository) -> Self {
-        let shared = ServerShared::for_harness(serving);
+        let pipeline = IngestPipeline::new(serving, RefreshConfig::default());
+        let shared = ServerShared::new(pipeline, None, 1);
         let conn = Conn::new(&shared, ScriptedTransport::new());
         Self {
             shared,

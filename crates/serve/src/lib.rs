@@ -38,7 +38,9 @@
 //! Environment knobs: `GDCM_SERVE_ENC_CACHE` / `GDCM_SERVE_PRED_CACHE`
 //! (cache capacities in entries, 0 disables),
 //! `GDCM_SERVE_REFRESH_ROWS` / `GDCM_SERVE_REFRESH_BOOST` (background
-//! refresh threshold and warm residual rounds), `GDCM_THREADS` (worker
+//! refresh threshold and warm residual rounds),
+//! `GDCM_SERVE_WAL_COMPACT_RECORDS` (WAL records that force a
+//! compaction cycle, 0 disables), `GDCM_THREADS` (worker
 //! budget, via `gdcm-par`), `GDCM_OBS` (event sinks, via `gdcm-obs`).
 //! Unparsable `GDCM_SERVE_*` values fall back to their defaults with a
 //! structured `config_warning` event.
@@ -62,7 +64,7 @@ pub use client::{BinClient, Client, OpsClient};
 pub use lru::LruCache;
 pub use protocol::{Request, RequestEnvelope, Response, ResponseEnvelope};
 pub use refresh::{IngestPipeline, RefreshConfig};
-pub use server::{serve, serve_with_ingest, serve_with_ops, ServerConfig, ServerSummary};
+pub use server::{serve, ServerConfig, ServerSummary};
 pub use serving::{network_hash, CacheStats, ServeConfig, ServingRepository};
 pub use snapshot::{
     load_repository, save_repository, RepositorySnapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,

@@ -12,19 +12,20 @@
 //!   zoo-plus-random benchmark suite (deterministic in `--seed`) and
 //!   writes a versioned snapshot.
 //! * `--snapshot --addr` loads the snapshot **under audit** and serves
-//!   it over newline-delimited JSON TCP until a client sends
+//!   it over TCP — newline-delimited JSON and the length-prefixed
+//!   binary-v1 protocol on one listener — until a client sends
 //!   `Shutdown`. Prints `LISTENING <addr>` once the listener is bound
 //!   so scripts can synchronize. With `--ops-addr` a second listener
 //!   serves the ops endpoint (`health` / `metrics` / `slowlog` /
 //!   `quiesce`) and per-request telemetry records; it prints
-//!   `OPS LISTENING <addr>` too. With `--wal` mutating requests are
+//!   `OPS LISTENING <addr>` too. When `GDCM_SERVE_REFRESH_ROWS` is set,
+//!   a background refresher refits after that many new contributions
+//!   and swaps the audited model in without blocking readers, with or
+//!   without `--wal`. With `--wal` mutating requests are also
 //!   write-ahead logged (fsync before ack) at the given path; any
 //!   records already in the log are replayed over the snapshot before
-//!   serving starts (`WAL REPLAY ...` is printed), and — when
-//!   `GDCM_SERVE_REFRESH_ROWS` is set — a background refresher refits
-//!   after that many new contributions, swaps the audited model in
-//!   without blocking readers, and compacts the log back into the
-//!   snapshot file.
+//!   serving starts (`WAL REPLAY ...` is printed), and each refresh
+//!   compacts the log back into the snapshot file.
 //! * `--probe` is the scripted client the CI smoke job runs: it loads
 //!   the same snapshot locally, queries the server (ping / predict /
 //!   batch / cached re-predict / stats), asserts every prediction is
@@ -57,9 +58,8 @@ use gdcm_gen::{benchmark_suite_with, SearchSpace};
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::{codes, Request, Response};
 use gdcm_serve::{
-    load_repository, replay_record, serve, serve_with_ingest, serve_with_ops, BinClient, Client,
-    IngestPipeline, OpsClient, RefreshConfig, ServeConfig, ServerConfig, ServingRepository,
-    WriteAheadLog,
+    load_repository, replay_record, serve, BinClient, Client, IngestPipeline, OpsClient,
+    RefreshConfig, ServeConfig, ServerConfig, ServingRepository, WriteAheadLog,
 };
 
 const USAGE: &str = "usage:
@@ -73,8 +73,8 @@ const USAGE: &str = "usage:
   --snapshot PATH   snapshot to serve (audited on load) or to probe against
   --addr HOST:PORT  listen address for serving
   --ops-addr ADDR   also serve the ops endpoint (health/metrics/slowlog/quiesce)
-  --wal PATH        write-ahead log mutating requests here (replayed on start;
-                    GDCM_SERVE_REFRESH_ROWS enables background refresh)
+  --wal PATH        write-ahead log mutating requests here (replayed on start,
+                    compacted into the snapshot after each background refresh)
   --workers W       connection worker threads (default: GDCM_THREADS budget)
   --probe ADDR      act as the scripted smoke client against ADDR
   --ops ADDR        probe the server's ops endpoint at ADDR too
@@ -130,40 +130,24 @@ fn parse_args() -> Result<Args, String> {
             "--probe" => args.probe = Some(value("--probe")?),
             "--ops" => args.ops = Some(value("--ops")?),
             "--ops-out" => args.ops_out = Some(PathBuf::from(value("--ops-out")?)),
-            "--refresh" => {
-                args.refresh = Some(
-                    value("--refresh")?
-                        .parse()
-                        .map_err(|e| format!("--refresh: {e}"))?,
-                );
-            }
-            "--workers" => {
-                args.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                );
-            }
-            "--devices" => {
-                args.devices = value("--devices")?
-                    .parse()
-                    .map_err(|e| format!("--devices: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--random" => {
-                args.random = value("--random")?
-                    .parse()
-                    .map_err(|e| format!("--random: {e}"))?;
-            }
+            "--refresh" => args.refresh = Some(number(&flag, value(&flag)?)?),
+            "--workers" => args.workers = Some(number(&flag, value(&flag)?)?),
+            "--devices" => args.devices = number(&flag, value(&flag)?)?,
+            "--seed" => args.seed = number(&flag, value(&flag)?)?,
+            "--random" => args.random = number(&flag, value(&flag)?)?,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other:?}\n\n{USAGE}")),
         }
     }
     Ok(args)
+}
+
+/// Parses a numeric flag value.
+fn number<T: std::str::FromStr>(flag: &str, raw: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Trains a repository on the simulated suite — every enrolled device
@@ -230,17 +214,14 @@ fn serve_mode(args: &Args, snapshot: &Path, addr: &str) -> Result<(), String> {
             let mut repo = load_repository(snapshot).map_err(|e| e.to_string())?;
             let (wal, records, recovery) =
                 WriteAheadLog::open(wal_path).map_err(|e| e.to_string())?;
-            let mut applied = 0usize;
-            let mut skipped = 0usize;
-            for record in &records {
-                match replay_record(&mut repo, record) {
-                    true => applied += 1,
-                    false => skipped += 1,
-                }
-            }
+            let applied = records
+                .iter()
+                .filter(|record| replay_record(&mut repo, record))
+                .count();
             println!(
-                "WAL REPLAY {} applied, {skipped} skipped, {} torn byte(s) dropped",
-                applied, recovery.truncated_bytes
+                "WAL REPLAY {applied} applied, {} skipped, {} torn byte(s) dropped",
+                records.len() - applied,
+                recovery.truncated_bytes
             );
             (
                 ServingRepository::new(repo, ServeConfig::from_env()),
@@ -265,22 +246,25 @@ fn serve_mode(args: &Args, snapshot: &Path, addr: &str) -> Result<(), String> {
             .workers
             .unwrap_or_else(|| ServerConfig::default().workers),
     };
-    let ingest =
-        wal.map(|wal| IngestPipeline::with_wal(&serving, wal, snapshot, RefreshConfig::from_env()));
-    let summary = match (&ingest, ops_listener) {
-        (Some(pipeline), ops) => serve_with_ingest(listener, ops, &serving, Some(pipeline), config),
-        (None, Some(ops)) => serve_with_ops(listener, Some(ops), &serving, config),
-        (None, None) => serve(listener, &serving, config),
-    }
-    .map_err(|e| e.to_string())?;
+    let refresh = RefreshConfig::from_env();
+    let pipeline = match wal {
+        Some(wal) => IngestPipeline::with_wal(&serving, wal, snapshot, refresh),
+        None => IngestPipeline::new(&serving, refresh),
+    };
+    let summary = serve(listener, ops_listener, pipeline, config).map_err(|e| e.to_string())?;
     println!(
         "served {} request(s) over {} connection(s), {} error(s); shut down cleanly",
         summary.requests, summary.connections, summary.request_errors
     );
+    let cache = serving.cache_stats();
     let mut report = gdcm_obs::RunReport::new("gdcm-serve");
     report.set_dim("requests", summary.requests);
     report.set_dim("connections", summary.connections);
     report.set_dim("request_errors", summary.request_errors);
+    report.set_dim("pred_cache_hits", cache.prediction_hits);
+    report.set_dim("pred_cache_misses", cache.prediction_misses);
+    report.set_dim("enc_cache_hits", cache.encoding_hits);
+    report.set_dim("enc_cache_misses", cache.encoding_misses);
     report.collect();
     let _ = report.finalize_and_write();
     Ok(())
@@ -324,10 +308,7 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
         if echo != Some(trace_id) {
             return Err(format!("trace id {trace_id} echoed back as {echo:?}"));
         }
-        match resp {
-            Response::Prediction { latency_ms } if latency_ms.to_bits() == expected.to_bits() => {}
-            other => return Err(format!("predict mismatch: {other:?} vs {expected}")),
-        }
+        same_bits(resp, expected, "predict")?;
     }
 
     // Error responses carry the trace id too, plus a stable error code.
@@ -375,13 +356,11 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
     }
 
     // Cached re-ask: still the same bits.
-    match ask(&Request::Predict {
+    let cached = ask(&Request::Predict {
         device: device.clone(),
         network: probe_nets[0].clone(),
-    })? {
-        Response::Prediction { latency_ms } if latency_ms.to_bits() == expected[0].to_bits() => {}
-        other => return Err(format!("cached predict mismatch: {other:?}")),
-    }
+    })?;
+    same_bits(cached, expected[0], "cached predict")?;
 
     match ask(&Request::Stats)? {
         Response::Stats {
@@ -457,13 +436,7 @@ fn probe_refresh(
 ) -> Result<(), String> {
     let mut ops = OpsClient::connect_with_retry(ops_addr, Duration::from_secs(30))
         .map_err(|e| format!("connect ops {ops_addr}: {e}"))?;
-    let health = |ops: &mut OpsClient| -> Result<serde_json::Value, String> {
-        let line = ops
-            .query("health")
-            .map_err(|e| format!("ops health: {e}"))?;
-        serde_json::from_str(&line).map_err(|e| format!("ops health reply unparsable: {e}"))
-    };
-    let before = health(&mut ops)?;
+    let before = ops_query(&mut ops, "health")?;
     let epoch0 = json_u64(&before, "epoch")?;
 
     for i in 0..n {
@@ -486,7 +459,7 @@ fn probe_refresh(
 
     let deadline = std::time::Instant::now() + Duration::from_secs(120);
     loop {
-        let now = health(&mut ops)?;
+        let now = ops_query(&mut ops, "health")?;
         let epoch = json_u64(&now, "epoch")?;
         let wal_records = json_u64(&now, "wal_records")?;
         let refreshes = json_u64(&now, "refreshes")?;
@@ -547,10 +520,7 @@ fn probe_binary(
         if echoed != id {
             return Err(format!("binary response tagged id {echoed}, wanted {id}"));
         }
-        match resp {
-            Response::Prediction { latency_ms } if latency_ms.to_bits() == want.to_bits() => {}
-            other => return Err(format!("binary predict mismatch: {other:?} vs {want}")),
-        }
+        same_bits(resp, *want, "binary predict")?;
     }
 
     // The full set pipelined: same bits, matched by id.
@@ -562,15 +532,8 @@ fn probe_binary(
         })
         .collect();
     let responses = bin.pipeline(&requests, 4).map_err(|e| e.to_string())?;
-    for (resp, want) in responses.iter().zip(expected) {
-        match resp {
-            Response::Prediction { latency_ms } if latency_ms.to_bits() == want.to_bits() => {}
-            other => {
-                return Err(format!(
-                    "binary pipelined predict mismatch: {other:?} vs {want}"
-                ))
-            }
-        }
+    for (resp, want) in responses.into_iter().zip(expected) {
+        same_bits(resp, *want, "binary pipelined predict")?;
     }
 
     // Errors stay in-band with stable codes, connection intact.
@@ -659,13 +622,32 @@ fn probe_wire_hardening(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Sends one ops verb and parses the JSON reply.
+fn ops_query(ops: &mut OpsClient, verb: &str) -> Result<serde_json::Value, String> {
+    let line = ops.query(verb).map_err(|e| format!("ops {verb}: {e}"))?;
+    serde_json::from_str(&line).map_err(|e| format!("ops {verb} reply unparsable: {e}"))
+}
+
+/// Checks that `resp` is a prediction bit-identical to `want`.
+fn same_bits(resp: Response, want: f64, what: &str) -> Result<(), String> {
+    match resp {
+        Response::Prediction { latency_ms } if latency_ms.to_bits() == want.to_bits() => Ok(()),
+        other => Err(format!("{what} mismatch: {other:?} vs {want}")),
+    }
+}
+
+/// The value at `path` (dot-separated) in a parsed ops reply.
+fn json_at<'v>(value: &'v serde_json::Value, path: &str) -> Result<&'v serde_json::Value, String> {
+    path.split('.').try_fold(value, |cur, key| {
+        cur.get(key).ok_or(format!("ops reply missing {path}"))
+    })
+}
+
 /// Reads a `u64` out of a parsed ops reply at `path` (dot-separated).
 fn json_u64(value: &serde_json::Value, path: &str) -> Result<u64, String> {
-    let mut cur = value;
-    for key in path.split('.') {
-        cur = cur.get(key).ok_or(format!("ops reply missing {path}"))?;
-    }
-    cur.as_u64().ok_or(format!("ops reply {path} is not a u64"))
+    json_at(value, path)?
+        .as_u64()
+        .ok_or(format!("ops reply {path} is not a u64"))
 }
 
 /// Drives the ops endpoint after the load above: health must be `ok`,
@@ -676,12 +658,7 @@ fn json_u64(value: &serde_json::Value, path: &str) -> Result<u64, String> {
 fn probe_ops(ops_addr: &str, out: Option<&Path>) -> Result<(), String> {
     let mut ops = OpsClient::connect_with_retry(ops_addr, Duration::from_secs(30))
         .map_err(|e| format!("connect ops {ops_addr}: {e}"))?;
-    fn query(ops: &mut OpsClient, verb: &str) -> Result<serde_json::Value, String> {
-        let line = ops.query(verb).map_err(|e| format!("ops {verb}: {e}"))?;
-        serde_json::from_str(&line).map_err(|e| format!("ops {verb} reply unparsable: {e}"))
-    }
-
-    let health = query(&mut ops, "health")?;
+    let health = ops_query(&mut ops, "health")?;
     match health.get("status").and_then(|s| s.as_str()) {
         Some("ok") => {}
         other => return Err(format!("ops health status {other:?}, wanted \"ok\"")),
@@ -713,11 +690,7 @@ fn probe_ops(ops_addr: &str, out: Option<&Path>) -> Result<(), String> {
         "windowed.latency.p50_ms",
         "windowed.latency.p99_ms",
     ] {
-        let mut cur = &metrics;
-        for key in path.split('.') {
-            cur = cur.get(key).ok_or(format!("ops metrics missing {path}"))?;
-        }
-        let v = cur
+        let v = json_at(&metrics, path)?
             .as_f64()
             .ok_or(format!("ops metrics {path} is not a number"))?;
         if !v.is_finite() || v <= 0.0 {
@@ -739,7 +712,7 @@ fn probe_ops(ops_addr: &str, out: Option<&Path>) -> Result<(), String> {
         out.display()
     );
 
-    let slowlog = query(&mut ops, "slowlog")?;
+    let slowlog = ops_query(&mut ops, "slowlog")?;
     let entries = slowlog
         .get("entries")
         .and_then(|e| e.as_array())
@@ -756,11 +729,11 @@ fn probe_ops(ops_addr: &str, out: Option<&Path>) -> Result<(), String> {
         return Err("slowlog entry has no stage breakdown".into());
     }
 
-    let quiesce = query(&mut ops, "quiesce")?;
+    let quiesce = ops_query(&mut ops, "quiesce")?;
     if quiesce.get("status").and_then(|s| s.as_str()) != Some("draining") {
         return Err(format!("quiesce answered {quiesce:?}"));
     }
-    let health = query(&mut ops, "health")?;
+    let health = ops_query(&mut ops, "health")?;
     if health.get("status").and_then(|s| s.as_str()) != Some("draining") {
         return Err("health did not report draining after quiesce".into());
     }

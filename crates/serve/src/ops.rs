@@ -59,7 +59,7 @@ pub struct HealthReply {
     /// Model epoch currently serving (bumped by every fit, re-enroll,
     /// and background refresh swap).
     pub epoch: u64,
-    /// Background refreshes completed (0 without an ingest pipeline).
+    /// Background refreshes completed (0 while refresh is disabled).
     pub refreshes: u64,
     /// Contributions accumulated toward the next background refresh.
     pub refresh_pending_rows: u64,
@@ -244,6 +244,7 @@ fn handle_ops_connection(shared: &ServerShared<'_>, stream: TcpStream) {
 }
 
 fn health_reply(shared: &ServerShared<'_>) -> HealthReply {
+    let (ingest, serving) = (&shared.ingest, shared.ingest.serving);
     HealthReply {
         status: if shared.draining.load(Ordering::SeqCst) {
             "draining".to_string()
@@ -251,10 +252,10 @@ fn health_reply(shared: &ServerShared<'_>) -> HealthReply {
             "ok".to_string()
         },
         uptime_s: shared.started.elapsed().as_secs_f64(),
-        fitted: shared.serving.is_fitted(),
-        frozen: shared.serving.is_frozen(),
-        devices: shared.serving.n_devices(),
-        rows: shared.serving.n_rows(),
+        fitted: serving.is_fitted(),
+        frozen: serving.is_frozen(),
+        devices: serving.n_devices(),
+        rows: serving.n_rows(),
         requests_total: shared.requests.load(Ordering::SeqCst),
         errors_total: shared.request_errors.load(Ordering::SeqCst),
         connections_total: shared.connections.load(Ordering::SeqCst),
@@ -263,10 +264,10 @@ fn health_reply(shared: &ServerShared<'_>) -> HealthReply {
             crate::protocol::PROTOCOL_NEWLINE_JSON.to_string(),
             crate::protocol::PROTOCOL_BINARY_V1.to_string(),
         ],
-        epoch: shared.serving.model_epoch(),
-        refreshes: shared.ingest.map_or(0, |p| p.refreshes()),
-        refresh_pending_rows: shared.ingest.map_or(0, |p| p.pending_rows()),
-        wal_records: shared.ingest.map_or(0, |p| p.wal_records()),
+        epoch: serving.model_epoch(),
+        refreshes: ingest.refreshes(),
+        refresh_pending_rows: ingest.pending_rows(),
+        wal_records: ingest.wal_records(),
     }
 }
 
@@ -294,7 +295,7 @@ fn metrics_reply(shared: &ServerShared<'_>) -> MetricsReply {
             max_ms: 0.0,
         },
     };
-    let cache = shared.serving.cache_stats();
+    let cache = shared.ingest.serving.cache_stats();
     MetricsReply {
         windowed: WindowedMetrics {
             window_s: requests.window_s,

@@ -105,7 +105,7 @@ impl RefreshConfig {
 /// [`ServingRepository`].
 #[derive(Debug)]
 pub struct IngestPipeline<'a> {
-    serving: &'a ServingRepository,
+    pub(crate) serving: &'a ServingRepository,
     /// The durability layer; `None` runs the pipeline in-memory (still
     /// counting toward the refresh threshold).
     wal: Option<Mutex<WriteAheadLog>>,
@@ -338,7 +338,7 @@ impl<'a> IngestPipeline<'a> {
     /// The background refresher loop: polls [`Self::refresh_due`] (the
     /// contribution threshold or the WAL record-cap backstop), then
     /// refits and swaps. Run on a dedicated thread by
-    /// [`crate::server::serve_with_ingest`]. A gate-rejected refresh is
+    /// [`crate::server::serve`]. A gate-rejected refresh is
     /// logged and the loop keeps serving the old model. The poll
     /// interval (25 ms against an uncontended mutex) bounds refresh
     /// latency; the vendored `parking_lot` shim has no `Condvar`, and a

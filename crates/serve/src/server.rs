@@ -40,24 +40,34 @@
 //! connections disconnect. Nothing is aborted mid-request and every
 //! buffered response is flushed.
 //!
-//! Instrumentation: `serve/requests` / `serve/request_errors` counters,
-//! a `serve/request_ms` latency histogram, and a
-//! `serve/open_connections` gauge — always on (registry writes, not
-//! event emission).
+//! ## One request path
 //!
-//! Live telemetry is opt-in via [`serve_with_ops`]: handing the server
-//! a second listener starts the [`crate::ops`] endpoint and turns on
-//! per-request recording — stage spans (`read`/`parse`/`cache_lookup`/
-//! `predict`/`serialize`/`write`) through `gdcm_obs::reqtrace`,
-//! windowed qps/latency/error/cache counters, and slow-log admission.
-//! Without an ops listener none of that code runs: the request loop
-//! checks one plain `bool` and the hot path stays byte-for-byte the
-//! uninstrumented one (`bench_serve` asserts the enabled cost too).
-//! In the event-driven loop the `read` stage spans from the previous
-//! request's completion to this request's dispatch (client idle time
-//! included, as before), and the `write` stage measures enqueue into
-//! the connection's output buffer — the socket write itself is batched
-//! across pipelined responses.
+//! Each protocol is a thin adapter — newline JSON checks UTF-8, skips
+//! blank lines and parses the line; binary-v1 tries the wire fast lane,
+//! then decodes the frame — and both hand the result to one request
+//! core (`serve_request`) that dispatches, counts, serializes, times
+//! and records every request the same way. A refused oversized frame
+//! goes through the same core, so it is counted like any other error.
+//!
+//! Instrumentation that is always on: the per-server request, error
+//! and connection counts ([`ServerSummary`], ops `health`), the
+//! repository's cache counters ([`ServingRepository::cache_stats`]),
+//! a `serve/request_ms` latency histogram, and the
+//! `serve/open_connections` / `serve/workers` gauges — plain atomics
+//! and registry writes, no event emission.
+//!
+//! Live telemetry is opt-in: handing [`serve`] an ops listener starts
+//! the [`crate::ops`] endpoint and turns on per-request recording —
+//! stage spans (`read`/`parse`/`cache_lookup`/`predict`/`serialize`/
+//! `write`) through `gdcm_obs::reqtrace`, windowed qps/latency/error/
+//! cache counters, and slow-log admission. Without an ops listener none
+//! of that code runs: the request loop checks one plain `bool` and the
+//! hot path stays byte-for-byte the uninstrumented one (`bench_serve`
+//! asserts the enabled cost too). In the event-driven loop the `read`
+//! stage spans from the previous request's completion to this
+//! request's dispatch (client idle time included, as before), and the
+//! `write` stage measures enqueue into the connection's output buffer —
+//! the socket write itself is batched across pipelined responses.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -70,7 +80,7 @@ use crate::protocol::{
     codes, request_label, Request, RequestEnvelope, Response, ResponseEnvelope, TraceIdProbe,
 };
 use crate::refresh::IngestPipeline;
-use crate::serving::{CacheStats, ServingRepository};
+use crate::serving::{network_hash, CacheStats, ServingRepository};
 
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -101,11 +111,10 @@ pub struct ServerSummary {
 
 /// Shared per-server state (also read by the [`crate::ops`] endpoint).
 pub(crate) struct ServerShared<'a> {
-    pub(crate) serving: &'a ServingRepository,
-    /// Streaming-ingestion pipeline; when present, the mutating
-    /// requests route through it (WAL-then-apply) instead of hitting
-    /// the serving façade directly.
-    pub(crate) ingest: Option<&'a IngestPipeline<'a>>,
+    /// The serving repository and the one path every mutation takes to
+    /// it (WAL-then-apply when the pipeline has a log, a plain apply
+    /// otherwise).
+    pub(crate) ingest: IngestPipeline<'a>,
     pub(crate) stop: AtomicBool,
     pub(crate) requests: AtomicU64,
     pub(crate) request_errors: AtomicU64,
@@ -124,25 +133,28 @@ pub(crate) struct ServerShared<'a> {
     pub(crate) workers: usize,
 }
 
-impl ServerShared<'_> {
-    /// A shared-state block for the socket-free harness
-    /// ([`crate::harness`]): same counters and flags as a live server,
-    /// no listeners attached.
-    pub(crate) fn for_harness(serving: &ServingRepository) -> ServerShared<'_> {
+impl<'a> ServerShared<'a> {
+    /// Fresh counters and flags; telemetry records exactly when an ops
+    /// listener (`ops_addr`) is attached. The socket-free harness
+    /// ([`crate::harness`]) builds one with no listener at all.
+    pub(crate) fn new(
+        ingest: IngestPipeline<'a>,
+        ops_addr: Option<SocketAddr>,
+        workers: usize,
+    ) -> Self {
         ServerShared {
-            serving,
-            ingest: None,
+            ingest,
             stop: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             request_errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             open_connections: AtomicI64::new(0),
-            telemetry: false,
+            telemetry: ops_addr.is_some(),
             draining: AtomicBool::new(false),
             ops_stop: AtomicBool::new(false),
-            ops_addr: None,
+            ops_addr,
             started: Instant::now(),
-            workers: 1,
+            workers,
         }
     }
 
@@ -188,6 +200,20 @@ const PARK_MAX: Duration = Duration::from_millis(2);
 /// Runs the server until a client sends [`Request::Shutdown`]. Returns
 /// the traffic summary after a graceful drain.
 ///
+/// Every mutating request (`contribute` / `onboard_device` /
+/// `re_enroll` / `fit`) goes through `pipeline`: WAL-logged before it
+/// is applied when the pipeline has a log ([`IngestPipeline::with_wal`]),
+/// applied directly otherwise ([`IngestPipeline::new`]). When the
+/// pipeline needs one, a background thread refits and atomically swaps
+/// the model as contributions accumulate; it is stopped and joined
+/// before this returns.
+///
+/// `ops_listener` attaches the [`crate::ops`] endpoint (`health` /
+/// `metrics` / `slowlog` / `quiesce`) and turns on per-request
+/// telemetry — request-trace stage spans, windowed metrics, and the
+/// slow log — exactly when it is `Some`. The ops listener stops when
+/// the main server does.
+///
 /// # Errors
 ///
 /// Propagates listener failures (bind errors surface earlier, at
@@ -195,79 +221,28 @@ const PARK_MAX: Duration = Duration::from_millis(2);
 /// per-connection and logged, not fatal).
 pub fn serve(
     listener: TcpListener,
-    serving: &ServingRepository,
-    config: ServerConfig,
-) -> std::io::Result<ServerSummary> {
-    serve_with_ops(listener, None, serving, config)
-}
-
-/// Like [`serve`], with an optional second listener for the
-/// [`crate::ops`] endpoint (`health` / `metrics` / `slowlog` /
-/// `quiesce`). Attaching one also enables per-request telemetry:
-/// request-trace stage spans, windowed metrics, and the slow log. The
-/// ops listener stops when the main server does.
-///
-/// # Errors
-///
-/// Same contract as [`serve`].
-pub fn serve_with_ops(
-    listener: TcpListener,
     ops_listener: Option<TcpListener>,
-    serving: &ServingRepository,
-    config: ServerConfig,
-) -> std::io::Result<ServerSummary> {
-    serve_with_ingest(listener, ops_listener, serving, None, config)
-}
-
-/// Like [`serve_with_ops`], with an optional streaming-ingestion
-/// pipeline ([`IngestPipeline`]). When present, the mutating requests
-/// (`contribute` / `onboard_device` / `re_enroll`) are WAL-logged
-/// before they are applied, and — when the pipeline's refresh threshold
-/// is enabled — a dedicated background thread refits and atomically
-/// swaps the model as contributions accumulate, compacting the log
-/// afterwards. The refresher is stopped and joined before this returns.
-///
-/// # Errors
-///
-/// Same contract as [`serve`].
-pub fn serve_with_ingest(
-    listener: TcpListener,
-    ops_listener: Option<TcpListener>,
-    serving: &ServingRepository,
-    ingest: Option<&IngestPipeline<'_>>,
+    pipeline: IngestPipeline<'_>,
     config: ServerConfig,
 ) -> std::io::Result<ServerSummary> {
     let _span = gdcm_obs::span!("serve/server");
     listener.set_nonblocking(true)?;
-    let ops_addr = match &ops_listener {
-        Some(l) => Some(l.local_addr()?),
-        None => None,
-    };
+    let ops_addr = ops_listener
+        .as_ref()
+        .map(TcpListener::local_addr)
+        .transpose()?;
     let workers = config.workers.max(1);
-    let shared = ServerShared {
-        serving,
-        ingest,
-        stop: AtomicBool::new(false),
-        requests: AtomicU64::new(0),
-        request_errors: AtomicU64::new(0),
-        connections: AtomicU64::new(0),
-        open_connections: AtomicI64::new(0),
-        telemetry: ops_addr.is_some(),
-        draining: AtomicBool::new(false),
-        ops_stop: AtomicBool::new(false),
-        ops_addr,
-        started: Instant::now(),
-        workers,
-    };
+    let shared = ServerShared::new(pipeline, ops_addr, workers);
     gdcm_obs::gauge("serve/workers").set(workers as f64);
 
     let shared = &shared;
     std::thread::scope(|outer| {
         let ops_handle =
             ops_listener.map(|ops| outer.spawn(move || crate::ops::run_ops(ops, shared)));
-        let refresher = ingest
-            .filter(|p| p.refresher_needed())
-            .map(|p| outer.spawn(move || p.run()));
+        let refresher = shared
+            .ingest
+            .refresher_needed()
+            .then(|| outer.spawn(|| shared.ingest.run()));
 
         // Shards 1.. run on their own threads; shard 0 shares the
         // accept thread so `workers == 1` spawns nothing.
@@ -289,9 +264,7 @@ pub fn serve_with_ingest(
         // work completes — the swap and compaction are not torn), then
         // the ops endpoint.
         if let Some(handle) = refresher {
-            if let Some(p) = ingest {
-                p.stop();
-            }
+            shared.ingest.stop();
             let _ = handle.join();
         }
         shared.trigger_ops_shutdown();
@@ -317,117 +290,100 @@ fn accept_loop(
 ) {
     let slots = senders.len() + 1;
     let mut rr = 0usize;
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = Scratch::new();
-    let mut idle: u32 = 0;
-    let mut park = PARK_MIN;
-    loop {
-        let mut progress = false;
-        let stopped = shared.stop.load(Ordering::SeqCst);
-        if stopped {
+    run_shard(shared, |conns| {
+        if shared.stop.load(Ordering::SeqCst) {
             // Channel close is the drain signal the other shards exit on.
             senders.clear();
-        } else {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        shared.connections.fetch_add(1, Ordering::SeqCst);
-                        progress = true;
-                        let slot = rr % slots;
-                        rr = rr.wrapping_add(1);
-                        if slot == 0 {
-                            conns.push(Conn::new(shared, stream));
-                        } else {
-                            match senders[slot - 1].send(stream) {
-                                Ok(()) => {}
-                                // Unreachable: shards outlive the senders.
-                                Err(back) => conns.push(Conn::new(shared, back.0)),
-                            }
-                        }
+            return (false, true);
+        }
+        let mut progress = false;
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    shared.connections.fetch_add(1, Ordering::SeqCst);
+                    progress = true;
+                    let slot = rr % slots;
+                    rr = rr.wrapping_add(1);
+                    if slot == 0 {
+                        conns.push(Conn::new(shared, stream));
+                    } else if let Err(back) = senders[slot - 1].send(stream) {
+                        // Unreachable: shards outlive the senders.
+                        conns.push(Conn::new(shared, back.0));
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        gdcm_obs::event(
-                            "accept_error",
-                            "serve",
-                            &[("error", gdcm_obs::FieldValue::Str(e.to_string()))],
-                        );
-                        break;
-                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return (progress, false),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    gdcm_obs::event(
+                        "accept_error",
+                        "serve",
+                        &[("error", gdcm_obs::FieldValue::Str(e.to_string()))],
+                    );
+                    return (progress, false);
                 }
             }
         }
-        progress |= sweep(shared, &mut conns, &mut scratch);
-        if stopped && conns.is_empty() {
-            return;
-        }
-        back_off(progress, &mut idle, &mut park);
-    }
+    });
 }
 
 /// A spawned shard: sweeps connections handed over the channel until
 /// the channel closes *and* every connection has drained.
 fn shard_loop(shared: &ServerShared<'_>, rx: &Receiver<TcpStream>) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = Scratch::new();
-    let mut idle: u32 = 0;
-    let mut park = PARK_MIN;
-    loop {
+    run_shard(shared, |conns| {
         let mut progress = false;
-        let mut closed = false;
         loop {
             match rx.try_recv() {
                 Ok(stream) => {
                     conns.push(Conn::new(shared, stream));
                     progress = true;
                 }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    closed = true;
-                    break;
-                }
+                Err(TryRecvError::Empty) => return (progress, false),
+                Err(TryRecvError::Disconnected) => return (progress, true),
             }
         }
-        progress |= sweep(shared, &mut conns, &mut scratch);
-        if closed && conns.is_empty() {
-            return;
-        }
-        back_off(progress, &mut idle, &mut park);
-    }
+    });
 }
 
-/// Pumps every connection once and reaps the finished ones.
-fn sweep(shared: &ServerShared<'_>, conns: &mut Vec<Conn>, scratch: &mut Scratch) -> bool {
-    let mut progress = false;
-    for conn in conns.iter_mut() {
-        progress |= conn.pump(shared, scratch);
-    }
-    let before = conns.len();
-    conns.retain(|c| !c.dead);
-    let reaped = before - conns.len();
-    if reaped > 0 {
-        #[allow(clippy::cast_possible_wrap)]
-        shared.track_open(-(reaped as i64));
-        progress = true;
-    }
-    progress
-}
-
+/// One shard's event loop. Each round `intake` adds new connections and
+/// reports `(progress, closed)`; every connection is then pumped once
+/// and the finished ones reaped. The loop returns once intake is closed
+/// and every connection has drained.
+///
 /// Idle strategy: stay hot through `yield_now` while traffic looks
 /// imminent, then park with exponential backoff up to [`PARK_MAX`] so
 /// a quiet server costs ~no CPU but still notices the stop flag fast.
-fn back_off(progress: bool, idle: &mut u32, park: &mut Duration) {
-    if progress {
-        *idle = 0;
-        *park = PARK_MIN;
-    } else {
-        *idle = idle.saturating_add(1);
-        if *idle <= SPIN_SWEEPS {
-            std::thread::yield_now();
+fn run_shard(shared: &ServerShared<'_>, mut intake: impl FnMut(&mut Vec<Conn>) -> (bool, bool)) {
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut scratch = Scratch::new();
+    let mut idle: u32 = 0;
+    let mut park = PARK_MIN;
+    loop {
+        let (mut progress, closed) = intake(&mut conns);
+        for conn in &mut conns {
+            progress |= conn.pump(shared, &mut scratch);
+        }
+        let before = conns.len();
+        conns.retain(|c| !c.dead);
+        let reaped = before - conns.len();
+        if reaped > 0 {
+            #[allow(clippy::cast_possible_wrap)]
+            shared.track_open(-(reaped as i64));
+            progress = true;
+        }
+        if closed && conns.is_empty() {
+            return;
+        }
+        if progress {
+            idle = 0;
+            park = PARK_MIN;
         } else {
-            std::thread::park_timeout(*park);
-            *park = (*park * 2).min(PARK_MAX);
+            idle = idle.saturating_add(1);
+            if idle <= SPIN_SWEEPS {
+                std::thread::yield_now();
+            } else {
+                std::thread::park_timeout(park);
+                park = (park * 2).min(PARK_MAX);
+            }
         }
     }
 }
@@ -715,20 +671,14 @@ impl<T: Transport> Conn<T> {
                     let line_start = self.consumed;
                     self.consumed = next;
                     progress = true;
-                    let outcome = {
-                        let Conn {
-                            buf,
-                            out,
-                            prev_done_us,
-                            ..
-                        } = self;
-                        handle_legacy_line(
-                            shared,
-                            scratch,
-                            &buf[line_start..line_end],
-                            out,
-                            *prev_done_us,
-                        )
+                    // Blank lines are not requests: no answer, no count.
+                    let outcome = match std::str::from_utf8(&self.buf[line_start..line_end]) {
+                        Ok(text) if text.trim().is_empty() => Outcome::Continue,
+                        line => {
+                            serve_request(shared, scratch, &mut self.out, self.prev_done_us, |_| {
+                                decode_line(line)
+                            })
+                        }
                     };
                     self.finish_request(shared, outcome);
                 }
@@ -750,23 +700,21 @@ impl<T: Transport> Conn<T> {
                         }
                     };
                     if header.payload_len > wire::MAX_PAYLOAD {
-                        // Refused before any allocation; framing can no
-                        // longer be trusted, so answer and close.
-                        let _ = wire::append_frame(
+                        // Refused before any allocation and counted like
+                        // any other error; framing can no longer be
+                        // trusted, so answer and close.
+                        let declared = header.payload_len;
+                        let message = wire::WireError::FrameTooLarge { declared }.to_string();
+                        let input = refused("frame_too_large", codes::FRAME_TOO_LARGE, message);
+                        let reply = Reply::Frame(header.request_id);
+                        let outcome = serve_request(
+                            shared,
+                            scratch,
                             &mut self.out,
-                            header.request_id,
-                            &Response::Error {
-                                code: codes::FRAME_TOO_LARGE.to_string(),
-                                message: wire::WireError::FrameTooLarge {
-                                    declared: header.payload_len,
-                                }
-                                .to_string(),
-                            },
+                            self.prev_done_us,
+                            |_| (reply, input),
                         );
-                        shared.requests.fetch_add(1, Ordering::SeqCst);
-                        shared.request_errors.fetch_add(1, Ordering::SeqCst);
-                        gdcm_obs::counter("serve/requests").incr();
-                        gdcm_obs::counter("serve/request_errors").incr();
+                        self.finish_request(shared, outcome);
                         self.closing = true;
                         progress = true;
                         continue;
@@ -784,22 +732,12 @@ impl<T: Transport> Conn<T> {
                     let end = start + header.payload_len;
                     self.consumed = end;
                     progress = true;
-                    let outcome = {
-                        let Conn {
-                            buf,
-                            out,
-                            prev_done_us,
-                            ..
-                        } = self;
-                        handle_binary_frame(
-                            shared,
-                            scratch,
-                            &buf[start..end],
-                            header.request_id,
-                            out,
-                            *prev_done_us,
-                        )
-                    };
+                    let payload = &self.buf[start..end];
+                    let outcome =
+                        serve_request(shared, scratch, &mut self.out, self.prev_done_us, |cache| {
+                            let input = decode_frame(shared.ingest.serving, payload, cache);
+                            (Reply::Frame(header.request_id), input)
+                        });
                     self.finish_request(shared, outcome);
                 }
             }
@@ -819,45 +757,123 @@ impl<T: Transport> Conn<T> {
     }
 }
 
-/// Parses one request line: envelope first (opt-in trace id), bare
-/// request second. A line that is valid JSON but not a valid request
-/// still yields its `trace_id` (if any), so the error response can be
-/// correlated with the request that caused it.
-fn parse_line(line: &str) -> (Option<u64>, Result<Request, String>) {
+/// The newline-JSON adapter: parses one non-blank line, envelope first
+/// (opt-in trace id), bare request second. A line that is valid JSON
+/// but not a valid request still yields its `trace_id` (if any), so the
+/// error response can be correlated with the request that caused it. A
+/// non-UTF-8 line answers an in-band parse error.
+fn decode_line(line: Result<&str, std::str::Utf8Error>) -> (Reply, Input) {
+    let _stage = gdcm_obs::reqtrace::stage("parse");
+    let Ok(line) = line else {
+        let message = "request line is not valid UTF-8".to_string();
+        return (
+            Reply::Line(None),
+            refused("parse_error", codes::PARSE_ERROR, message),
+        );
+    };
     if let Ok(env) = serde_json::from_str::<RequestEnvelope>(line) {
-        return (env.trace_id, Ok(env.req));
+        return (Reply::Line(env.trace_id), Input::Request(env.req, None));
     }
     match serde_json::from_str::<Request>(line) {
-        Ok(request) => (None, Ok(request)),
+        Ok(request) => (Reply::Line(None), Input::Request(request, None)),
         Err(e) => {
             let trace_id = serde_json::from_str::<TraceIdProbe>(line)
                 .ok()
                 .and_then(|p| p.trace_id);
-            (trace_id, Err(format!("unparsable request: {e}")))
+            let message = format!("unparsable request: {e}");
+            (
+                Reply::Line(trace_id),
+                refused("parse_error", codes::PARSE_ERROR, message),
+            )
         }
     }
 }
 
-/// Serves one legacy newline-JSON request: parse, dispatch, serialize
-/// into the shard's reusable buffer, enqueue with a trailing newline.
-fn handle_legacy_line(
+/// What a protocol adapter made of one request's bytes.
+enum Input {
+    /// A decoded request. `wire_hash` is the hash of a binary
+    /// `Predict`'s canonical network bytes, for the wire index.
+    Request(Request, Option<u64>),
+    /// Answered without dispatch — a fast-lane hit, a parse error, a
+    /// refused frame — with its slow-log label.
+    Answered(&'static str, Response),
+}
+
+/// An input answered in-band with an error, without dispatch.
+fn refused(label: &'static str, code: &str, message: String) -> Input {
+    Input::Answered(
+        label,
+        Response::Error {
+            code: code.to_string(),
+            message,
+        },
+    )
+}
+
+/// How a response goes back on the wire.
+#[derive(Clone, Copy)]
+enum Reply {
+    /// One newline-JSON line, enveloped when the request carried a
+    /// trace id.
+    Line(Option<u64>),
+    /// One binary-v1 frame tagged with the request's id, which is also
+    /// its trace id.
+    Frame(u64),
+}
+
+impl Reply {
+    fn trace_id(self) -> Option<u64> {
+        match self {
+            Reply::Line(trace_id) => trace_id,
+            Reply::Frame(request_id) => Some(request_id),
+        }
+    }
+
+    /// Serializes `response` into the shard's reusable buffer. Enveloped
+    /// requests get enveloped responses — errors included, so clients
+    /// can correlate failures too; bare requests keep bare responses.
+    fn serialize(self, ser: &mut Vec<u8>, response: Response) -> bool {
+        match self {
+            Reply::Line(None) => serde_json::to_writer(ser, &response).is_ok(),
+            Reply::Line(trace_id) => serde_json::to_writer(
+                ser,
+                &ResponseEnvelope {
+                    trace_id,
+                    resp: response,
+                },
+            )
+            .is_ok(),
+            Reply::Frame(_) => wire::append_value(ser, &response).is_ok(),
+        }
+    }
+
+    /// Enqueues the serialized response on the connection's output.
+    fn write(self, out: &mut Vec<u8>, ser: &[u8]) -> bool {
+        match self {
+            Reply::Line(_) => {
+                out.extend_from_slice(ser);
+                out.push(b'\n');
+                true
+            }
+            Reply::Frame(request_id) => wire::append_raw_frame(out, request_id, ser).is_ok(),
+        }
+    }
+}
+
+/// The one request path both protocols share: telemetry begin and the
+/// `read` stage, the adapter's `decode`, dispatch, the request and
+/// error counts, serialize + write, the `serve/request_ms` histogram,
+/// the telemetry record, and the shutdown outcome. `decode` adds the
+/// cache lookups it makes itself (the wire fast lane) to the tally it
+/// is handed; dispatch adds the rest.
+fn serve_request(
     shared: &ServerShared<'_>,
     scratch: &mut Scratch,
-    line: &[u8],
     out: &mut Vec<u8>,
     prev_done_us: u64,
+    decode: impl FnOnce(&mut CacheStats) -> (Reply, Input),
 ) -> Outcome {
-    // A non-UTF-8 line answers an in-band parse error instead of the
-    // old reader's silent disconnect — strictly more useful, still an
-    // error. Blank lines are ignored, as before.
-    let text = match std::str::from_utf8(line) {
-        Ok(text) if text.trim().is_empty() => return Outcome::Continue,
-        Ok(text) => Some(text),
-        Err(_) => None,
-    };
-
     let telemetry = shared.telemetry;
-    let cache_before = telemetry.then(|| shared.serving.cache_stats());
     if telemetry {
         gdcm_obs::reqtrace::begin(0);
         // The read stage spans from the previous request's completion;
@@ -867,76 +883,45 @@ fn handle_legacy_line(
         gdcm_obs::reqtrace::stage_closed("read", prev_done_us, now_us.saturating_sub(prev_done_us));
     }
     let started = Instant::now();
-
-    let (trace_id, parsed) = {
-        let _stage = gdcm_obs::reqtrace::stage("parse");
-        match text {
-            Some(text) => parse_line(text),
-            None => (None, Err("request line is not valid UTF-8".to_string())),
-        }
-    };
-    if let Some(id) = trace_id {
-        gdcm_obs::reqtrace::set_trace_id(id);
+    let mut cache = CacheStats::default();
+    let (reply, input) = decode(&mut cache);
+    if let (true, Some(trace_id)) = (telemetry, reply.trace_id()) {
+        gdcm_obs::reqtrace::set_trace_id(trace_id);
     }
 
-    let label;
-    let (response, is_shutdown) = match parsed {
-        Ok(request) => {
-            label = request_label(&request);
-            let is_shutdown = matches!(request, Request::Shutdown);
-            (dispatch(shared, request), is_shutdown)
-        }
-        Err(message) => {
-            label = "parse_error";
-            (
-                Response::Error {
-                    code: codes::PARSE_ERROR.to_string(),
-                    message,
-                },
-                false,
-            )
-        }
+    let (label, is_shutdown, response) = match input {
+        Input::Request(request, wire_hash) => (
+            request_label(&request),
+            matches!(request, Request::Shutdown),
+            dispatch(shared, request, wire_hash, &mut cache),
+        ),
+        Input::Answered(label, response) => (label, false, response),
     };
     shared.requests.fetch_add(1, Ordering::SeqCst);
-    gdcm_obs::counter("serve/requests").incr();
     let is_error = matches!(response, Response::Error { .. });
     if is_error {
         shared.request_errors.fetch_add(1, Ordering::SeqCst);
-        gdcm_obs::counter("serve/request_errors").incr();
     }
 
     let serialized = {
         let _stage = gdcm_obs::reqtrace::stage("serialize");
         scratch.ser.clear();
-        // Enveloped requests get enveloped responses — errors
-        // included, so clients can correlate failures too. Bare
-        // requests keep the legacy bare responses.
-        match trace_id {
-            Some(id) => serde_json::to_writer(
-                &mut scratch.ser,
-                &ResponseEnvelope {
-                    trace_id: Some(id),
-                    resp: response,
-                },
-            ),
-            None => serde_json::to_writer(&mut scratch.ser, &response),
-        }
+        reply.serialize(&mut scratch.ser, response)
     };
-    if serialized.is_err() {
-        // Responses are plain data; serialization cannot fail. If it
-        // ever does, drop the connection rather than the process.
-        return Outcome::Fatal;
-    }
-    {
+    let written = serialized && {
         let _stage = gdcm_obs::reqtrace::stage("write");
-        out.extend_from_slice(&scratch.ser);
-        out.push(b'\n');
+        reply.write(out, &scratch.ser)
+    };
+    if !written {
+        // Responses are plain data; encoding cannot fail. If it ever
+        // does, drop the connection rather than the process.
+        return Outcome::Fatal;
     }
 
     let request_us = started.elapsed().as_micros() as u64;
     gdcm_obs::histogram("serve/request_ms").record(request_us as f64 / 1e3);
     if telemetry {
-        record_telemetry(shared, label, request_us, is_error, cache_before);
+        record_telemetry(label, request_us, is_error, cache);
     }
     if is_shutdown {
         Outcome::CloseAfterFlush
@@ -945,158 +930,60 @@ fn handle_legacy_line(
     }
 }
 
-/// Serves one binary frame: decode, dispatch, encode the response into
-/// a frame tagged with the request's id. The id also becomes the
-/// request's trace id, so binary clients correlate slow-log entries
-/// without any envelope.
-fn handle_binary_frame(
-    shared: &ServerShared<'_>,
-    scratch: &mut Scratch,
-    payload: &[u8],
-    request_id: u64,
-    out: &mut Vec<u8>,
-    prev_done_us: u64,
-) -> Outcome {
-    let telemetry = shared.telemetry;
-    let cache_before = telemetry.then(|| shared.serving.cache_stats());
-    if telemetry {
-        gdcm_obs::reqtrace::begin(request_id);
-        let now_us = gdcm_obs::timestamp_us();
-        gdcm_obs::reqtrace::stage_closed("read", prev_done_us, now_us.saturating_sub(prev_done_us));
-    }
-    let started = Instant::now();
-
-    // Wire fast lane: a canonical `Predict` whose network bytes have
-    // been seen before can be answered from the prediction cache
-    // without decoding the network at all. Any miss — not a Predict,
-    // first sighting of these bytes, cache invalidated by a refit —
-    // drops to the ordinary decode below, whose successful result
-    // repopulates the index.
+/// Decodes one binary frame's payload.
+///
+/// Wire fast lane first: a canonical `Predict` whose network bytes have
+/// been seen before is answered from the prediction cache without
+/// decoding the network at all. Any miss — not a Predict, first
+/// sighting of these bytes, cache invalidated by a refit — drops to the
+/// ordinary decode, and dispatch repopulates the index from the result.
+fn decode_frame(serving: &ServingRepository, payload: &[u8], cache: &mut CacheStats) -> Input {
     let probed = wire::fast::probe_predict(payload)
         .map(|(device, network_bytes)| (device, wire::fast::wire_hash(network_bytes)));
-    let cached = probed
+    if let Some(latency_ms) = probed
         .as_ref()
-        .and_then(|(device, hash)| shared.serving.predict_wire_hit(device, *hash));
-
-    let label;
-    let (response, is_shutdown) = if let Some(latency_ms) = cached {
-        label = "predict";
-        (Response::Prediction { latency_ms }, false)
-    } else {
-        let parsed = {
-            let _stage = gdcm_obs::reqtrace::stage("parse");
-            // Canonical-layout fast path; falls back to the generic
-            // content-tree decoder on any deviation, so accepted inputs
-            // and error text are unchanged.
-            wire::fast::decode_request(payload)
-        };
-        match parsed {
-            Ok(request) => {
-                if let (Some((_, hash)), Request::Predict { network, .. }) = (&probed, &request) {
-                    shared.serving.index_wire_hash(*hash, network);
-                }
-                label = request_label(&request);
-                let is_shutdown = matches!(request, Request::Shutdown);
-                (dispatch(shared, request), is_shutdown)
-            }
-            Err(e) => {
-                // A malformed payload inside a well-formed frame:
-                // framing is intact, so answer in-band and keep the
-                // connection — neighbouring pipelined requests are
-                // unaffected.
-                label = "parse_error";
-                (
-                    Response::Error {
-                        code: codes::PARSE_ERROR.to_string(),
-                        message: format!("unparsable request: {e}"),
-                    },
-                    false,
-                )
-            }
-        }
-    };
-    shared.requests.fetch_add(1, Ordering::SeqCst);
-    gdcm_obs::counter("serve/requests").incr();
-    let is_error = matches!(response, Response::Error { .. });
-    if is_error {
-        shared.request_errors.fetch_add(1, Ordering::SeqCst);
-        gdcm_obs::counter("serve/request_errors").incr();
+        .and_then(|(device, hash)| serving.predict_wire_hit(device, *hash))
+    {
+        cache.prediction_hits += 1;
+        return Input::Answered("predict", Response::Prediction { latency_ms });
     }
-
-    let serialized = {
-        let _stage = gdcm_obs::reqtrace::stage("serialize");
-        scratch.ser.clear();
-        wire::append_value(&mut scratch.ser, &response)
-    };
-    if serialized.is_err() {
-        return Outcome::Fatal;
-    }
-    let framed = {
-        let _stage = gdcm_obs::reqtrace::stage("write");
-        wire::append_raw_frame(out, request_id, &scratch.ser)
-    };
-    if framed.is_err() {
-        return Outcome::Fatal;
-    }
-
-    let request_us = started.elapsed().as_micros() as u64;
-    gdcm_obs::histogram("serve/request_ms").record(request_us as f64 / 1e3);
-    if telemetry {
-        record_telemetry(shared, label, request_us, is_error, cache_before);
-    }
-    if is_shutdown {
-        Outcome::CloseAfterFlush
-    } else {
-        Outcome::Continue
+    let _stage = gdcm_obs::reqtrace::stage("parse");
+    // Canonical-layout fast path; falls back to the generic content-tree
+    // decoder on any deviation, so accepted inputs and error text are
+    // unchanged.
+    match wire::fast::decode_request(payload) {
+        Ok(request) => Input::Request(request, probed.map(|(_, hash)| hash)),
+        // A malformed payload inside a well-formed frame: framing is
+        // intact, so it answers in-band and the connection stays —
+        // neighbouring pipelined requests are unaffected.
+        Err(e) => refused(
+            "parse_error",
+            codes::PARSE_ERROR,
+            format!("unparsable request: {e}"),
+        ),
     }
 }
 
 /// Folds one finished request into the live-telemetry surfaces:
 /// windowed counters/histograms, per-stage cumulative histograms, and
-/// the slow log. Only called when telemetry is enabled.
-fn record_telemetry(
-    shared: &ServerShared<'_>,
-    label: &str,
-    request_us: u64,
-    is_error: bool,
-    cache_before: Option<CacheStats>,
-) {
+/// the slow log. `cache` holds exactly this request's own cache
+/// lookups, so a concurrent shard's traffic never leaks into it. Only
+/// called when telemetry is enabled.
+fn record_telemetry(label: &str, request_us: u64, is_error: bool, cache: CacheStats) {
     let now_us = gdcm_obs::timestamp_us();
     gdcm_obs::windowed_counter("serve/requests").add_at(1, now_us);
     if is_error {
         gdcm_obs::windowed_counter("serve/request_errors").add_at(1, now_us);
     }
     gdcm_obs::windowed_histogram("serve/request_us").record_at(request_us as f64, now_us);
-    if let Some(before) = cache_before {
-        // Attribute this request's cache activity to the window. Deltas
-        // may briefly include a concurrent shard's lookups; windowed
-        // totals stay exact because every shard records its own delta
-        // against its own `before` snapshot only once per request.
-        let after = shared.serving.cache_stats();
-        let deltas = [
-            (
-                "serve/pred_cache_hit",
-                after.prediction_hits.saturating_sub(before.prediction_hits),
-            ),
-            (
-                "serve/pred_cache_miss",
-                after
-                    .prediction_misses
-                    .saturating_sub(before.prediction_misses),
-            ),
-            (
-                "serve/enc_cache_hit",
-                after.encoding_hits.saturating_sub(before.encoding_hits),
-            ),
-            (
-                "serve/enc_cache_miss",
-                after.encoding_misses.saturating_sub(before.encoding_misses),
-            ),
-        ];
-        for (name, delta) in deltas {
-            if delta > 0 {
-                gdcm_obs::windowed_counter(name).add_at(delta, now_us);
-            }
+    for (name, count) in [
+        ("serve/pred_cache_hit", cache.prediction_hits),
+        ("serve/pred_cache_miss", cache.prediction_misses),
+        ("serve/enc_cache_hit", cache.encoding_hits),
+        ("serve/enc_cache_miss", cache.encoding_misses),
+    ] {
+        if count > 0 {
+            gdcm_obs::windowed_counter(name).add_at(count, now_us);
         }
     }
     if let Some(ctx) = gdcm_obs::reqtrace::end() {
@@ -1111,102 +998,78 @@ fn record_telemetry(
     }
 }
 
-/// Maps one request to one response against the serving repository.
-fn dispatch(shared: &ServerShared<'_>, request: Request) -> Response {
-    let serving = shared.serving;
-    let fail = |e: crate::ServeError| Response::Error {
-        code: e.code().to_string(),
-        message: e.to_string(),
-    };
-    match request {
-        Request::Ping => Response::Pong,
+/// Maps one request to one response, adding its cache lookups to
+/// `cache`. Mutations go through the ingestion pipeline, so with a WAL
+/// they are durable (append + fsync) before the `Ok` acknowledges them.
+/// Fit does too: the WAL records rows, not models, so the pipeline
+/// re-snapshots after a successful fit — otherwise crash-and-replay
+/// would silently revert an acknowledged fit to the snapshot's model.
+fn dispatch(
+    shared: &ServerShared<'_>,
+    request: Request,
+    wire_hash: Option<u64>,
+    cache: &mut CacheStats,
+) -> Response {
+    let ingest = &shared.ingest;
+    let serving = ingest.serving;
+    let answered = match request {
+        Request::Ping => Ok(Response::Pong),
         Request::Stats => {
-            let cache = serving.cache_stats();
-            Response::Stats {
+            let stats = serving.cache_stats();
+            Ok(Response::Stats {
                 devices: serving.n_devices(),
                 rows: serving.n_rows(),
                 fitted: serving.is_fitted(),
-                encoding_hits: cache.encoding_hits,
-                encoding_misses: cache.encoding_misses,
-                prediction_hits: cache.prediction_hits,
-                prediction_misses: cache.prediction_misses,
+                encoding_hits: stats.encoding_hits,
+                encoding_misses: stats.encoding_misses,
+                prediction_hits: stats.prediction_hits,
+                prediction_misses: stats.prediction_misses,
                 requests: shared.requests.load(Ordering::SeqCst) + 1,
-            }
+            })
         }
-        Request::Predict { device, network } => match serving.predict(&device, &network) {
-            Ok(latency_ms) => Response::Prediction { latency_ms },
-            Err(e) => fail(e),
-        },
-        Request::PredictBatch { device, networks } => {
-            match serving.predict_batch(&device, &networks) {
-                Ok(latency_ms) => Response::Predictions { latency_ms },
-                Err(e) => fail(e),
+        Request::Predict { device, network } => {
+            // One structural hash keys the wire index and both caches.
+            let hash = network_hash(&network);
+            if let Some(wire_hash) = wire_hash {
+                serving.index_wire(wire_hash, hash);
             }
+            serving
+                .predict_tallied(&device, &network, hash, cache, || {})
+                .map(|latency_ms| Response::Prediction { latency_ms })
         }
+        Request::PredictBatch { device, networks } => serving
+            .predict_batch_tallied(&device, &networks, cache, || {})
+            .map(|latency_ms| Response::Predictions { latency_ms }),
         Request::PredictForNewDevice {
             signature_ms,
             network,
-        } => match serving.predict_for_new_device(&signature_ms, &network) {
-            Ok(latency_ms) => Response::Prediction { latency_ms },
-            Err(e) => fail(e),
-        },
-        // Mutations go through the ingestion pipeline when one is
-        // attached, so they are durable (WAL append + fsync) before the
-        // Ok below acknowledges them.
+        } => serving
+            .predict_for_new_device(&signature_ms, &network)
+            .map(|latency_ms| Response::Prediction { latency_ms }),
         Request::OnboardDevice {
             device,
             signature_ms,
-        } => {
-            let result = match shared.ingest {
-                Some(ingest) => ingest.onboard_device(&device, &signature_ms),
-                None => serving.onboard_device(&device, &signature_ms),
-            };
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => fail(e),
-            }
-        }
+        } => ingest
+            .onboard_device(&device, &signature_ms)
+            .map(|()| Response::Ok),
         Request::ReEnroll {
             device,
             signature_ms,
-        } => {
-            let result = match shared.ingest {
-                Some(ingest) => ingest.re_enroll(&device, &signature_ms),
-                None => serving.re_enroll(&device, &signature_ms),
-            };
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => fail(e),
-            }
-        }
+        } => ingest
+            .re_enroll(&device, &signature_ms)
+            .map(|()| Response::Ok),
         Request::Contribute {
             device,
             network,
             latency_ms,
-        } => {
-            let result = match shared.ingest {
-                Some(ingest) => ingest.contribute(&device, &network, latency_ms),
-                None => serving.contribute(&device, &network, latency_ms),
-            };
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => fail(e),
-            }
-        }
-        // Fit also goes through the pipeline: the WAL records rows, not
-        // models, so the pipeline re-snapshots after a successful fit —
-        // otherwise crash-and-replay would silently revert an
-        // acknowledged fit to the snapshot's model.
-        Request::Fit => {
-            let result = match shared.ingest {
-                Some(ingest) => ingest.fit(),
-                None => serving.fit(),
-            };
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => fail(e),
-            }
-        }
-        Request::Shutdown => Response::ShuttingDown,
-    }
+        } => ingest
+            .contribute(&device, &network, latency_ms)
+            .map(|()| Response::Ok),
+        Request::Fit => ingest.fit().map(|()| Response::Ok),
+        Request::Shutdown => Ok(Response::ShuttingDown),
+    };
+    answered.unwrap_or_else(|e| Response::Error {
+        code: e.code().to_string(),
+        message: e.to_string(),
+    })
 }

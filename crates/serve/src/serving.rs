@@ -111,7 +111,9 @@ pub(crate) fn env_usize(name: &str, default: usize) -> usize {
     }
 }
 
-/// Monotonic cache counters, cheap enough to read per request.
+/// Cache counters: the repository's lifetime totals
+/// ([`ServingRepository::cache_stats`]), or the server's tally of one
+/// request's own lookups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Encoding-cache hits.
@@ -140,6 +142,13 @@ impl std::hash::Hasher for Fnv1a {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+}
+
+/// Counts one cache event in the lifetime counter and in the caller's
+/// per-request tally.
+fn count(counter: &AtomicU64, tally: &mut u64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+    *tally += 1;
 }
 
 /// 64-bit FNV-1a content hash over a network's structure (name, nodes,
@@ -237,14 +246,13 @@ impl ServingRepository {
         repo: &CollaborativeRepository,
         hash: u64,
         network: &Network,
+        tally: &mut CacheStats,
     ) -> Arc<Vec<f32>> {
         if let Some(enc) = self.encodings.lock().get(&hash) {
-            self.enc_hits.fetch_add(1, Ordering::Relaxed);
-            gdcm_obs::counter("serve/enc_cache_hit").incr();
+            count(&self.enc_hits, &mut tally.encoding_hits);
             return Arc::clone(enc);
         }
-        self.enc_misses.fetch_add(1, Ordering::Relaxed);
-        gdcm_obs::counter("serve/enc_cache_miss").incr();
+        count(&self.enc_misses, &mut tally.encoding_misses);
         let enc = Arc::new(repo.encoder().encode(network));
         self.encodings.lock().insert(hash, Arc::clone(&enc));
         enc
@@ -273,20 +281,38 @@ impl ServingRepository {
         network: &Network,
         between_compute_and_insert: impl FnOnce(),
     ) -> Result<f64, ServeError> {
-        let _span = gdcm_obs::span!("serve/predict");
+        let mut tally = CacheStats::default();
         let hash = network_hash(network);
+        self.predict_tallied(
+            device,
+            network,
+            hash,
+            &mut tally,
+            between_compute_and_insert,
+        )
+    }
+
+    /// [`ServingRepository::predict_hooked`] for a network whose
+    /// structural `hash` the caller already computed, adding this
+    /// call's cache lookups to `tally`.
+    pub(crate) fn predict_tallied(
+        &self,
+        device: &str,
+        network: &Network,
+        hash: u64,
+        tally: &mut CacheStats,
+        between_compute_and_insert: impl FnOnce(),
+    ) -> Result<f64, ServeError> {
         let key = (device.to_string(), hash);
         {
             // Request-trace stages are free when no context is active.
             let _stage = gdcm_obs::reqtrace::stage("cache_lookup");
             if let Some(&value) = self.predictions.lock().get(&key) {
-                self.pred_hits.fetch_add(1, Ordering::Relaxed);
-                gdcm_obs::counter("serve/pred_cache_hit").incr();
+                count(&self.pred_hits, &mut tally.prediction_hits);
                 return Ok(value);
             }
         }
-        self.pred_misses.fetch_add(1, Ordering::Relaxed);
-        gdcm_obs::counter("serve/pred_cache_miss").incr();
+        count(&self.pred_misses, &mut tally.prediction_misses);
         let (value, epoch) = {
             let _stage = gdcm_obs::reqtrace::stage("predict");
             let repo = self.repo.read();
@@ -294,7 +320,7 @@ impl ServingRepository {
                 .device_signature(device)
                 .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?
                 .to_vec();
-            let enc = self.cached_encoding(&repo, hash, network);
+            let enc = self.cached_encoding(&repo, hash, network, tally);
             let mut row = (*enc).clone();
             row.extend_from_slice(&hw);
             let rows = DenseMatrix::from_rows(std::slice::from_ref(&row));
@@ -322,27 +348,27 @@ impl ServingRepository {
     /// lanes apart.
     pub fn predict_wire_hit(&self, device: &str, wire_hash: u64) -> Option<f64> {
         let hash = *self.wire_index.lock().get(&wire_hash)?;
-        let _span = gdcm_obs::span!("serve/predict");
         let _stage = gdcm_obs::reqtrace::stage("cache_lookup");
         let key = (device.to_string(), hash);
         let value = *self.predictions.lock().get(&key)?;
         self.pred_hits.fetch_add(1, Ordering::Relaxed);
-        gdcm_obs::counter("serve/pred_cache_hit").incr();
         Some(value)
     }
 
     /// Records that a canonical wire payload hashing to `wire_hash`
     /// decodes to `network`, so future [`predict_wire_hit`] probes for
-    /// the same bytes can skip the decode. Called by the server after
-    /// a successful slow-path decode; like the prediction cache, the
-    /// index is LRU-bounded and disabled at capacity 0.
+    /// the same bytes can skip the decode. Like the prediction cache,
+    /// the index is LRU-bounded and disabled at capacity 0.
     ///
     /// [`predict_wire_hit`]: ServingRepository::predict_wire_hit
     pub fn index_wire_hash(&self, wire_hash: u64, network: &Network) {
-        if self.wire_index.lock().capacity() == 0 {
-            return;
-        }
-        let hash = network_hash(network);
+        self.index_wire(wire_hash, network_hash(network));
+    }
+
+    /// [`ServingRepository::index_wire_hash`] with the network's
+    /// structural hash already computed — the server's miss path, which
+    /// hashes each decoded network once for the index and the caches.
+    pub(crate) fn index_wire(&self, wire_hash: u64, hash: u64) {
         self.wire_index.lock().insert(wire_hash, hash);
     }
 
@@ -373,7 +399,19 @@ impl ServingRepository {
         networks: &[Network],
         between_compute_and_insert: impl FnOnce(),
     ) -> Result<Vec<f64>, ServeError> {
-        let _span = gdcm_obs::span!("serve/predict_batch");
+        let mut tally = CacheStats::default();
+        self.predict_batch_tallied(device, networks, &mut tally, between_compute_and_insert)
+    }
+
+    /// [`ServingRepository::predict_batch_hooked`], adding this call's
+    /// cache lookups to `tally`.
+    pub(crate) fn predict_batch_tallied(
+        &self,
+        device: &str,
+        networks: &[Network],
+        tally: &mut CacheStats,
+        between_compute_and_insert: impl FnOnce(),
+    ) -> Result<Vec<f64>, ServeError> {
         let hashes: Vec<u64> = networks.iter().map(network_hash).collect();
         let mut out = vec![0f64; networks.len()];
         // Positions whose hash missed and was *first seen* there — each
@@ -395,13 +433,11 @@ impl ServingRepository {
                 match cache.get(&key) {
                     Some(&value) => {
                         out[i] = value;
-                        self.pred_hits.fetch_add(1, Ordering::Relaxed);
-                        gdcm_obs::counter("serve/pred_cache_hit").incr();
+                        count(&self.pred_hits, &mut tally.prediction_hits);
                     }
                     None if queued.insert(*hash) => {
                         misses.push(i);
-                        self.pred_misses.fetch_add(1, Ordering::Relaxed);
-                        gdcm_obs::counter("serve/pred_cache_miss").incr();
+                        count(&self.pred_misses, &mut tally.prediction_misses);
                     }
                     None => dup_misses.push(i),
                 }
@@ -420,7 +456,7 @@ impl ServingRepository {
             let width = repo.encoder().len() + repo.signature_size();
             let mut rows = DenseMatrix::with_capacity(misses.len(), width);
             for &i in &misses {
-                let enc = self.cached_encoding(&repo, hashes[i], &networks[i]);
+                let enc = self.cached_encoding(&repo, hashes[i], &networks[i], tally);
                 let mut row = (*enc).clone();
                 row.extend_from_slice(&hw);
                 rows.push_row(&row);

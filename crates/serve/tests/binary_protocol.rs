@@ -8,7 +8,8 @@ use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::{codes, wire};
 use gdcm_serve::{
-    serve, BinClient, Client, Request, Response, ServeConfig, ServerConfig, ServingRepository,
+    serve, BinClient, Client, IngestPipeline, RefreshConfig, Request, Response, ServeConfig,
+    ServerConfig, ServingRepository,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -73,7 +74,14 @@ fn run_binary_session(workers: usize, seed: u64) {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers },
+            )
+        });
 
         let mut client = BinClient::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
         assert!(matches!(
@@ -174,6 +182,8 @@ fn binary_session_end_to_end_sharded() {
 
 #[test]
 fn both_protocols_share_one_listener() {
+    use std::io::{BufRead, BufReader};
+
     let (repo, nets) = fitted_repository(43);
     let serving = ServingRepository::new(repo, ServeConfig::default());
     let device = serving.device_names()[0].clone();
@@ -186,7 +196,14 @@ fn both_protocols_share_one_listener() {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers: 2 }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers: 2 },
+            )
+        });
 
         // Open both clients concurrently: the listener sniffs each
         // connection's first byte independently.
@@ -210,13 +227,94 @@ fn both_protocols_share_one_listener() {
                 other => panic!("binary predict answered {other:?}"),
             }
         }
-        drop(bin);
-        assert!(matches!(
-            json.request(&Request::Shutdown).unwrap(),
-            Response::ShuttingDown
-        ));
-        drop(json);
-        server.join().expect("server thread").expect("serve result");
+        drop((json, bin));
+
+        // Protocol parity: one script, each step sent over both
+        // protocols back to back, must answer the same values and codes.
+        let json_stream = TcpStream::connect(addr).unwrap();
+        let mut json_reader = BufReader::new(json_stream.try_clone().unwrap());
+        let mut json_writer = json_stream;
+        // The closures own their streams, so dropping them hangs up.
+        let mut json_call = move |line: &[u8]| -> Response {
+            json_writer.write_all(line).unwrap();
+            json_writer.write_all(b"\n").unwrap();
+            let mut answer = String::new();
+            json_reader.read_line(&mut answer).unwrap();
+            serde_json::from_str(&answer).unwrap()
+        };
+        let mut bin_stream = TcpStream::connect(addr).unwrap();
+        bin_stream.write_all(&wire::preamble()).unwrap();
+        let mut next_id = 0u64;
+        let mut bin_call = move |payload: &[u8]| -> Response {
+            next_id += 1;
+            let mut frame = Vec::new();
+            wire::append_raw_frame(&mut frame, next_id, payload).unwrap();
+            bin_stream.write_all(&frame).unwrap();
+            let (id, answer) = read_raw_frame(&mut bin_stream).unwrap();
+            assert_eq!(id, next_id);
+            wire::decode_value(&answer).unwrap()
+        };
+        let encode = |req: &Request| {
+            (
+                serde_json::to_string(req).unwrap().into_bytes(),
+                wire::encode_value(req).unwrap(),
+            )
+        };
+        let script = [
+            encode(&req),
+            encode(&Request::Predict {
+                device: "no-such-device".to_string(),
+                network: nets[0].clone(),
+            }),
+            (b"this is not json".to_vec(), vec![0xFF, 0xFE, 0xFD]),
+            encode(&Request::Contribute {
+                device: device.clone(),
+                network: nets[1].clone(),
+                latency_ms: 5.0,
+            }),
+            encode(&Request::Stats),
+        ];
+        let mut codes_seen = Vec::new();
+        for (line, payload) in &script {
+            let from_json = json_call(line);
+            let from_bin = bin_call(payload);
+            match (&from_json, &from_bin) {
+                (
+                    Response::Prediction { latency_ms: a },
+                    Response::Prediction { latency_ms: b },
+                ) => {
+                    assert_eq!(a.to_bits(), expected.to_bits());
+                    assert_eq!(b.to_bits(), expected.to_bits());
+                }
+                (Response::Error { code: a, .. }, Response::Error { code: b, .. }) => {
+                    assert_eq!(a, b);
+                    codes_seen.push(a.clone());
+                }
+                (Response::Ok, Response::Ok) => {}
+                (Response::Stats { requests: a, .. }, Response::Stats { requests: b, .. }) => {
+                    // The binary Stats is one request later; nothing
+                    // else moved in between.
+                    assert_eq!(*b, a + 1);
+                    let mut aligned = from_json.clone();
+                    if let Response::Stats { requests, .. } = &mut aligned {
+                        *requests = *b;
+                    }
+                    assert_eq!(aligned, from_bin);
+                }
+                _ => panic!("protocols disagree: {from_json:?} vs {from_bin:?}"),
+            }
+        }
+        assert_eq!(codes_seen, [codes::UNKNOWN_DEVICE, codes::PARSE_ERROR]);
+
+        assert!(matches!(json_call(b"\"Shutdown\""), Response::ShuttingDown));
+        drop(json_call);
+        drop(bin_call);
+        let summary = server.join().expect("server thread").expect("serve result");
+        // Each request counted once: 6 warm-up predicts, the 5-step
+        // script over both protocols, and the shutdown.
+        assert_eq!(summary.requests, 6 + 2 * script.len() as u64 + 1);
+        assert_eq!(summary.request_errors, 4);
+        assert_eq!(summary.connections, 4);
     });
 }
 
@@ -229,7 +327,14 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers: 1 }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers: 1 },
+            )
+        });
 
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
@@ -281,7 +386,14 @@ fn truncated_frame_mid_read_closes_cleanly() {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers: 1 }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers: 1 },
+            )
+        });
 
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&wire::preamble()).unwrap();
@@ -337,7 +449,14 @@ fn repeated_predicts_stay_fresh_across_re_enroll() {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers: 1 }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers: 1 },
+            )
+        });
 
         let mut client = BinClient::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
         let req = Request::Predict {
@@ -408,7 +527,14 @@ fn garbage_payload_does_not_corrupt_neighbouring_pipelined_responses() {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers: 1 }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers: 1 },
+            )
+        });
 
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();

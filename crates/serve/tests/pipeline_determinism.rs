@@ -15,7 +15,8 @@ use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::wire;
 use gdcm_serve::{
-    serve, BinClient, Request, Response, ServeConfig, ServerConfig, ServingRepository,
+    serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig, ServerConfig,
+    ServingRepository,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -138,8 +139,14 @@ fn pipelined_responses_are_byte_identical_to_sequential_across_thread_counts() {
         let addr = listener.local_addr().unwrap();
         std::thread::scope(|scope| {
             let serving = &serving;
-            let server =
-                scope.spawn(move || serve(listener, serving, ServerConfig { workers: threads }));
+            let server = scope.spawn(move || {
+                serve(
+                    listener,
+                    None,
+                    IngestPipeline::new(serving, RefreshConfig::default()),
+                    ServerConfig { workers: threads },
+                )
+            });
 
             let sequential = sequential_frames(addr, &frames);
             let pipelined = pipelined_frames(addr, &frames);

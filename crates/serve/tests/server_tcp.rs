@@ -6,7 +6,10 @@ use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
 use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
 use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
-use gdcm_serve::{serve, Client, Request, Response, ServeConfig, ServerConfig, ServingRepository};
+use gdcm_serve::{
+    serve, Client, IngestPipeline, RefreshConfig, Request, Response, ServeConfig, ServerConfig,
+    ServingRepository,
+};
 use std::net::TcpListener;
 use std::time::Duration;
 
@@ -59,7 +62,14 @@ fn run_session(workers: usize, seed: u64) {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers },
+            )
+        });
 
         let mut client = Client::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
         assert!(matches!(
@@ -169,7 +179,14 @@ fn malformed_lines_answer_errors_without_dropping_the_connection() {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers: 1 }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers: 1 },
+            )
+        });
 
         let stream = std::net::TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());

@@ -8,8 +8,8 @@ use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::codes;
 use gdcm_serve::{
-    serve, serve_with_ops, Client, OpsClient, Request, Response, ResponseEnvelope, ServeConfig,
-    ServerConfig, ServingRepository,
+    serve, Client, IngestPipeline, OpsClient, RefreshConfig, Request, Response, ResponseEnvelope,
+    ServeConfig, ServerConfig, ServingRepository,
 };
 use std::net::TcpListener;
 use std::time::Duration;
@@ -91,7 +91,14 @@ fn trace_ids_round_trip_on_success_and_error() {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers: 1 }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers: 1 },
+            )
+        });
         let mut guard = ShutdownGuard::new(addr);
         let mut client = Client::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
 
@@ -167,7 +174,14 @@ fn parse_errors_keep_the_trace_id_when_one_was_sent() {
 
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers: 1 }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers: 1 },
+            )
+        });
         let mut guard = ShutdownGuard::new(addr);
 
         let stream = std::net::TcpStream::connect(addr).unwrap();
@@ -232,10 +246,10 @@ fn ops_endpoint_reports_live_telemetry() {
     std::thread::scope(|scope| {
         let serving = &serving;
         let server = scope.spawn(move || {
-            serve_with_ops(
+            serve(
                 listener,
                 Some(ops_listener),
-                serving,
+                IngestPipeline::new(serving, RefreshConfig::default()),
                 ServerConfig { workers: 2 },
             )
         });

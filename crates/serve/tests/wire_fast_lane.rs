@@ -11,7 +11,8 @@ use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::wire;
 use gdcm_serve::{
-    serve, BinClient, Request, Response, ServeConfig, ServerConfig, ServingRepository,
+    serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig, ServerConfig,
+    ServingRepository,
 };
 use std::net::TcpListener;
 use std::time::Duration;
@@ -108,7 +109,14 @@ fn fast_lane_stays_coherent_across_snapshot_load() {
     let addr = listener.local_addr().unwrap();
     std::thread::scope(|scope| {
         let serving = &serving;
-        let server = scope.spawn(move || serve(listener, serving, ServerConfig { workers: 1 }));
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+                ServerConfig { workers: 1 },
+            )
+        });
         let mut client = BinClient::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
 
         // First sighting takes the slow path, answers bit-identically
