@@ -273,8 +273,8 @@ pub enum DiagCode {
     FsmBufferOverCap,
     /// A connection drain failed to terminate within the sweep budget.
     FsmDrainStuck,
-    /// The first-byte protocol sniff selected the wrong protocol path
-    /// or mishandled the preamble.
+    /// The preamble gate mishandled a connection opening: it served or
+    /// answered a non-binary-v1 opening, or refused a valid preamble.
     FsmSniffMismatch,
     // --- wirecheck pass 4: structure-aware frame fuzzer ----------------
     /// The fast and generic decoders disagreed on a mutated payload.
@@ -648,9 +648,7 @@ impl DiagCode {
             DiagCode::FsmDrainStuck => {
                 "connection drain failed to terminate within the sweep budget"
             }
-            DiagCode::FsmSniffMismatch => {
-                "first-byte protocol sniff selected the wrong protocol path"
-            }
+            DiagCode::FsmSniffMismatch => "preamble gate mishandled a connection opening",
             DiagCode::FuzzDecodeDivergence => {
                 "fast and generic decoders disagreed on a mutated payload"
             }

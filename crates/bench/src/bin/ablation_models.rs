@@ -10,6 +10,8 @@
 //! cargo run --release -p gdcm-bench --bin ablation_models
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gdcm_bench::DATASET_SEED;
 use gdcm_core::hardware::HardwareRepr;
 use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};

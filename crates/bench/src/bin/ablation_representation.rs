@@ -14,6 +14,8 @@
 //! cargo run --release -p gdcm-bench --bin ablation_representation
 //! ```
 
+#![forbid(unsafe_code)]
+
 use gdcm_bench::DATASET_SEED;
 use gdcm_core::signature::MutualInfoSelector;
 use gdcm_core::{CostDataset, CostModelPipeline, EncoderConfig, NetworkEncoder, PipelineConfig};

@@ -18,6 +18,8 @@
 //! not speedup; `cpus_available` records the host parallelism so readers
 //! can interpret the numbers.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::time::Instant;
 

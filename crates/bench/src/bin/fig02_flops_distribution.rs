@@ -3,6 +3,8 @@
 //! Prints the experiment's Markdown section; run `all_experiments` to
 //! regenerate the full `EXPERIMENTS.md`.
 
+#![forbid(unsafe_code)]
+
 use gdcm_bench::{experiments, record_dataset_dims, run_reported, DATASET_SEED};
 use gdcm_core::CostDataset;
 

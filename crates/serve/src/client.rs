@@ -1,12 +1,11 @@
-//! Minimal blocking clients for both wire protocols.
-//!
-//! [`Client`] speaks the legacy newline-delimited JSON protocol;
-//! [`BinClient`] speaks the length-prefixed binary protocol
-//! ([`crate::protocol::wire`]) and supports pipelining — many requests
-//! in flight on one connection, answers matched by request id. Both are
-//! used by the probe mode of the `gdcm-serve` binary, the CI smoke
-//! jobs, and the `bench_serve` load generator; library users get typed
-//! request/response calls without hand-rolling framing.
+//! Minimal blocking clients: [`BinClient`] for the serving listener's
+//! length-prefixed binary protocol ([`crate::protocol::wire`]), with
+//! pipelining — many requests in flight on one connection, answers
+//! matched by request id — and [`OpsClient`] for the ops endpoint's
+//! verb lines. Both are used by the probe mode of the `gdcm-serve`
+//! binary, the CI smoke jobs, and the `bench_serve` load generator;
+//! library users get typed request/response calls without hand-rolling
+//! framing.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -14,7 +13,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::protocol::wire;
-use crate::protocol::{Request, Response, ResponseEnvelope};
+use crate::protocol::{Request, Response};
 use crate::ServeError;
 
 /// Connects, retrying until `timeout` elapses — for scripted clients
@@ -31,118 +30,9 @@ fn retry<T>(timeout: Duration, connect: impl Fn() -> std::io::Result<T>) -> std:
     }
 }
 
-/// One newline-delimited connection: a line out, a line back.
-#[derive(Debug)]
-struct Lines {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Lines {
-    fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        // One small line per direction per request: Nagle's algorithm
-        // would add a delayed-ACK round trip to every call.
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self {
-            reader,
-            writer: BufWriter::new(stream),
-        })
-    }
-
-    /// Sends `line` plus a newline and reads one answer line back.
-    fn round_trip(&mut self, line: &[u8]) -> std::io::Result<String> {
-        self.writer.write_all(line)?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut answer = String::new();
-        if self.reader.read_line(&mut answer)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before answering",
-            ));
-        }
-        Ok(answer)
-    }
-}
-
-/// A connected protocol client. One request/response in flight at a
-/// time, in order — exactly the server's per-connection contract.
-#[derive(Debug)]
-pub struct Client {
-    lines: Lines,
-}
-
-impl Client {
-    /// Connects to a serving endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Ok(Self {
-            lines: Lines::connect(addr)?,
-        })
-    }
-
-    /// Connects, retrying until `timeout` elapses — for scripted
-    /// clients racing a server that is still binding its listener.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last connection error once the deadline passes.
-    pub fn connect_with_retry(
-        addr: impl ToSocketAddrs + Copy,
-        timeout: Duration,
-    ) -> std::io::Result<Self> {
-        retry(timeout, || Self::connect(addr))
-    }
-
-    /// Sends one request and reads its response.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, unparsable responses, or a server that
-    /// closed the connection without answering.
-    pub fn request(&mut self, request: &Request) -> Result<Response, ServeError> {
-        let json = serde_json::to_string(request).map_err(|e| ServeError::Json(e.to_string()))?;
-        let line = self.lines.round_trip(json.as_bytes())?;
-        serde_json::from_str(&line).map_err(|e| ServeError::Json(e.to_string()))
-    }
-
-    /// Sends one request wrapped in a trace envelope and reads its
-    /// enveloped response, returning `(echoed_trace_id, response)`.
-    /// The server echoes the id bit-stably on success and error
-    /// responses alike; a legacy server answering bare yields
-    /// `(None, response)`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Client::request`].
-    pub fn request_traced(
-        &mut self,
-        request: &Request,
-        trace_id: u64,
-    ) -> Result<(Option<u64>, Response), ServeError> {
-        let req_json =
-            serde_json::to_string(request).map_err(|e| ServeError::Json(e.to_string()))?;
-        // Envelope by hand around the serialized request — same bytes
-        // as serializing a RequestEnvelope, without cloning `request`.
-        let line = format!("{{\"trace_id\":{trace_id},\"req\":{req_json}}}");
-        let line = self.lines.round_trip(line.as_bytes())?;
-        if let Ok(envelope) = serde_json::from_str::<ResponseEnvelope>(&line) {
-            return Ok((envelope.trace_id, envelope.resp));
-        }
-        serde_json::from_str::<Response>(&line)
-            .map(|resp| (None, resp))
-            .map_err(|e| ServeError::Json(e.to_string()))
-    }
-}
-
 /// A connected client for the length-prefixed binary protocol
-/// (`binary-v1`). Unlike [`Client`], requests may be *pipelined*: any
-/// number sent before the first response is read, each answer matched
+/// (`binary-v1`). Requests may be *pipelined*: any number sent before
+/// the first response is read, each answer matched
 /// to its request by the echoed id. Response values are bit-identical
 /// to the sequential path — the server processes one connection's
 /// requests in order.
@@ -178,8 +68,8 @@ impl BinClient {
         })
     }
 
-    /// Connects, retrying until `timeout` elapses (see
-    /// [`Client::connect_with_retry`]).
+    /// Connects, retrying until `timeout` elapses — for scripted
+    /// clients racing a server that is still binding its listener.
     ///
     /// # Errors
     ///
@@ -309,7 +199,8 @@ impl BinClient {
 /// `slowlog` / `quiesce`): one verb line out, one JSON line back.
 #[derive(Debug)]
 pub struct OpsClient {
-    lines: Lines,
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
 }
 
 impl OpsClient {
@@ -319,13 +210,19 @@ impl OpsClient {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        // One small line per direction per verb: Nagle's algorithm
+        // would add a delayed-ACK round trip to every call.
+        stream.set_nodelay(true)?;
+        let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
-            lines: Lines::connect(addr)?,
+            reader,
+            writer: BufWriter::new(stream),
         })
     }
 
     /// Connects, retrying until `timeout` elapses (see
-    /// [`Client::connect_with_retry`]).
+    /// [`BinClient::connect_with_retry`]).
     ///
     /// # Errors
     ///
@@ -343,7 +240,16 @@ impl OpsClient {
     ///
     /// Fails on I/O errors or a closed connection.
     pub fn query(&mut self, verb: &str) -> std::io::Result<String> {
-        let line = self.lines.round_trip(verb.trim().as_bytes())?;
-        Ok(line.trim().to_string())
+        self.writer.write_all(verb.trim().as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()?;
+        let mut answer = String::new();
+        if self.reader.read_line(&mut answer)? == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection before answering",
+            ));
+        }
+        Ok(answer.trim().to_string())
     }
 }

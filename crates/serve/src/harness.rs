@@ -3,7 +3,7 @@
 //! The production [`crate::server`] event loop is generic over a
 //! byte-stream `Transport` seam; this module substitutes a *scripted*
 //! in-memory transport so conformance tooling (`gdcm-wirecheck`) can
-//! drive the **identical** connection code — same sniffing, framing,
+//! drive the **identical** connection code — same preamble gate, framing,
 //! backpressure, and drain logic — through exhaustively enumerated
 //! event schedules: bytes arriving in arbitrary chunk splits, partial
 //! or stalled writes, mid-frame disconnects.
@@ -131,7 +131,7 @@ pub struct ConnHarness<'a> {
 }
 
 impl<'a> ConnHarness<'a> {
-    /// A fresh connection in the sniffing state, over the same counters
+    /// A fresh connection awaiting its preamble, over the same counters
     /// and flags as a live single-shard server with an in-memory
     /// pipeline and no listeners.
     #[must_use]

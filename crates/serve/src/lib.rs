@@ -19,13 +19,11 @@
 //!   [`gdcm_ml::GbdtRegressor`]). Loading replays `gdcm-core` ingestion
 //!   validation **and** the `gdcm-audit` ensemble + dataset passes, so a
 //!   corrupted or poisoned snapshot is rejected before it can serve.
-//! * [`server`] — a dual-protocol TCP server (`std::net::TcpListener`,
-//!   safe Rust only): a non-blocking event loop sharded by the
-//!   `gdcm-par` budget serves the legacy newline-JSON protocol and the
-//!   length-prefixed, pipelined binary protocol
-//!   ([`protocol::wire`]) on one listener, with per-request latency
-//!   histograms, open-connection gauges, and graceful drain-then-exit
-//!   shutdown.
+//! * [`server`] — a TCP server (`std::net::TcpListener`, safe Rust
+//!   only): a non-blocking event loop sharded by the `gdcm-par` budget
+//!   serves the length-prefixed, pipelined `binary-v1` protocol
+//!   ([`protocol::wire`]), with per-request latency histograms,
+//!   open-connection gauges, and graceful drain-then-exit shutdown.
 //! * [`wal`] + [`refresh`] — streaming ingestion: a checksummed,
 //!   fsync-before-ack write-ahead log for mutating requests, replayed
 //!   over the latest snapshot on startup, and a background refresh
@@ -60,9 +58,9 @@ pub mod serving;
 pub mod snapshot;
 pub mod wal;
 
-pub use client::{BinClient, Client, OpsClient};
+pub use client::{BinClient, OpsClient};
 pub use lru::LruCache;
-pub use protocol::{Request, RequestEnvelope, Response, ResponseEnvelope};
+pub use protocol::{Request, Response};
 pub use refresh::{IngestPipeline, RefreshConfig};
 pub use server::{serve, ServerConfig, ServerSummary};
 pub use serving::{network_hash, CacheStats, ServeConfig, ServingRepository};

@@ -12,37 +12,35 @@
 //!   zoo-plus-random benchmark suite (deterministic in `--seed`) and
 //!   writes a versioned snapshot.
 //! * `--snapshot --addr` loads the snapshot **under audit** and serves
-//!   it over TCP — newline-delimited JSON and the length-prefixed
-//!   binary-v1 protocol on one listener — until a client sends
-//!   `Shutdown`. Prints `LISTENING <addr>` once the listener is bound
-//!   so scripts can synchronize. With `--ops-addr` a second listener
-//!   serves the ops endpoint (`health` / `metrics` / `slowlog` /
-//!   `quiesce`) and per-request telemetry records; it prints
-//!   `OPS LISTENING <addr>` too. When `GDCM_SERVE_REFRESH_ROWS` is set,
-//!   a background refresher refits after that many new contributions
-//!   and swaps the audited model in without blocking readers, with or
-//!   without `--wal`. With `--wal` mutating requests are also
+//!   it over TCP with the length-prefixed binary-v1 protocol until a
+//!   client sends `Shutdown`. Prints `LISTENING <addr>` once the
+//!   listener is bound so scripts can synchronize. With `--ops-addr` a
+//!   second listener serves the ops endpoint (`health` / `metrics` /
+//!   `slowlog` / `quiesce`) and per-request telemetry records; it
+//!   prints `OPS LISTENING <addr>` too. When `GDCM_SERVE_REFRESH_ROWS`
+//!   is set, a background refresher refits after that many new
+//!   contributions and swaps the audited model in without blocking
+//!   readers, with or without `--wal`. With `--wal` mutating requests are also
 //!   write-ahead logged (fsync before ack) at the given path; any
 //!   records already in the log are replayed over the snapshot before
 //!   serving starts (`WAL REPLAY ...` is printed), and each refresh
 //!   compacts the log back into the snapshot file.
 //! * `--probe` is the scripted client the CI smoke job runs: it loads
-//!   the same snapshot locally, queries the server (ping / predict /
-//!   batch / cached re-predict / stats), asserts every prediction is
-//!   bit-identical to the local uncached path — with every prediction
-//!   wrapped in a trace envelope whose u64 id must echo back unchanged
-//!   on success *and* error responses — then re-runs the predictions
-//!   over the binary wire protocol (sequential and pipelined, asserting
-//!   frame-id echo and the same bits) before asking the server to shut
-//!   down. With `--ops` it additionally drives the ops endpoint,
-//!   asserts the windowed metrics saw its own load, and writes the
-//!   `metrics` snapshot to `--ops-out` (default
-//!   `target/reports/ops_metrics.json`). With `--refresh N` (requires
-//!   `--ops`) it additionally streams `N` contributions at the server
-//!   and polls `health` until the model epoch advances and the
-//!   write-ahead log compacts to empty — proving a live refresh swapped
-//!   a new model in while the connection kept answering. Exits non-zero
-//!   on any mismatch.
+//!   the same snapshot locally, queries the server over binary-v1
+//!   (ping / predict / error code / batch / cached re-predict / stats /
+//!   pipelined predict), asserts every prediction is bit-identical to
+//!   the local uncached path, then sends raw frames whose u64 ids —
+//!   above 2^53 and at `u64::MAX` — must echo back unchanged on success
+//!   *and* error responses, plus a hostile payload the connection must
+//!   survive, before asking the server to shut down. With `--ops` it
+//!   additionally drives the ops endpoint, asserts the windowed metrics
+//!   saw its own load, and writes the `metrics` snapshot to `--ops-out`
+//!   (default `target/reports/ops_metrics.json`). With `--refresh N`
+//!   (requires `--ops`) it additionally streams `N` contributions at
+//!   the server and polls `health` until the model epoch advances and
+//!   the write-ahead log compacts to empty — proving a live refresh
+//!   swapped a new model in while the connection kept answering. Exits
+//!   non-zero on any mismatch.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -58,8 +56,8 @@ use gdcm_gen::{benchmark_suite_with, SearchSpace};
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::{codes, Request, Response};
 use gdcm_serve::{
-    load_repository, replay_record, serve, BinClient, Client, IngestPipeline, OpsClient,
-    RefreshConfig, ServeConfig, ServerConfig, ServingRepository, WriteAheadLog,
+    load_repository, replay_record, serve, BinClient, IngestPipeline, OpsClient, RefreshConfig,
+    ServeConfig, ServerConfig, ServingRepository, WriteAheadLog,
 };
 
 const USAGE: &str = "usage:
@@ -278,70 +276,35 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
     let device = devices.first().ok_or("snapshot has no enrolled devices")?;
     let suite = benchmark_suite_with(args.seed, SearchSpace::tiny(), args.random);
     let probe_nets: Vec<_> = suite.iter().take(6).map(|n| n.network.clone()).collect();
-
-    let mut client = Client::connect_with_retry(addr, Duration::from_secs(30))
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-
-    match client.request(&Request::Ping).map_err(|e| e.to_string())? {
-        Response::Pong => {}
-        other => return Err(format!("ping answered {other:?}")),
-    }
-
-    // Single-row predictions: bit-identical to the local uncached path,
-    // each wrapped in a trace envelope whose id must echo back exactly.
-    // Ids above 2^53 would corrupt in any float-typed decode path, so
-    // round-tripping them proves the wire keeps u64 precision.
-    for (i, net) in probe_nets.iter().enumerate() {
-        let expected = local
-            .with_repository(|r| r.predict(device, net))
-            .map_err(|e| e.to_string())?;
-        let trace_id = (1u64 << 60) | (i as u64 + 1);
-        let (echo, resp) = client
-            .request_traced(
-                &Request::Predict {
-                    device: device.clone(),
-                    network: net.clone(),
-                },
-                trace_id,
-            )
-            .map_err(|e| e.to_string())?;
-        if echo != Some(trace_id) {
-            return Err(format!("trace id {trace_id} echoed back as {echo:?}"));
-        }
-        same_bits(resp, expected, "predict")?;
-    }
-
-    // Error responses carry the trace id too, plus a stable error code.
-    let (echo, resp) = client
-        .request_traced(
-            &Request::Predict {
-                device: "no-such-device".to_string(),
-                network: probe_nets[0].clone(),
-            },
-            u64::MAX,
-        )
-        .map_err(|e| e.to_string())?;
-    if echo != Some(u64::MAX) {
-        return Err(format!("error trace id u64::MAX echoed back as {echo:?}"));
-    }
-    match resp {
-        Response::Error { ref code, .. } if code == codes::UNKNOWN_DEVICE => {}
-        other => {
-            return Err(format!(
-                "unknown-device probe answered {other:?}, wanted code {:?}",
-                codes::UNKNOWN_DEVICE
-            ))
-        }
-    }
-
-    let mut ask = |req: &Request| client.request(req).map_err(|e| e.to_string());
-
-    // Batch path: same bits, in order.
     let expected: Vec<f64> = probe_nets
         .iter()
         .map(|n| local.with_repository(|r| r.predict(device, n)))
         .collect::<Result<_, _>>()
         .map_err(|e| e.to_string())?;
+
+    let mut client = BinClient::connect_with_retry(addr, Duration::from_secs(30))
+        .map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut ask = |req: &Request| client.request(req).map_err(|e| e.to_string());
+
+    match ask(&Request::Ping)? {
+        Response::Pong => {}
+        other => return Err(format!("ping answered {other:?}")),
+    }
+
+    // Single-row predictions: bit-identical to the local uncached path,
+    // each answered on its own frame id (`request` checks the echo).
+    for (net, want) in probe_nets.iter().zip(&expected) {
+        same_bits(ask(&predict(device, net))?, *want, "predict")?;
+    }
+
+    // Errors stay in-band with stable codes, connection intact.
+    expect_code(
+        ask(&predict("no-such-device", &probe_nets[0]))?,
+        codes::UNKNOWN_DEVICE,
+        "unknown-device probe",
+    )?;
+
+    // Batch path: same bits, in order.
     match ask(&Request::PredictBatch {
         device: device.clone(),
         networks: probe_nets.clone(),
@@ -356,11 +319,11 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
     }
 
     // Cached re-ask: still the same bits.
-    let cached = ask(&Request::Predict {
-        device: device.clone(),
-        network: probe_nets[0].clone(),
-    })?;
-    same_bits(cached, expected[0], "cached predict")?;
+    same_bits(
+        ask(&predict(device, &probe_nets[0]))?,
+        expected[0],
+        "cached predict",
+    )?;
 
     match ask(&Request::Stats)? {
         Response::Stats {
@@ -382,9 +345,14 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
         other => return Err(format!("stats answered {other:?}")),
     }
 
-    // The binary protocol on the same listener: sequential, pipelined,
-    // and error paths must all answer the exact bits of the local path.
-    probe_binary(addr, device, &probe_nets, &expected)?;
+    // The full set pipelined: same bits, matched by id.
+    let requests: Vec<Request> = probe_nets.iter().map(|n| predict(device, n)).collect();
+    let responses = client.pipeline(&requests, 4).map_err(|e| e.to_string())?;
+    for (resp, want) in responses.into_iter().zip(&expected) {
+        same_bits(resp, *want, "pipelined predict")?;
+    }
+
+    probe_raw_frames(addr, device, &probe_nets[0], expected[0])?;
 
     // With an ops endpoint to talk to, verify the server's telemetry
     // actually saw the load this probe just generated.
@@ -410,7 +378,7 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
         other => return Err(format!("shutdown answered {other:?}")),
     }
     println!(
-        "probe OK: ping, {} traced predictions, traced error echo, batch, cache hit, stats, binary ping/predict/pipeline/error/hardening{}{}, shutdown",
+        "probe OK: ping, {} predictions, error code, batch, cache hit, stats, pipeline, raw-frame id echo/hardening{}{}, shutdown",
         probe_nets.len(),
         if args.ops.is_some() { ", ops" } else { "" },
         if args.refresh.is_some() {
@@ -428,7 +396,7 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
 /// fitted, audited, swapped, and compacted — and finally asserts the
 /// just-swapped model still answers predictions.
 fn probe_refresh(
-    client: &mut Client,
+    client: &mut BinClient,
     ops_addr: &str,
     device: &str,
     probe_nets: &[gdcm_dnn::Network],
@@ -480,10 +448,7 @@ fn probe_refresh(
 
     // The swapped-in model must keep answering on the same connection.
     match client
-        .request(&Request::Predict {
-            device: device.to_string(),
-            network: probe_nets[0].clone(),
-        })
+        .request(&predict(device, &probe_nets[0]))
         .map_err(|e| e.to_string())?
     {
         Response::Prediction { latency_ms } if latency_ms.is_finite() => Ok(()),
@@ -491,101 +456,42 @@ fn probe_refresh(
     }
 }
 
-/// Drives the binary protocol against the same listener: framed ids
-/// must echo exactly (including u64 extremes), sequential and pipelined
-/// predictions must both match the local path bit for bit, and errors
-/// must answer in-band with stable codes.
-fn probe_binary(
+/// Raw-frame smoke on a connection of its own. Ids no client library
+/// would pick — above 2^53, where a float-typed decode path would
+/// corrupt them, and the u64 extremes — must echo exactly, on a
+/// prediction (bit-identical to `want`) and on an `unknown_device`
+/// error. Then a well-formed frame carrying a payload the strict
+/// decoder must refuse — `"Ping"` spelled with a non-canonical
+/// (zero-padded) varint string length — answers an in-band
+/// `parse_error` on its id, and a `Ping` behind it still answers
+/// `Pong`, proving the connection survives hostile payloads. The
+/// exhaustive version of this check is `gdcm-wirecheck`.
+fn probe_raw_frames(
     addr: &str,
     device: &str,
-    probe_nets: &[gdcm_dnn::Network],
-    expected: &[f64],
+    network: &gdcm_dnn::Network,
+    want: f64,
 ) -> Result<(), String> {
-    let mut bin = BinClient::connect_with_retry(addr, Duration::from_secs(30))
-        .map_err(|e| format!("binary connect {addr}: {e}"))?;
-    match bin.request(&Request::Ping).map_err(|e| e.to_string())? {
-        Response::Pong => {}
-        other => return Err(format!("binary ping answered {other:?}")),
-    }
-
-    // Sequential predictions, checking each frame's id echo by hand.
-    for (net, want) in probe_nets.iter().zip(expected) {
-        let id = bin
-            .send(&Request::Predict {
-                device: device.to_string(),
-                network: net.clone(),
-            })
-            .map_err(|e| e.to_string())?;
-        let (echoed, resp) = bin.recv().map_err(|e| e.to_string())?;
-        if echoed != id {
-            return Err(format!("binary response tagged id {echoed}, wanted {id}"));
-        }
-        same_bits(resp, *want, "binary predict")?;
-    }
-
-    // The full set pipelined: same bits, matched by id.
-    let requests: Vec<Request> = probe_nets
-        .iter()
-        .map(|net| Request::Predict {
-            device: device.to_string(),
-            network: net.clone(),
-        })
-        .collect();
-    let responses = bin.pipeline(&requests, 4).map_err(|e| e.to_string())?;
-    for (resp, want) in responses.into_iter().zip(expected) {
-        same_bits(resp, *want, "binary pipelined predict")?;
-    }
-
-    // Errors stay in-band with stable codes, connection intact.
-    match bin
-        .request(&Request::Predict {
-            device: "no-such-device".to_string(),
-            network: probe_nets[0].clone(),
-        })
-        .map_err(|e| e.to_string())?
-    {
-        Response::Error { ref code, .. } if code == codes::UNKNOWN_DEVICE => {}
-        other => {
-            return Err(format!(
-                "binary unknown-device probe answered {other:?}, wanted code {:?}",
-                codes::UNKNOWN_DEVICE
-            ))
-        }
-    }
-    match bin.request(&Request::Ping).map_err(|e| e.to_string())? {
-        Response::Pong => {}
-        other => return Err(format!("binary post-error ping answered {other:?}")),
-    }
-
-    probe_wire_hardening(addr)?;
-    Ok(())
-}
-
-/// Wire-hardening smoke: a well-formed frame carrying a payload the
-/// strict decoder must refuse — `"Ping"` spelled with a non-canonical
-/// (zero-padded) varint string length — answers an in-band
-/// `parse_error` on the same id, and a follow-up `Ping` still answers
-/// `Pong`, proving the connection survives hostile payloads. The
-/// exhaustive version of this check is `gdcm-wirecheck`; this is the
-/// one-frame smoke the CI probe runs against a real server.
-fn probe_wire_hardening(addr: &str) -> Result<(), String> {
     use gdcm_serve::protocol::wire;
     use std::io::{Read, Write};
 
     let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("hardening connect {addr}: {e}"))?;
+        std::net::TcpStream::connect(addr).map_err(|e| format!("raw connect {addr}: {e}"))?;
     stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    stream
-        .write_all(&wire::preamble())
-        .map_err(|e| e.to_string())?;
-
     // Tag STR, length 4 encoded as the over-long varint [0x84, 0x00].
     let hostile = [wire::tags::STR, 0x84, 0x00, b'P', b'i', b'n', b'g'];
-    let mut burst = Vec::new();
+    let mut burst = wire::preamble().to_vec();
+    let frames = [
+        ((1u64 << 53) + 1, predict(device, network)),
+        (u64::MAX - 1, predict(device, network)),
+        (u64::MAX, predict("no-such-device", network)),
+    ];
+    for (id, req) in &frames {
+        wire::append_frame(&mut burst, *id, req).map_err(|e| e.to_string())?;
+    }
     wire::append_raw_frame(&mut burst, 7, &hostile).map_err(|e| e.to_string())?;
     wire::append_frame(&mut burst, 8, &Request::Ping).map_err(|e| e.to_string())?;
     stream.write_all(&burst).map_err(|e| e.to_string())?;
-    stream.flush().map_err(|e| e.to_string())?;
 
     let mut read_frame = |want_id: u64| -> Result<Response, String> {
         let mut header = [0u8; wire::FRAME_HEADER_LEN];
@@ -595,31 +501,31 @@ fn probe_wire_hardening(addr: &str) -> Result<(), String> {
         stream.read_exact(&mut payload).map_err(|e| e.to_string())?;
         if header.request_id != want_id {
             return Err(format!(
-                "hardening frame tagged id {}, wanted {want_id}",
+                "raw frame answered on id {}, wanted {want_id}",
                 header.request_id
             ));
         }
         wire::decode_value(&payload).map_err(|e| format!("{e:?}"))
     };
 
-    match read_frame(7)? {
-        Response::Error { ref code, .. } if code == codes::PARSE_ERROR => {}
-        other => {
-            return Err(format!(
-                "non-canonical varint payload answered {other:?}, wanted code {:?}",
-                codes::PARSE_ERROR
-            ))
-        }
-    }
+    same_bits(read_frame((1 << 53) + 1)?, want, "raw-frame predict")?;
+    same_bits(read_frame(u64::MAX - 1)?, want, "raw-frame predict")?;
+    expect_code(
+        read_frame(u64::MAX)?,
+        codes::UNKNOWN_DEVICE,
+        "raw-frame unknown-device probe",
+    )?;
+    expect_code(
+        read_frame(7)?,
+        codes::PARSE_ERROR,
+        "non-canonical varint payload",
+    )?;
     match read_frame(8)? {
-        Response::Pong => {}
-        other => {
-            return Err(format!(
-                "ping behind the hostile frame answered {other:?} — connection did not survive"
-            ))
-        }
+        Response::Pong => Ok(()),
+        other => Err(format!(
+            "ping behind the hostile frame answered {other:?} — connection did not survive"
+        )),
     }
-    Ok(())
 }
 
 /// Sends one ops verb and parses the JSON reply.
@@ -628,11 +534,27 @@ fn ops_query(ops: &mut OpsClient, verb: &str) -> Result<serde_json::Value, Strin
     serde_json::from_str(&line).map_err(|e| format!("ops {verb} reply unparsable: {e}"))
 }
 
+/// A `Predict` request for `network` on `device`.
+fn predict(device: &str, network: &gdcm_dnn::Network) -> Request {
+    Request::Predict {
+        device: device.to_string(),
+        network: network.clone(),
+    }
+}
+
 /// Checks that `resp` is a prediction bit-identical to `want`.
 fn same_bits(resp: Response, want: f64, what: &str) -> Result<(), String> {
     match resp {
         Response::Prediction { latency_ms } if latency_ms.to_bits() == want.to_bits() => Ok(()),
         other => Err(format!("{what} mismatch: {other:?} vs {want}")),
+    }
+}
+
+/// Checks that `resp` is an in-band error with the stable `code`.
+fn expect_code(resp: Response, code: &str, what: &str) -> Result<(), String> {
+    match resp {
+        Response::Error { code: got, .. } if got == code => Ok(()),
+        other => Err(format!("{what} answered {other:?}, wanted code {code:?}")),
     }
 }
 
@@ -748,9 +670,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Knobs reach the serving layer through ServeConfig::from_env at
-    // construction; referencing it here keeps the dependency explicit.
-    let _ = ServeConfig::from_env();
     let result = match (&args.build_zoo, &args.probe, &args.snapshot, &args.addr) {
         (Some(out), None, _, _) => build_mode(&args, out),
         (None, Some(addr), Some(snapshot), _) => probe_mode(&args, addr, snapshot),

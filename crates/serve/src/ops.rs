@@ -1,5 +1,6 @@
-//! The operations endpoint: a second newline-JSON listener for humans
-//! and harnesses watching a live server.
+//! The operations endpoint: a second listener, speaking newline JSON,
+//! for humans and harnesses watching a live server. It carries verbs,
+//! not [`crate::Request`]s, so it stays text: `nc` can drive it.
 //!
 //! Verbs are bare text lines, answers are one JSON object per line
 //! (same `std::net` + safe-Rust discipline as the main server, and the
@@ -54,7 +55,7 @@ pub struct HealthReply {
     /// Event-loop shards sweeping connections.
     pub workers: usize,
     /// Wire protocols the serving listener speaks, by stable name
-    /// (`newline-json`, `binary-v1`).
+    /// (`binary-v1`).
     pub protocols: Vec<String>,
     /// Model epoch currently serving (bumped by every fit, re-enroll,
     /// and background refresh swap).
@@ -260,10 +261,7 @@ fn health_reply(shared: &ServerShared<'_>) -> HealthReply {
         errors_total: shared.request_errors.load(Ordering::SeqCst),
         connections_total: shared.connections.load(Ordering::SeqCst),
         workers: shared.workers,
-        protocols: vec![
-            crate::protocol::PROTOCOL_NEWLINE_JSON.to_string(),
-            crate::protocol::PROTOCOL_BINARY_V1.to_string(),
-        ],
+        protocols: vec![crate::protocol::PROTOCOL_BINARY_V1.to_string()],
         epoch: serving.model_epoch(),
         refreshes: ingest.refreshes(),
         refresh_pending_rows: ingest.pending_rows(),

@@ -1,53 +1,26 @@
-//! The newline-delimited JSON wire protocol.
+//! The serving data model: the [`Request`] and [`Response`] enums and
+//! the stable error [`codes`].
 //!
-//! One request per line, one response per line, in order, over a plain
-//! TCP stream. Requests and responses are externally tagged enums —
-//! `{"Predict": {"device": "...", "network": {...}}}` — matching the
-//! vendored serde derive's enum encoding. Networks travel as their full
-//! serialized graph IR, so any client able to emit `gdcm-dnn` JSON can
-//! query the repository about *any* network, not just a predefined set.
-//!
-//! A connection may carry any number of requests; the server answers
-//! each before reading the next. `Shutdown` asks the whole server to
-//! drain and exit (every worker finishes its current connection first).
-//!
-//! ## Two encodings, one data model
-//!
-//! This module defines the *types*; two wire encodings carry them:
-//!
-//! * **newline-JSON** (`newline-json`) — the original protocol
-//!   described above, kept forever for probes, ops tooling, and old
-//!   clients. The sections below document it.
-//! * **binary v1** (`binary-v1`) — the length-prefixed, pipelined
-//!   framing in [`wire`], selected per connection by an 8-byte
-//!   preamble the server sniffs on the same listener. Same `Request` /
-//!   `Response` enums, same error [`codes`], bit-identical payload
-//!   values — only the bytes differ.
-//!
-//! ## Trace propagation
-//!
-//! A client may wrap any request in a [`RequestEnvelope`] carrying a
-//! u64 `trace_id`; the server echoes the id back bit-stably in a
-//! [`ResponseEnvelope`] — on success *and* on error responses, so a
-//! pipelining client can always correlate an answer (or a failure) with
-//! the request that caused it. Bare requests keep getting bare
-//! responses: the envelope is strictly opt-in, and old clients never
-//! see it. Error responses additionally carry a stable machine-readable
-//! [`codes`] string alongside the human-readable message.
+//! One encoding carries them: `binary-v1`, the length-prefixed,
+//! pipelined framing in [`wire`]. Each request travels in a frame whose
+//! client-chosen u64 id is echoed on its response — on success *and* on
+//! error — and doubles as the request's trace id. Networks travel as
+//! their full graph IR, so a client can query the repository about
+//! *any* network, not just a predefined set. `Shutdown` asks the whole
+//! server to drain and exit. Error responses carry a stable
+//! machine-readable [`codes`] string alongside the human-readable
+//! message.
 
 use gdcm_dnn::Network;
 use serde::{Deserialize, Serialize};
 
 pub mod wire;
 
-/// Stable name of the legacy newline-JSON encoding, as reported by the
-/// ops `health` verb.
-pub const PROTOCOL_NEWLINE_JSON: &str = "newline-json";
-
-/// Stable name of the length-prefixed binary encoding (see [`wire`]).
+/// Stable name of the length-prefixed binary encoding (see [`wire`]),
+/// as reported by the ops `health` verb.
 pub const PROTOCOL_BINARY_V1: &str = "binary-v1";
 
-/// A client request, one per line.
+/// A client request, one per frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Liveness check; answered with [`Response::Pong`].
@@ -104,7 +77,7 @@ pub enum Request {
     Shutdown,
 }
 
-/// A server response, one per request line.
+/// A server response, one per request frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Answer to [`Request::Ping`].
@@ -157,7 +130,7 @@ pub enum Response {
 /// These strings are part of the wire contract: clients branch on them,
 /// so they never change once shipped (messages may).
 pub mod codes {
-    /// The request line was not parsable as a request.
+    /// The frame payload was not parsable as a request.
     pub const PARSE_ERROR: &str = "parse_error";
     /// The named device is not enrolled.
     pub const UNKNOWN_DEVICE: &str = "unknown_device";
@@ -219,40 +192,6 @@ pub mod codes {
     ];
 }
 
-/// A request wrapped with client-side telemetry identity. Opt-in: the
-/// server answers enveloped requests with [`ResponseEnvelope`]s and
-/// bare requests with bare responses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RequestEnvelope {
-    /// Client-chosen trace id, echoed back bit-stably (u64 integers
-    /// survive the JSON layer exactly).
-    #[serde(default)]
-    pub trace_id: Option<u64>,
-    /// The wrapped request.
-    pub req: Request,
-}
-
-/// A response wrapped with the originating request's trace id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResponseEnvelope {
-    /// The trace id from the request envelope, echoed unchanged.
-    #[serde(default)]
-    pub trace_id: Option<u64>,
-    /// The wrapped response.
-    pub resp: Response,
-}
-
-/// Best-effort trace-id recovery from a line that failed to parse as a
-/// request: derived struct deserialization ignores unknown keys, so any
-/// JSON *object* yields its `trace_id` field (if present) even when the
-/// wrapped request is invalid — an error response can then still be
-/// correlated.
-#[derive(Debug, Deserialize)]
-pub(crate) struct TraceIdProbe {
-    #[serde(default)]
-    pub(crate) trace_id: Option<u64>,
-}
-
 /// Short stable label for a request, used as the slow-log label and in
 /// per-verb metrics.
 pub fn request_label(request: &Request) -> &'static str {
@@ -275,70 +214,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn requests_round_trip_through_json() {
-        let reqs = vec![
-            Request::Ping,
-            Request::Stats,
-            Request::OnboardDevice {
-                device: "pixel".into(),
-                signature_ms: vec![1.5, 2.25],
-            },
-            Request::Fit,
-            Request::Shutdown,
-        ];
-        for req in reqs {
-            let json = serde_json::to_string(&req).expect("serializable");
-            let back: Request = serde_json::from_str(&json).expect("parseable");
-            assert_eq!(req, back, "{json}");
-        }
-    }
-
-    #[test]
-    fn envelopes_round_trip_extreme_trace_ids() {
-        // u64 ids must survive JSON bit-stably, including values above
-        // 2^53 that would be mangled by an f64 number path.
-        for id in [0u64, 1, 1 << 53, u64::MAX - 1, u64::MAX] {
-            let env = RequestEnvelope {
-                trace_id: Some(id),
-                req: Request::Ping,
-            };
-            let json = serde_json::to_string(&env).expect("serializable");
-            let back: RequestEnvelope = serde_json::from_str(&json).expect("parseable");
-            assert_eq!(back.trace_id, Some(id), "{json}");
-            let resp = ResponseEnvelope {
-                trace_id: Some(id),
-                resp: Response::Pong,
-            };
-            let json = serde_json::to_string(&resp).expect("serializable");
-            let back: ResponseEnvelope = serde_json::from_str(&json).expect("parseable");
-            assert_eq!(back.trace_id, Some(id), "{json}");
-        }
-    }
-
-    #[test]
-    fn trace_id_probe_recovers_ids_from_invalid_requests() {
-        let probe: TraceIdProbe =
-            serde_json::from_str("{\"trace_id\":7,\"req\":{\"Bogus\":1}}").expect("object parses");
-        assert_eq!(probe.trace_id, Some(7));
-        let probe: TraceIdProbe = serde_json::from_str("{\"x\":1}").expect("object parses");
-        assert_eq!(probe.trace_id, None);
-        assert!(serde_json::from_str::<TraceIdProbe>("not json").is_err());
-    }
-
-    #[test]
-    fn error_responses_carry_stable_codes() {
-        let resp = Response::Error {
-            code: codes::UNKNOWN_DEVICE.to_string(),
-            message: "unknown device: pixel9".to_string(),
-        };
-        let json = serde_json::to_string(&resp).expect("serializable");
-        match serde_json::from_str::<Response>(&json).expect("parseable") {
-            Response::Error { code, .. } => assert_eq!(code, codes::UNKNOWN_DEVICE),
-            other => panic!("variant changed: {other:?}"),
-        }
-    }
-
-    #[test]
     fn request_labels_are_stable() {
         assert_eq!(request_label(&Request::Ping), "ping");
         assert_eq!(request_label(&Request::Fit), "fit");
@@ -349,20 +224,5 @@ mod tests {
             }),
             "predict_batch"
         );
-    }
-
-    #[test]
-    fn responses_round_trip_bit_exactly() {
-        let resp = Response::Prediction {
-            latency_ms: 123.456_789_012_345_67,
-        };
-        let json = serde_json::to_string(&resp).expect("serializable");
-        let back: Response = serde_json::from_str(&json).expect("parseable");
-        match (resp, back) {
-            (Response::Prediction { latency_ms: a }, Response::Prediction { latency_ms: b }) => {
-                assert_eq!(a.to_bits(), b.to_bits())
-            }
-            other => panic!("variant changed: {other:?}"),
-        }
     }
 }

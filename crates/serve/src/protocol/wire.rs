@@ -1,17 +1,15 @@
-//! The length-prefixed binary wire protocol (`binary-v1`).
+//! The length-prefixed binary wire protocol (`binary-v1`), the only
+//! protocol the serving listener speaks.
 //!
-//! The newline-JSON protocol pays for itself twice on every request:
-//! once in text encode/decode, once in the one-line-in/one-line-out
-//! round-trip discipline it imposes on clients. This module defines the
-//! compact framing that removes both costs while keeping the *data
-//! model* identical — the same externally-tagged [`Request`] /
-//! [`Response`] enums, serialized through the same vendored serde,
-//! just encoded as a binary content tree instead of JSON text.
+//! Requests and responses are the externally-tagged [`Request`] /
+//! [`Response`] enums, serialized through the vendored serde and
+//! encoded as a compact binary content tree: no text encode/decode, and
+//! framing that lets a client pipeline instead of waiting out one round
+//! trip per request.
 //!
 //! ## Connection preamble
 //!
-//! A client opts into the binary protocol by sending 8 bytes
-//! immediately after connecting:
+//! A client opens every connection by sending 8 bytes:
 //!
 //! ```text
 //! +------+------+------+------+------+------+---------+---------+
@@ -19,16 +17,14 @@
 //! +------+------+------+------+------+------+---------+---------+
 //! ```
 //!
-//! The leading NUL byte is the protocol discriminator: no JSON request
-//! line can begin with `0x00`, so a single listener serves both
-//! protocols by sniffing the first byte of each connection. Anything
-//! else falls through to the legacy newline-JSON path unchanged.
+//! A connection whose first byte is not the leading NUL, or whose magic
+//! does not match, is closed with nothing written: there is no
+//! protocol to answer it in.
 //!
 //! The header layout (magic + `u16` little-endian version, then frames
 //! of `u32` length + `u64` id) is **frozen across versions**: a server
 //! seeing a newer version than it supports can still answer a correctly
-//! framed error (code `unsupported_protocol`) before closing, and old
-//! clients keep working forever on the newline-JSON path.
+//! framed error (code `unsupported_protocol`) before closing.
 //!
 //! ## Frames
 //!
@@ -45,9 +41,8 @@
 //! matching response frame — on success *and* on error — which is what
 //! makes pipelining safe: a client may keep many requests in flight and
 //! match answers by id even if a future server completes them out of
-//! order. Ids also feed the server's request-trace plumbing, so a
-//! binary client gets trace correlation for free (the JSON protocol
-//! needs the opt-in envelope for the same thing).
+//! order. Ids are also the server's trace ids: slow-log entries carry
+//! the id of the frame that caused them.
 //!
 //! Payload length is capped at [`MAX_PAYLOAD`]; a frame declaring more
 //! is rejected with the stable code `frame_too_large` *before any

@@ -1,5 +1,5 @@
 //! The TCP server: a non-blocking readiness loop with per-connection
-//! state machines, dual-protocol framing, and graceful shutdown.
+//! state machines, `binary-v1` framing, and graceful shutdown.
 //!
 //! Safe Rust only, on `std::net`. There is no `poll(2)` in safe std, so
 //! readiness is emulated the portable way: every socket is switched to
@@ -17,20 +17,23 @@
 //!   whole life, so request handling needs no cross-thread locking and
 //!   `reqtrace`'s thread-local spans stay coherent.
 //!
-//! ## Two protocols, one listener
+//! ## One protocol
 //!
-//! The first byte of each connection selects its protocol
-//! ([`crate::protocol::wire`] documents the framing):
+//! The listener speaks `binary-v1` only ([`crate::protocol::wire`]
+//! documents the framing). Every connection opens with the 8-byte
+//! preamble, checked once per connection:
 //!
-//! * `0x00` — the binary preamble; the connection speaks length-
-//!   prefixed binary frames and may *pipeline*: any number of requests
-//!   in flight, each response tagged with its request id. Requests on
-//!   one connection are processed in order, so response *values* are
-//!   bit-identical to sending the same requests sequentially.
-//! * anything else — the legacy newline-JSON protocol, byte-for-byte
-//!   compatible with every old client. Its per-connection read buffer
-//!   and the shard's serialize buffer are reused across requests
-//!   instead of allocating per line.
+//! * a first byte other than `0x00` is not a binary-v1 client, and a
+//!   NUL-led opening with bad magic has no protocol to answer in —
+//!   either way the connection closes with nothing written;
+//! * a preamble asking for a version this build does not speak answers
+//!   one `unsupported_protocol` frame (framing is version-stable), then
+//!   closes;
+//! * otherwise the connection carries length-prefixed frames and may
+//!   *pipeline*: any number of requests in flight, each response tagged
+//!   with its request id. Requests on one connection are processed in
+//!   order, so response *values* are bit-identical to sending the same
+//!   requests sequentially.
 //!
 //! ## Shutdown
 //!
@@ -42,12 +45,12 @@
 //!
 //! ## One request path
 //!
-//! Each protocol is a thin adapter — newline JSON checks UTF-8, skips
-//! blank lines and parses the line; binary-v1 tries the wire fast lane,
-//! then decodes the frame — and both hand the result to one request
-//! core (`serve_request`) that dispatches, counts, serializes, times
-//! and records every request the same way. A refused oversized frame
-//! goes through the same core, so it is counted like any other error.
+//! Each frame tries the wire fast lane, then decodes, and hands the
+//! result to one request core (`serve_request`) that dispatches,
+//! counts, serializes, times and records every request the same way.
+//! The frame's request id is the request's trace id. A refused
+//! oversized frame goes through the same core, so it is counted like
+//! any other error.
 //!
 //! Instrumentation that is always on: the per-server request, error
 //! and connection counts ([`ServerSummary`], ops `health`), the
@@ -76,9 +79,7 @@ use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
 use crate::protocol::wire;
-use crate::protocol::{
-    codes, request_label, Request, RequestEnvelope, Response, ResponseEnvelope, TraceIdProbe,
-};
+use crate::protocol::{codes, request_label, Request, Response};
 use crate::refresh::IngestPipeline;
 use crate::serving::{network_hash, CacheStats, ServingRepository};
 
@@ -185,8 +186,8 @@ pub(crate) const READ_CHUNK: usize = 64 * 1024;
 /// Bytes read from one connection per sweep before yielding to its
 /// shard neighbours.
 const READ_BURST: usize = 256 * 1024;
-/// Unprocessed input cap per connection; a legacy line (or frame
-/// backlog) larger than this drops the connection.
+/// Unprocessed input cap per connection; a frame backlog larger than
+/// this drops the connection.
 pub(crate) const MAX_BUFFERED_INPUT: usize = 64 * 1024 * 1024;
 /// Pending-output level above which a connection stops consuming new
 /// requests until the peer drains responses (pipelining backpressure).
@@ -425,9 +426,7 @@ impl Transport for TcpStream {
 }
 
 /// Per-shard scratch reused across every connection and request: the
-/// socket read chunk and the response serialize buffer. The legacy
-/// path used to allocate a fresh `String` per response; both protocols
-/// now serialize into this one buffer.
+/// socket read chunk and the response serialize buffer.
 pub(crate) struct Scratch {
     chunk: Vec<u8>,
     ser: Vec<u8>,
@@ -442,17 +441,6 @@ impl Scratch {
     }
 }
 
-/// Which framing a connection speaks; decided by its first byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Proto {
-    /// Nothing received yet.
-    Sniff,
-    /// Newline-delimited JSON.
-    Legacy,
-    /// Length-prefixed binary frames (`binary-v1`).
-    Binary,
-}
-
 /// What handling one request decided about the connection's future.
 enum Outcome {
     /// Keep serving.
@@ -464,8 +452,8 @@ enum Outcome {
     Fatal,
 }
 
-/// One connection's state machine: read buffer, write buffer, framing
-/// mode, and lifecycle flags. All buffers are owned and reused for the
+/// One connection's state machine: read buffer, write buffer, preamble
+/// state, and lifecycle flags. All buffers are owned and reused for the
 /// connection's lifetime. Generic over the [`Transport`] so the
 /// harness can drive the identical state machine in memory.
 pub(crate) struct Conn<T: Transport = TcpStream> {
@@ -476,7 +464,8 @@ pub(crate) struct Conn<T: Transport = TcpStream> {
     /// Pending output; `written` marks the flushed prefix.
     pub(crate) out: Vec<u8>,
     pub(crate) written: usize,
-    pub(crate) proto: Proto,
+    /// The preamble was accepted; the remaining input is frames.
+    framed: bool,
     /// Peer closed its write half; serve what is buffered, then close.
     peer_eof: bool,
     /// Stop reading; close once `out` is flushed.
@@ -498,7 +487,7 @@ impl<T: Transport> Conn<T> {
             consumed: 0,
             out: Vec::with_capacity(4096),
             written: 0,
-            proto: Proto::Sniff,
+            framed: false,
             peer_eof: false,
             closing: false,
             dead,
@@ -571,8 +560,8 @@ impl<T: Transport> Conn<T> {
     }
 
     /// Whether unconsumed input could still form a request. After EOF
-    /// a partial frame or line can never complete, so this gates the
-    /// final close.
+    /// a partial frame can never complete, so this gates the final
+    /// close.
     fn has_parseable_input(&self) -> bool {
         self.buf.len() > self.consumed
     }
@@ -615,133 +604,115 @@ impl<T: Transport> Conn<T> {
                     return progress;
                 }
             }
-            match self.proto {
-                Proto::Sniff => {
-                    let avail = &self.buf[self.consumed..];
-                    if avail.is_empty() {
-                        return progress;
-                    }
-                    if avail[0] == wire::PREAMBLE_MAGIC[0] {
-                        if avail.len() < wire::PREAMBLE_LEN {
-                            if self.peer_eof {
-                                self.dead = true;
-                            }
-                            return progress;
-                        }
-                        match wire::check_preamble(&avail[..wire::PREAMBLE_LEN]) {
-                            Ok(_) => {
-                                self.consumed += wire::PREAMBLE_LEN;
-                                self.proto = Proto::Binary;
-                            }
-                            Err(wire::WireError::UnsupportedVersion { requested }) => {
-                                // Framing is version-stable, so even a
-                                // from-the-future client can read this.
-                                let _ = wire::append_frame(
-                                    &mut self.out,
-                                    0,
-                                    &Response::Error {
-                                        code: codes::UNSUPPORTED_PROTOCOL.to_string(),
-                                        message: wire::WireError::UnsupportedVersion { requested }
-                                            .to_string(),
-                                    },
-                                );
-                                self.closing = true;
-                            }
-                            Err(_) => {
-                                // NUL-led garbage: no protocol to answer in.
-                                self.dead = true;
-                            }
-                        }
-                    } else {
-                        self.proto = Proto::Legacy;
-                    }
-                    progress = true;
+            if !self.framed {
+                if !self.open() {
+                    return progress;
                 }
-                Proto::Legacy => {
-                    let avail = &self.buf[self.consumed..];
-                    let (line_end, next) = match avail.iter().position(|&b| b == b'\n') {
-                        Some(nl) => (self.consumed + nl, self.consumed + nl + 1),
-                        // A final unterminated line is still served once
-                        // the peer has hung up (BufRead::read_line parity).
-                        None if self.peer_eof && !avail.is_empty() => {
-                            (self.buf.len(), self.buf.len())
-                        }
-                        None => return progress,
-                    };
-                    let line_start = self.consumed;
-                    self.consumed = next;
-                    progress = true;
-                    // Blank lines are not requests: no answer, no count.
-                    let outcome = match std::str::from_utf8(&self.buf[line_start..line_end]) {
-                        Ok(text) if text.trim().is_empty() => Outcome::Continue,
-                        line => {
-                            serve_request(shared, scratch, &mut self.out, self.prev_done_us, |_| {
-                                decode_line(line)
-                            })
-                        }
-                    };
-                    self.finish_request(shared, outcome);
-                }
-                Proto::Binary => {
-                    let avail = &self.buf[self.consumed..];
-                    if avail.len() < wire::FRAME_HEADER_LEN {
-                        if self.peer_eof && !avail.is_empty() {
-                            // Truncated header at EOF: close cleanly.
-                            self.closing = true;
-                            progress = true;
-                        }
-                        return progress;
-                    }
-                    let header = match wire::decode_frame_header(avail) {
-                        Ok(header) => header,
-                        Err(_) => {
-                            self.dead = true;
-                            return true;
-                        }
-                    };
-                    if header.payload_len > wire::MAX_PAYLOAD {
-                        // Refused before any allocation and counted like
-                        // any other error; framing can no longer be
-                        // trusted, so answer and close.
-                        let declared = header.payload_len;
-                        let message = wire::WireError::FrameTooLarge { declared }.to_string();
-                        let input = refused("frame_too_large", codes::FRAME_TOO_LARGE, message);
-                        let reply = Reply::Frame(header.request_id);
-                        let outcome = serve_request(
-                            shared,
-                            scratch,
-                            &mut self.out,
-                            self.prev_done_us,
-                            |_| (reply, input),
-                        );
-                        self.finish_request(shared, outcome);
-                        self.closing = true;
-                        progress = true;
-                        continue;
-                    }
-                    if avail.len() < wire::FRAME_HEADER_LEN + header.payload_len {
-                        if self.peer_eof {
-                            // Truncated frame mid-read: close cleanly,
-                            // answering nothing for the partial frame.
-                            self.closing = true;
-                            progress = true;
-                        }
-                        return progress;
-                    }
-                    let start = self.consumed + wire::FRAME_HEADER_LEN;
-                    let end = start + header.payload_len;
-                    self.consumed = end;
-                    progress = true;
-                    let payload = &self.buf[start..end];
-                    let outcome =
-                        serve_request(shared, scratch, &mut self.out, self.prev_done_us, |cache| {
-                            let input = decode_frame(shared.ingest.serving, payload, cache);
-                            (Reply::Frame(header.request_id), input)
-                        });
-                    self.finish_request(shared, outcome);
-                }
+                progress = true;
+                continue;
             }
+            let avail = &self.buf[self.consumed..];
+            if avail.len() < wire::FRAME_HEADER_LEN {
+                if self.peer_eof && !avail.is_empty() {
+                    // Truncated header at EOF: close cleanly.
+                    self.closing = true;
+                    progress = true;
+                }
+                return progress;
+            }
+            let header = match wire::decode_frame_header(avail) {
+                Ok(header) => header,
+                Err(_) => {
+                    self.dead = true;
+                    return true;
+                }
+            };
+            if header.payload_len > wire::MAX_PAYLOAD {
+                // Refused before any allocation and counted like any
+                // other error; framing can no longer be trusted, so
+                // answer and close.
+                let declared = header.payload_len;
+                let message = wire::WireError::FrameTooLarge { declared }.to_string();
+                let input = refused("frame_too_large", codes::FRAME_TOO_LARGE, message);
+                let outcome = serve_request(
+                    shared,
+                    scratch,
+                    &mut self.out,
+                    self.prev_done_us,
+                    header.request_id,
+                    |_| input,
+                );
+                self.finish_request(shared, outcome);
+                self.closing = true;
+                progress = true;
+                continue;
+            }
+            if avail.len() < wire::FRAME_HEADER_LEN + header.payload_len {
+                if self.peer_eof {
+                    // Truncated frame mid-read: close cleanly, answering
+                    // nothing for the partial frame.
+                    self.closing = true;
+                    progress = true;
+                }
+                return progress;
+            }
+            let start = self.consumed + wire::FRAME_HEADER_LEN;
+            let end = start + header.payload_len;
+            self.consumed = end;
+            progress = true;
+            let payload = &self.buf[start..end];
+            let outcome = serve_request(
+                shared,
+                scratch,
+                &mut self.out,
+                self.prev_done_us,
+                header.request_id,
+                |cache| decode_frame(shared.ingest.serving, payload, cache),
+            );
+            self.finish_request(shared, outcome);
         }
+    }
+
+    /// The preamble gate, run until the connection is framed. Returns
+    /// whether the connection changed state: framed, answering a
+    /// version-skew error before closing, or dead.
+    fn open(&mut self) -> bool {
+        let avail = &self.buf[self.consumed..];
+        match avail.first() {
+            None => return false,
+            // Not a binary-v1 client: there is no protocol to answer in.
+            Some(&first) if first != wire::PREAMBLE_MAGIC[0] => {
+                self.dead = true;
+                return true;
+            }
+            Some(_) => {}
+        }
+        if avail.len() < wire::PREAMBLE_LEN {
+            self.dead = self.peer_eof;
+            return self.dead;
+        }
+        match wire::check_preamble(&avail[..wire::PREAMBLE_LEN]) {
+            Ok(_) => {
+                self.consumed += wire::PREAMBLE_LEN;
+                self.framed = true;
+            }
+            Err(e @ wire::WireError::UnsupportedVersion { .. }) => {
+                // Framing is version-stable, so even a from-the-future
+                // client can read this.
+                let _ = wire::append_frame(
+                    &mut self.out,
+                    0,
+                    &Response::Error {
+                        code: codes::UNSUPPORTED_PROTOCOL.to_string(),
+                        message: e.to_string(),
+                    },
+                );
+                self.closing = true;
+            }
+            // NUL-led garbage: no protocol to answer in.
+            Err(_) => self.dead = true,
+        }
+        true
     }
 
     fn finish_request(&mut self, shared: &ServerShared<'_>, outcome: Outcome) {
@@ -757,39 +728,7 @@ impl<T: Transport> Conn<T> {
     }
 }
 
-/// The newline-JSON adapter: parses one non-blank line, envelope first
-/// (opt-in trace id), bare request second. A line that is valid JSON
-/// but not a valid request still yields its `trace_id` (if any), so the
-/// error response can be correlated with the request that caused it. A
-/// non-UTF-8 line answers an in-band parse error.
-fn decode_line(line: Result<&str, std::str::Utf8Error>) -> (Reply, Input) {
-    let _stage = gdcm_obs::reqtrace::stage("parse");
-    let Ok(line) = line else {
-        let message = "request line is not valid UTF-8".to_string();
-        return (
-            Reply::Line(None),
-            refused("parse_error", codes::PARSE_ERROR, message),
-        );
-    };
-    if let Ok(env) = serde_json::from_str::<RequestEnvelope>(line) {
-        return (Reply::Line(env.trace_id), Input::Request(env.req, None));
-    }
-    match serde_json::from_str::<Request>(line) {
-        Ok(request) => (Reply::Line(None), Input::Request(request, None)),
-        Err(e) => {
-            let trace_id = serde_json::from_str::<TraceIdProbe>(line)
-                .ok()
-                .and_then(|p| p.trace_id);
-            let message = format!("unparsable request: {e}");
-            (
-                Reply::Line(trace_id),
-                refused("parse_error", codes::PARSE_ERROR, message),
-            )
-        }
-    }
-}
-
-/// What a protocol adapter made of one request's bytes.
+/// What decoding made of one frame's payload.
 enum Input {
     /// A decoded request. `wire_hash` is the hash of a binary
     /// `Predict`'s canonical network bytes, for the wire index.
@@ -810,72 +749,24 @@ fn refused(label: &'static str, code: &str, message: String) -> Input {
     )
 }
 
-/// How a response goes back on the wire.
-#[derive(Clone, Copy)]
-enum Reply {
-    /// One newline-JSON line, enveloped when the request carried a
-    /// trace id.
-    Line(Option<u64>),
-    /// One binary-v1 frame tagged with the request's id, which is also
-    /// its trace id.
-    Frame(u64),
-}
-
-impl Reply {
-    fn trace_id(self) -> Option<u64> {
-        match self {
-            Reply::Line(trace_id) => trace_id,
-            Reply::Frame(request_id) => Some(request_id),
-        }
-    }
-
-    /// Serializes `response` into the shard's reusable buffer. Enveloped
-    /// requests get enveloped responses — errors included, so clients
-    /// can correlate failures too; bare requests keep bare responses.
-    fn serialize(self, ser: &mut Vec<u8>, response: Response) -> bool {
-        match self {
-            Reply::Line(None) => serde_json::to_writer(ser, &response).is_ok(),
-            Reply::Line(trace_id) => serde_json::to_writer(
-                ser,
-                &ResponseEnvelope {
-                    trace_id,
-                    resp: response,
-                },
-            )
-            .is_ok(),
-            Reply::Frame(_) => wire::append_value(ser, &response).is_ok(),
-        }
-    }
-
-    /// Enqueues the serialized response on the connection's output.
-    fn write(self, out: &mut Vec<u8>, ser: &[u8]) -> bool {
-        match self {
-            Reply::Line(_) => {
-                out.extend_from_slice(ser);
-                out.push(b'\n');
-                true
-            }
-            Reply::Frame(request_id) => wire::append_raw_frame(out, request_id, ser).is_ok(),
-        }
-    }
-}
-
-/// The one request path both protocols share: telemetry begin and the
-/// `read` stage, the adapter's `decode`, dispatch, the request and
-/// error counts, serialize + write, the `serve/request_ms` histogram,
-/// the telemetry record, and the shutdown outcome. `decode` adds the
-/// cache lookups it makes itself (the wire fast lane) to the tally it
-/// is handed; dispatch adds the rest.
+/// The one request path: telemetry begin (the frame's request id is
+/// the trace id) and the `read` stage, `decode`, dispatch, the request
+/// and error counts, serialize + write one response frame on
+/// `request_id`, the `serve/request_ms` histogram, the telemetry
+/// record, and the shutdown outcome. `decode` adds the cache lookups it
+/// makes itself (the wire fast lane) to the tally it is handed;
+/// dispatch adds the rest.
 fn serve_request(
     shared: &ServerShared<'_>,
     scratch: &mut Scratch,
     out: &mut Vec<u8>,
     prev_done_us: u64,
-    decode: impl FnOnce(&mut CacheStats) -> (Reply, Input),
+    request_id: u64,
+    decode: impl FnOnce(&mut CacheStats) -> Input,
 ) -> Outcome {
     let telemetry = shared.telemetry;
     if telemetry {
-        gdcm_obs::reqtrace::begin(0);
+        gdcm_obs::reqtrace::begin(request_id);
         // The read stage spans from the previous request's completion;
         // it belongs in the stage breakdown but not in the latency
         // that ranks the slow log, which starts after the read.
@@ -884,10 +775,7 @@ fn serve_request(
     }
     let started = Instant::now();
     let mut cache = CacheStats::default();
-    let (reply, input) = decode(&mut cache);
-    if let (true, Some(trace_id)) = (telemetry, reply.trace_id()) {
-        gdcm_obs::reqtrace::set_trace_id(trace_id);
-    }
+    let input = decode(&mut cache);
 
     let (label, is_shutdown, response) = match input {
         Input::Request(request, wire_hash) => (
@@ -906,11 +794,11 @@ fn serve_request(
     let serialized = {
         let _stage = gdcm_obs::reqtrace::stage("serialize");
         scratch.ser.clear();
-        reply.serialize(&mut scratch.ser, response)
+        wire::append_value(&mut scratch.ser, &response).is_ok()
     };
     let written = serialized && {
         let _stage = gdcm_obs::reqtrace::stage("write");
-        reply.write(out, &scratch.ser)
+        wire::append_raw_frame(out, request_id, &scratch.ser).is_ok()
     };
     if !written {
         // Responses are plain data; encoding cannot fail. If it ever

@@ -245,6 +245,62 @@ fn unparsable_env_knob_warns_and_falls_back() {
     );
 }
 
+/// The `gdcm-serve` binary reads each cache knob once: one unparsable
+/// value is one `config_warning`, counted once in its run report.
+#[test]
+fn serve_binary_counts_one_bad_cache_knob_once() {
+    use gdcm_serve::{BinClient, Request, Response};
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+
+    let snapshot = scratch_path("knob_snapshot.json");
+    save_repository(&fitted_repository(37).0, &snapshot).unwrap();
+    let reports = scratch_path("knob_reports");
+    // A cleared environment keeps knobs other tests set in-process out
+    // of the child.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gdcm-serve"))
+        .arg("--snapshot")
+        .arg(&snapshot)
+        .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+        .env_clear()
+        .env("GDCM_SERVE_PRED_CACHE", "lots")
+        .env("GDCM_REPORT_DIR", &reports)
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(
+            stdout.read_line(&mut line).unwrap() > 0,
+            "exited before listening"
+        );
+        if let Some(addr) = line.trim().strip_prefix("LISTENING ") {
+            break addr.to_string();
+        }
+    };
+    let mut client =
+        BinClient::connect_with_retry(addr.as_str(), std::time::Duration::from_secs(10)).unwrap();
+    assert!(matches!(
+        client.request(&Request::Shutdown).unwrap(),
+        Response::ShuttingDown
+    ));
+    drop(client);
+    assert!(child.wait().unwrap().success());
+
+    let report = std::fs::read_to_string(reports.join("gdcm-serve.json")).unwrap();
+    let report: gdcm_obs::RunReport = serde_json::from_str(&report).unwrap();
+    std::fs::remove_file(&snapshot).ok();
+    std::fs::remove_dir_all(&reports).ok();
+    let invalid = report
+        .counters
+        .iter()
+        .find(|(name, _)| name == "serve/config_env_invalid")
+        .map(|(_, count)| *count);
+    assert_eq!(invalid, Some(1), "one bad knob must warn exactly once");
+}
+
 /// A mutation the repository rejects must not leave a poison record in
 /// the WAL: the frame is rolled back under the log lock, so a restart
 /// replays only mutations that were actually applied. (Regression: a

@@ -14,8 +14,8 @@
 //!   [`MAX_BUFFERED_INPUT`], pending output under
 //!   [`WRITE_HIGH_WATER`] plus one response of slack (GDCM173);
 //! - the drain loop terminates within a fixed sweep budget (GDCM174);
-//! - the first-byte protocol sniff routes binary, legacy, and garbage
-//!   openings correctly (GDCM175).
+//! - the preamble gate frames a binary-v1 opening and closes every
+//!   other opening with no output (GDCM175).
 //!
 //! The schedule space is the full set of 1-, 2-, and 3-way contiguous
 //! chunk splits of a pipelined conversation (~1.7k schedules), plus
@@ -25,7 +25,7 @@
 
 use gdcm_analyze::{DiagCode, Diagnostic, Report};
 use gdcm_serve::harness::{ConnHarness, MAX_BUFFERED_INPUT, WRITE_HIGH_WATER};
-use gdcm_serve::protocol::{codes, wire, Request, Response};
+use gdcm_serve::protocol::{wire, Request, Response};
 use gdcm_serve::ServingRepository;
 
 /// Sweeps a conversation may spend before the model check calls the
@@ -76,7 +76,7 @@ pub struct ConversationOutcome {
     pub drained: bool,
 }
 
-/// One protocol-sniff observation.
+/// One connection-opening observation.
 #[derive(Debug, Clone)]
 pub struct SniffOutcome {
     /// Which opening bytes were probed.
@@ -174,8 +174,8 @@ pub fn judge_conversations(
     }
 }
 
-/// Judges sniff scenarios: emits GDCM175 for every scenario whose
-/// connection took the wrong protocol path.
+/// Judges opening scenarios: emits GDCM175 for every scenario whose
+/// connection the preamble gate handled wrongly.
 pub fn judge_sniffs(subject: &str, outcomes: &[SniffOutcome], diags: &mut Vec<Diagnostic>) {
     for o in outcomes {
         if !o.ok {
@@ -435,19 +435,13 @@ pub fn backpressure_outcome(serving: &ServingRepository) -> ConversationOutcome 
     )
 }
 
-/// Parses a single newline-terminated legacy JSON response line.
-fn parse_legacy_line(out: &[u8]) -> Option<Response> {
-    let line = out.strip_suffix(b"\n").unwrap_or(out);
-    serde_json::from_str::<Response>(std::str::from_utf8(line).ok()?).ok()
-}
-
-/// The protocol-sniff scenarios (GDCM175): the first byte alone must
-/// route the connection.
+/// The connection-opening scenarios (GDCM175): the preamble alone
+/// decides whether a connection is served.
 #[must_use]
 pub fn sniff_outcomes(serving: &ServingRepository) -> Vec<SniffOutcome> {
     let mut outcomes = Vec::new();
 
-    // Binary preamble delivered one byte per read: the sniff must wait
+    // Binary preamble delivered one byte per read: the gate must wait
     // for all 8 bytes, then serve binary frames.
     {
         let mut h = ConnHarness::new(serving);
@@ -473,57 +467,21 @@ pub fn sniff_outcomes(serving: &ServingRepository) -> Vec<SniffOutcome> {
         });
     }
 
-    // A legacy JSON line: routed to the line protocol, answered in JSON.
-    {
+    // Openings that are not binary-v1 — a first byte other than NUL
+    // (here a newline-JSON request line), or NUL-led bad magic — have no
+    // protocol to answer in: the connection must close with nothing
+    // written, without waiting for the peer to hang up.
+    for (label, opening) in [
+        ("non-NUL opening", &b"\"Ping\"\n"[..]),
+        ("NUL-led garbage preamble", b"\0NOTGDCM"),
+    ] {
         let mut h = ConnHarness::new(serving);
-        h.deliver(b"\"Ping\"\n");
-        h.eof();
-        h.pump_until_quiet(DRAIN_BUDGET);
-        let out = h.take_output();
-        let ok = parse_legacy_line(&out).is_some_and(|r| r == Response::Pong);
-        outcomes.push(SniffOutcome {
-            label: "legacy JSON line".into(),
-            ok,
-            detail: format!(
-                "output {:?}, expected a JSON Pong line",
-                String::from_utf8_lossy(&out)
-            ),
-        });
-    }
-
-    // A legacy line that is not JSON: answered in-band with parse_error,
-    // still on the legacy path.
-    {
-        let mut h = ConnHarness::new(serving);
-        h.deliver(b"not json at all\n");
-        h.eof();
-        h.pump_until_quiet(DRAIN_BUDGET);
-        let out = h.take_output();
-        let ok = matches!(
-            parse_legacy_line(&out),
-            Some(Response::Error { ref code, .. }) if code == codes::PARSE_ERROR
-        );
-        outcomes.push(SniffOutcome {
-            label: "legacy garbage line".into(),
-            ok,
-            detail: format!(
-                "output {:?}, expected a JSON parse_error line",
-                String::from_utf8_lossy(&out)
-            ),
-        });
-    }
-
-    // NUL-led garbage: claims binary, fails the magic. There is no
-    // protocol to answer in — the connection must die silently.
-    {
-        let mut h = ConnHarness::new(serving);
-        h.deliver(b"\0NOTGDCM");
-        h.eof();
+        h.deliver(opening);
         h.pump_until_quiet(DRAIN_BUDGET);
         let out = h.take_output();
         let ok = h.is_dead() && out.is_empty();
         outcomes.push(SniffOutcome {
-            label: "NUL-led garbage preamble".into(),
+            label: label.into(),
             ok,
             detail: format!(
                 "dead={}, {} output byte(s); expected silent close",

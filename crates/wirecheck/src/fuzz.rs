@@ -2,7 +2,7 @@
 //!
 //! A seeded [`rand_chacha::ChaCha8Rng`] corpus of mutated frames —
 //! truncations, byte flips, lying header lengths, depth bombs, version
-//! skew, interleaved legacy bytes, raw garbage — is thrown at the
+//! skew, interleaved JSON-line bytes, raw garbage — is thrown at the
 //! in-memory connection harness. Three invariants are asserted on
 //! every iteration:
 //!
@@ -167,10 +167,10 @@ fn mutate(rng: &mut ChaCha8Rng, base: &[u8]) -> (String, Vec<u8>) {
             ("depth-bomb".into(), bytes)
         }
         5 => {
-            // Interleaved legacy bytes where a frame should start.
+            // A newline-JSON request line where a frame should start.
             let mut bytes = b"\"Ping\"\n".to_vec();
             bytes.extend_from_slice(base);
-            ("interleaved-legacy".into(), bytes)
+            ("interleaved-json-line".into(), bytes)
         }
         6 => {
             let len = rng.gen_range(1..64usize);
@@ -293,9 +293,6 @@ pub fn run_iteration(serving: &ServingRepository, seed: u64, index: u64) -> Fuzz
                 }
             }
         }
-        // Legacy-path output is JSON lines, not frames — only judge
-        // frame decodability when the conversation stayed binary (it
-        // always does here: the preamble leads every conversation).
         Err(why) => undecodable = Some(why),
     }
 

@@ -21,13 +21,13 @@
 //!    per-connection state machine — via the socket-free
 //!    [`gdcm_serve::harness`] — through exhaustively enumerated event
 //!    schedules (k-way chunk splits, stalled writes, backpressure,
-//!    protocol sniffing, mid-frame disconnect) and checks invariants:
+//!    the preamble gate, mid-frame disconnect) and checks invariants:
 //!    every accepted frame answered exactly once with a matching id,
 //!    errors never kill pipelined siblings, buffers stay under caps,
 //!    drain terminates.
 //! 4. [`fuzz`] — **deterministic structure-aware fuzzer**
 //!    (GDCM176–179): a seeded corpus of mutated frames (truncations,
-//!    lying lengths, depth bombs, version skew, interleaved legacy
+//!    lying lengths, depth bombs, version skew, interleaved JSON-line
 //!    bytes) run against the in-memory harness asserting no panic,
 //!    stable error codes, and the connection-survival policy.
 //!

@@ -302,7 +302,7 @@ fn gdcm175_pins_sniff_mismatch() {
     fsm::judge_sniffs(
         "neg",
         &[fsm::SniffOutcome {
-            label: "legacy line".into(),
+            label: "non-NUL opening".into(),
             ok: false,
             detail: "answered in binary".into(),
         }],

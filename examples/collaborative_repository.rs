@@ -5,6 +5,8 @@
 //! cargo run --release --example collaborative_repository
 //! ```
 
+#![forbid(unsafe_code)]
+
 use generalizable_dnn_cost_models::core::signature::{MutualInfoSelector, SignatureSelector};
 use generalizable_dnn_cost_models::core::{CollaborativeRepository, CostDataset, RepositoryConfig};
 use generalizable_dnn_cost_models::ml::metrics::r2_score;

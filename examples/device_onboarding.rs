@@ -5,6 +5,8 @@
 //! cargo run --release --example device_onboarding
 //! ```
 
+#![forbid(unsafe_code)]
+
 use generalizable_dnn_cost_models::core::signature::{
     MutualInfoSelector, RandomSelector, SpearmanSelector,
 };

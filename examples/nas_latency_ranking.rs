@@ -6,6 +6,8 @@
 //! cargo run --release --example nas_latency_ranking
 //! ```
 
+#![forbid(unsafe_code)]
+
 use generalizable_dnn_cost_models::core::hardware::HardwareRepr;
 use generalizable_dnn_cost_models::core::signature::{MutualInfoSelector, SignatureSelector};
 use generalizable_dnn_cost_models::core::{

@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![forbid(unsafe_code)]
+
 use generalizable_dnn_cost_models::core::signature::{MutualInfoSelector, SignatureSelector};
 use generalizable_dnn_cost_models::core::{CostDataset, CostModelPipeline, PipelineConfig};
 use generalizable_dnn_cost_models::gen::zoo;
