@@ -33,11 +33,19 @@
 //!    for GBDTs, means for forests), and frozen metadata must match the
 //!    source model.
 //!
+//! The two traversal checks cover both split decisions a frozen model
+//! has: check 3 walks bin codes (`code <= bin`, as `predict_binned`
+//! does) and check 4 runs the serving predictor, which compares raw
+//! features against `cuts[feature][bin]`.
+//!
 //! Like the ensemble pass, flatcheck never panics and never loops on
 //! corrupt input: traversal-dependent checks run only on trees whose
 //! structure already verified clean ("unsound trees skip downstream
 //! passes"), and per-tree work fans out over the `gdcm-par` pool with
 //! in-order merges so diagnostics are identical at any thread count.
+//! A tree is traversal-safe only if, besides its structure, every split
+//! slot's bin indexes the cut grid of the feature that slot names —
+//! otherwise the raw-feature walker would read past that grid.
 //!
 //! Path enumeration is exhaustive up to [`MAX_PATHS_PER_TREE`] leaves
 //! per tree (depth 12 at the default binary fan-out) — far above
@@ -486,6 +494,13 @@ fn audit_flat_tree(ctx: &FlatCtx<'_>, t: usize) -> FlatTreeAudit {
                         t,
                         format!("node {i} splits feature {feature} but slot {s} splits {ff}"),
                     ));
+                }
+                // Frozen prediction reads the threshold back as
+                // `cuts[ff][bin]`, so a bin past that grid must not be
+                // walked. It is already reported: GDCM150 below when the
+                // slot keeps its source feature, GDCM142 above otherwise.
+                if ff < ctx.n_features && usize::from(nb[s]) >= ctx.cuts[ff].len() {
+                    audit.traversal_safe = false;
                 }
                 let (fl, fr) = (nl[s] as usize, nr[s] as usize);
                 let mut dangling = false;

@@ -256,6 +256,43 @@ fn gdcm150_bin_no_longer_maps_to_threshold() {
 }
 
 #[test]
+fn gdcm150_bin_past_the_grid_is_reported_not_walked() {
+    // Frozen prediction reads `cuts[feature][bin]`; a bin past the grid
+    // must be reported and must keep flatcheck from walking the tree.
+    let (model, frozen, binned) = fixture();
+    let s = first_split_slot(&frozen);
+    let bad = corrupt_nodes(&frozen, |_, _, bin, _, _, _| {
+        bin[s] = u8::MAX;
+    });
+    let diags = run(&model, &bad, &binned);
+    assert!(codes(&diags).contains(&150), "{diags:?}");
+}
+
+#[test]
+fn gdcm142_split_moved_onto_a_shorter_grid_is_reported_not_walked() {
+    // Move a split slot to another feature whose cut grid is too short
+    // for the slot's bin, so `cuts[feature][bin]` would read past it.
+    let (model, frozen, binned) = fixture();
+    let nodes = frozen.nodes();
+    let (s, other) = (0..nodes.feature().len())
+        .filter(|&s| nodes.feature()[s] != FROZEN_LEAF)
+        .find_map(|s| {
+            (0..frozen.n_features())
+                .find(|&f| {
+                    f != nodes.feature()[s] as usize
+                        && frozen.cuts(f).len() <= usize::from(nodes.bin()[s])
+                })
+                .map(|f| (s, f))
+        })
+        .expect("some split's bin is past a shorter feature's grid");
+    let bad = corrupt_nodes(&frozen, |_, feature, _, _, _, _| {
+        feature[s] = other as u32;
+    });
+    let diags = run(&model, &bad, &binned);
+    assert!(codes(&diags).contains(&142), "{diags:?}");
+}
+
+#[test]
 fn gdcm151_quantization_unsound_on_unsorted_grid() {
     // 151 is the symbolic check: with a strictly ascending grid and a
     // bitwise-matching bin it is unreachable (that is the bit-identity

@@ -1,8 +1,8 @@
 //! Property tests for the frozen-model pipeline: for arbitrary small
 //! training sets, freezing succeeds, the flatcheck pass certifies the
-//! translation with zero diagnostics, and the frozen batch predictor is
-//! bit-identical to the recursive pointer-tree reference — at one
-//! worker thread and at four.
+//! translation with zero diagnostics, and the frozen batch, single-row
+//! and pre-binned predictors are bit-identical to the recursive
+//! pointer-tree reference — at one worker thread and at four.
 //!
 //! One `#[test]` only: the `gdcm-par` thread budget is process-global,
 //! so a second concurrent test could observe the override mid-sweep.
@@ -11,12 +11,22 @@ use proptest::prelude::*;
 
 use gdcm_audit::{check_frozen_forest, check_frozen_gbdt, reference_forest_predict};
 use gdcm_ml::{
-    BinnedMatrix, DenseMatrix, FrozenForest, FrozenGbdt, GbdtParams, GbdtRegressor,
+    bin_code, BinnedMatrix, DenseMatrix, FrozenForest, FrozenGbdt, GbdtParams, GbdtRegressor,
     RandomForestRegressor, Regressor as _, FOREST_BINS,
 };
 
+/// `row` binned onto `cuts`: the codes `predict_binned` scores.
+fn bin_row(cuts: &[Vec<f32>], row: &[f32]) -> Vec<u8> {
+    row.iter()
+        .zip(cuts)
+        .map(|(&v, fc)| bin_code(fc, v))
+        .collect()
+}
+
 /// One generated case: freeze, certify, and compare bit-for-bit against
 /// the recursive reference at whatever thread count is currently set.
+/// Every frozen model is scored three ways: the batch predictor,
+/// `predict_row`, and `predict_binned` on the binned row.
 fn check_one(rows: &[Vec<f32>], n_features: usize, max_bins: usize) -> Result<(), TestCaseError> {
     let x = DenseMatrix::from_rows(rows);
     let y: Vec<f32> = rows
@@ -67,6 +77,14 @@ fn check_one(rows: &[Vec<f32>], n_features: usize, max_bins: usize) -> Result<()
             "gbdt predict_row {} diverged",
             i
         );
+        prop_assert_eq!(
+            reference.to_bits(),
+            frozen
+                .predict_binned(&bin_row(frozen.cut_grid(), row))
+                .to_bits(),
+            "gbdt predict_binned {} diverged",
+            i
+        );
     }
 
     // Forest counterpart over the same rows.
@@ -89,10 +107,25 @@ fn check_one(rows: &[Vec<f32>], n_features: usize, max_bins: usize) -> Result<()
     );
     let fbatch = ffrozen.predict(&probe);
     for (i, row) in probe_rows.iter().enumerate() {
+        let reference = reference_forest_predict(&forest, row);
         prop_assert_eq!(
-            reference_forest_predict(&forest, row).to_bits(),
+            reference.to_bits(),
             fbatch[i].to_bits(),
             "forest batch row {} diverged",
+            i
+        );
+        prop_assert_eq!(
+            reference.to_bits(),
+            ffrozen.predict_row(row).to_bits(),
+            "forest predict_row {} diverged",
+            i
+        );
+        prop_assert_eq!(
+            reference.to_bits(),
+            ffrozen
+                .predict_binned(&bin_row(ffrozen.cut_grid(), row))
+                .to_bits(),
+            "forest predict_binned {} diverged",
             i
         );
     }

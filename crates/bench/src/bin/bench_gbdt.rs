@@ -36,9 +36,9 @@ struct ThreadSample {
     split_search_busy_ms: f64,
 }
 
-/// Frozen (SoA, integer-compare) batch inference versus the recursive
-/// pointer-tree walker, on a tree-heavy model where traversal dominates
-/// the per-row binning cost.
+/// Frozen (SoA arena, thresholds read back from the cut grid) batch
+/// inference versus the recursive pointer-tree walker, on a tree-heavy
+/// model.
 #[derive(Serialize)]
 struct FlatVsNode {
     n_estimators: usize,

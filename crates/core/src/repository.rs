@@ -417,7 +417,7 @@ impl CollaborativeRepository {
             .devices
             .get(device)
             .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?;
-        self.predict_with_signature_f32(hw, network)
+        self.predict_encoded(&self.encoder.encode(network), hw)
     }
 
     /// Predicts the latency (ms) of `network` on a *new* device described
@@ -433,17 +433,43 @@ impl CollaborativeRepository {
         network: &Network,
     ) -> Result<f64, RepositoryError> {
         let hw = self.validate_signature(signature_latencies_ms)?;
-        self.predict_with_signature_f32(&hw, network)
+        self.predict_encoded(&self.encoder.encode(network), &hw)
     }
 
-    fn predict_with_signature_f32(
+    /// Scores the row a network `encoding` (as
+    /// [`NetworkEncoder::encode`] produces it) followed by a device's
+    /// signature latencies forms. This is the one single-row scoring
+    /// path: [`CollaborativeRepository::predict`],
+    /// [`CollaborativeRepository::predict_for_new_device`] and the
+    /// serving layer's cache misses all call it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RepositoryError::NotFitted`] before the first
+    /// successful fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `encoding` is not [`NetworkEncoder::len`] long or
+    /// `signature` is not [`CollaborativeRepository::signature_size`]
+    /// long: the row would not be the one the model was trained on.
+    pub fn predict_encoded(
         &self,
-        hw: &[f32],
-        network: &Network,
+        encoding: &[f32],
+        signature: &[f32],
     ) -> Result<f64, RepositoryError> {
+        assert!(
+            encoding.len() == self.encoder.len() && signature.len() == self.signature_size,
+            "predict_encoded takes a {}-wide encoding and a {}-wide signature, got {} and {}",
+            self.encoder.len(),
+            self.signature_size,
+            encoding.len(),
+            signature.len()
+        );
         let frozen = self.frozen.as_ref().ok_or(RepositoryError::NotFitted)?;
-        let mut row = self.encoder.encode(network);
-        row.extend_from_slice(hw);
+        let mut row = Vec::with_capacity(encoding.len() + signature.len());
+        row.extend_from_slice(encoding);
+        row.extend_from_slice(signature);
         Ok(frozen.predict_row(&row) as f64)
     }
 

@@ -380,16 +380,19 @@ pub fn probe_predict(payload: &[u8]) -> Option<(&str, &[u8])> {
     (!network.is_empty()).then_some((device, network))
 }
 
-/// FNV-1a-style hash over 8-byte words — the same mixing as the
-/// serving layer's structural hash at 8x the stride, cheap enough to
-/// run on every frame. Length is folded in up front so a payload and
-/// its zero-padded extension cannot collide. Not cryptographic: an
-/// adversarial collision could alias two cache keys, the same exposure
-/// the structural [`network_hash`](crate::serving::network_hash)
-/// already accepts.
-pub fn wire_hash(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (bytes.len() as u64);
+/// FNV-1a's 64-bit offset basis.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step over a whole 64-bit word: xor it in, multiply by
+/// the FNV prime. Both [`wire_hash`] and the structural
+/// [`network_hash`](crate::serving::network_hash) are built from it.
+pub(crate) fn fnv_word(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Folds `bytes` into `h` one [`fnv_word`] step per little-endian
+/// 8-byte word, the last word zero-padded.
+pub(crate) fn fnv_words(mut h: u64, bytes: &[u8]) -> u64 {
     let mut words = bytes.chunks_exact(8);
     for word in &mut words {
         let word = match <[u8; 8]>::try_from(word) {
@@ -397,15 +400,26 @@ pub fn wire_hash(bytes: &[u8]) -> u64 {
             // Unreachable: chunks_exact yields 8-byte slices.
             Err(_) => continue,
         };
-        h = (h ^ word).wrapping_mul(PRIME);
+        h = fnv_word(h, word);
     }
     let rem = words.remainder();
     if !rem.is_empty() {
         let mut tail = [0u8; 8];
         tail[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME);
+        h = fnv_word(h, u64::from_le_bytes(tail));
     }
     h
+}
+
+/// FNV-1a-style hash over 8-byte words ([`fnv_words`]), cheap enough
+/// to run on every frame. Length is folded in up front so a payload and
+/// its zero-padded extension cannot collide. It is also the WAL record
+/// checksum, so its output is an on-disk format: the values are pinned
+/// by a test. Not cryptographic: an adversarial collision could alias
+/// two cache keys, the same exposure the structural
+/// [`network_hash`](crate::serving::network_hash) already accepts.
+pub fn wire_hash(bytes: &[u8]) -> u64 {
+    fnv_words(FNV_OFFSET ^ (bytes.len() as u64), bytes)
 }
 
 /// Strict cursor over the canonical byte layout. Every accessor
@@ -1005,6 +1019,31 @@ mod tests {
         let (_, other_bytes) = probe_predict(&other).expect("probes");
         assert_eq!(wire_hash(network_bytes), wire_hash(&expected));
         assert_ne!(wire_hash(network_bytes), wire_hash(other_bytes));
+    }
+
+    #[test]
+    fn wire_hash_values_are_pinned() {
+        // wire_hash checksums every WAL record, so a changed output
+        // would make recovery read every logged record as corrupt.
+        let msg = b"binary-v1 wal";
+        for (bytes, want) in [
+            (&msg[..0], 0xcbf2_9ce4_8422_2325u64),
+            (&msg[..7], 0xb9bd_5f67_a0a2_2ac0),
+            (&msg[..8], 0xefbd_6e67_a0a2_443d),
+            (&msg[..13], 0x33f5_0dfa_5d1d_d3fd),
+        ] {
+            assert_eq!(wire_hash(bytes), want, "{} bytes", bytes.len());
+        }
+        let mut predict = Vec::new();
+        append_request(
+            &mut predict,
+            &Request::Predict {
+                device: "pixel-4".to_string(),
+                network: kitchen_sink_network(),
+            },
+        );
+        assert_eq!(predict.len(), 1497);
+        assert_eq!(wire_hash(&predict), 0xfe49_dacc_bc5e_c76d);
     }
 
     #[test]

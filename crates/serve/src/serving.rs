@@ -9,20 +9,28 @@
 //! * the encoding cache stores the exact `Vec<f32>` that
 //!   `NetworkEncoder::encode` (a deterministic function) produces;
 //! * the prediction cache stores the exact `f64` a cold call computed;
-//! * the batch path goes through `GbdtRegressor::predict`, whose
-//!   `gdcm-par` chunked implementation is an ordered map of the same
-//!   `predict_row` the single-row path calls.
+//! * a single-row miss scores through
+//!   `CollaborativeRepository::predict_encoded`, the same function
+//!   `predict` calls, on the borrowed device signature;
+//! * the batch path goes through `FrozenGbdt::predict`, whose
+//!   `gdcm-par` chunked implementation walks each row exactly as
+//!   `predict_row` does.
 //!
 //! Caches only skip work; they never change it.
 //!
 //! ## Cache keys
 //!
-//! Networks are keyed by a 64-bit FNV-1a hash of their structure
+//! Networks are keyed by a 64-bit FNV-style hash of their structure
 //! ([`network_hash`]) — a *content* hash, so structurally identical
-//! networks share cache entries no matter how the caller built them. Predictions are keyed by `(device name, network hash)` and
-//! invalidated whenever the model or a device signature changes
-//! ([`ServingRepository::fit`], [`ServingRepository::re_enroll`],
-//! [`ServingRepository::install_refit`]).
+//! networks share cache entries no matter how the caller built them. It
+//! folds a whole word per step: one step per integer the graph's `Hash`
+//! impl writes, and for a name its length and then its zero-padded
+//! 8-byte words, the step [`wire_hash`] uses. Predictions are keyed by
+//! `(device name, network hash)` and invalidated whenever the model or
+//! a device signature changes ([`ServingRepository::fit`],
+//! [`ServingRepository::re_enroll`], [`ServingRepository::install_refit`]).
+//!
+//! [`wire_hash`]: crate::protocol::wire::fast::wire_hash
 //!
 //! ## Epoch-guarded inserts
 //!
@@ -40,12 +48,14 @@ use gdcm_core::{CollaborativeRepository, RepositoryError};
 use gdcm_dnn::Network;
 use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtRegressor};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::lru::LruCache;
+use crate::protocol::wire::fast::{fnv_word, fnv_words, FNV_OFFSET};
 use crate::{snapshot, ServeError};
 
 /// Default encoding-cache capacity (entries).
@@ -126,21 +136,42 @@ pub struct CacheStats {
     pub prediction_misses: u64,
 }
 
-/// A deterministic 64-bit FNV-1a [`std::hash::Hasher`]. The std
-/// `DefaultHasher` is randomly seeded per process; cache keys need the
-/// same bits for the same network on every run.
-struct Fnv1a(u64);
+/// A deterministic 64-bit FNV-1a-style [`std::hash::Hasher`] that
+/// folds a word per step. The std `DefaultHasher` is randomly seeded per
+/// process; cache keys need the same bits for the same network on every
+/// run. Each integer write is one [`fnv_word`] step. A byte write
+/// folds its length, then its zero-padded 8-byte words, like
+/// [`wire_hash`](crate::protocol::wire::fast::wire_hash) — so `write`
+/// calls of different lengths cannot run together.
+struct WordFnv(u64);
 
-impl std::hash::Hasher for Fnv1a {
+impl std::hash::Hasher for WordFnv {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for byte in bytes {
-            self.0 ^= u64::from(*byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv_words(fnv_word(self.0, bytes.len() as u64), bytes);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.0 = fnv_word(self.0, u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.0 = fnv_word(self.0, u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.0 = fnv_word(self.0, u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = fnv_word(self.0, i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.0 = fnv_word(self.0, i as u64);
     }
 }
 
@@ -151,13 +182,13 @@ fn count(counter: &AtomicU64, tally: &mut u64) {
     *tally += 1;
 }
 
-/// 64-bit FNV-1a content hash over a network's structure (name, nodes,
-/// operators, shapes, wiring) via the graph's `Hash` impl — orders of
-/// magnitude cheaper than serializing the graph, which matters because
-/// every cache lookup pays this cost.
+/// 64-bit word-at-a-time FNV content hash over a network's structure
+/// (name, nodes, operators, shapes, wiring) via the graph's `Hash`
+/// impl — orders of magnitude cheaper than serializing the graph, which
+/// matters because every cache lookup pays this cost.
 pub fn network_hash(network: &Network) -> u64 {
     use std::hash::Hash;
-    let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
+    let mut hasher = WordFnv(FNV_OFFSET);
     network.hash(&mut hasher);
     hasher.0
 }
@@ -318,15 +349,11 @@ impl ServingRepository {
             let repo = self.repo.read();
             let hw = repo
                 .device_signature(device)
-                .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?
-                .to_vec();
+                .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?;
             let enc = self.cached_encoding(&repo, hash, network, tally);
-            let mut row = (*enc).clone();
-            row.extend_from_slice(&hw);
-            let rows = DenseMatrix::from_rows(std::slice::from_ref(&row));
             // Capture the epoch while still holding the read guard: it
             // names exactly the model this value came from.
-            (repo.predict_rows(&rows)?[0], repo.model_epoch())
+            (repo.predict_encoded(&enc, hw)?, repo.model_epoch())
         };
         between_compute_and_insert();
         let mut cache = self.predictions.lock();
@@ -417,12 +444,13 @@ impl ServingRepository {
         // Positions whose hash missed and was *first seen* there — each
         // unique network is computed (and counted as a miss) once.
         let mut misses: Vec<usize> = Vec::new();
-        // Positions repeating a hash already queued in `misses`; they
-        // reuse its computed value and count neither as hit nor miss.
-        let mut dup_misses: Vec<usize> = Vec::new();
+        // `(position, slot in misses)` for each position repeating a
+        // queued hash; it reuses that slot's computed value and counts
+        // neither as hit nor miss.
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
         {
             let _stage = gdcm_obs::reqtrace::stage("cache_lookup");
-            let mut queued: HashSet<u64> = HashSet::new();
+            let mut queued: HashMap<u64, usize> = HashMap::new();
             // One reusable key for the whole probe loop: mutate the
             // hash half instead of re-allocating the device name per
             // network.
@@ -430,16 +458,18 @@ impl ServingRepository {
             let mut cache = self.predictions.lock();
             for (i, hash) in hashes.iter().enumerate() {
                 key.1 = *hash;
-                match cache.get(&key) {
-                    Some(&value) => {
-                        out[i] = value;
-                        count(&self.pred_hits, &mut tally.prediction_hits);
-                    }
-                    None if queued.insert(*hash) => {
+                if let Some(&value) = cache.get(&key) {
+                    out[i] = value;
+                    count(&self.pred_hits, &mut tally.prediction_hits);
+                    continue;
+                }
+                match queued.entry(*hash) {
+                    Entry::Occupied(slot) => repeats.push((i, *slot.get())),
+                    Entry::Vacant(slot) => {
+                        slot.insert(misses.len());
                         misses.push(i);
                         count(&self.pred_misses, &mut tally.prediction_misses);
                     }
-                    None => dup_misses.push(i),
                 }
             }
         }
@@ -451,14 +481,15 @@ impl ServingRepository {
             let repo = self.repo.read();
             let hw = repo
                 .device_signature(device)
-                .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?
-                .to_vec();
+                .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?;
             let width = repo.encoder().len() + repo.signature_size();
             let mut rows = DenseMatrix::with_capacity(misses.len(), width);
+            let mut row = Vec::with_capacity(width);
             for &i in &misses {
                 let enc = self.cached_encoding(&repo, hashes[i], &networks[i], tally);
-                let mut row = (*enc).clone();
-                row.extend_from_slice(&hw);
+                row.clear();
+                row.extend_from_slice(&enc);
+                row.extend_from_slice(hw);
                 rows.push_row(&row);
             }
             (repo.predict_rows(&rows)?, repo.model_epoch())
@@ -477,12 +508,8 @@ impl ServingRepository {
                 }
             }
         }
-        for &i in &dup_misses {
-            let first = misses
-                .iter()
-                .position(|&j| hashes[j] == hashes[i])
-                .expect("every duplicate repeats a queued miss");
-            out[i] = predicted[first];
+        for (i, slot) in repeats {
+            out[i] = predicted[slot];
         }
         Ok(out)
     }

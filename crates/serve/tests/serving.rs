@@ -6,11 +6,13 @@
 use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
 use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
 use gdcm_dnn::Network;
-use gdcm_ml::{FrozenGbdt, FrozenNodes, GbdtParams, GbdtRegressor, Tree, TreeNode};
+use gdcm_gen::{RandomNetworkGenerator, SearchSpace};
+use gdcm_ml::{FrozenGbdt, FrozenNodes, GbdtParams, GbdtRegressor, Regressor, Tree, TreeNode};
 use gdcm_serve::{
-    load_repository, save_repository, RepositorySnapshot, ServeConfig, ServeError,
+    load_repository, network_hash, save_repository, RepositorySnapshot, ServeConfig, ServeError,
     ServingRepository, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 /// A small fitted repository plus the open networks it never trained on.
@@ -49,6 +51,17 @@ fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
     (repo, nets)
 }
 
+/// The pointer-tree walker's answer: the fitted `GbdtRegressor`, not
+/// the frozen model every serving path runs, on the same encoding +
+/// signature row.
+fn pointer_walk(serving: &ServingRepository, device: &str, net: &Network) -> f64 {
+    serving.with_repository(|r| {
+        let mut row = r.encoder().encode(net);
+        row.extend_from_slice(r.device_signature(device).unwrap());
+        f64::from(r.model().unwrap().predict_row(&row))
+    })
+}
+
 fn scratch_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("gdcm_serve_tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -68,6 +81,8 @@ fn cached_predictions_are_bit_identical_to_cold_calls() {
         let second = serving.predict(&device, net).unwrap();
         assert_eq!(first.to_bits(), cold.to_bits(), "cold call diverged");
         assert_eq!(second.to_bits(), cold.to_bits(), "cache hit diverged");
+        let pointer = pointer_walk(&serving, &device, net);
+        assert_eq!(cold.to_bits(), pointer.to_bits(), "frozen vs pointer walk");
     }
     let stats = serving.cache_stats();
     assert_eq!(stats.prediction_misses, nets.len() as u64);
@@ -118,6 +133,41 @@ fn batch_predictions_match_single_row_bits() {
 }
 
 #[test]
+fn repeated_networks_in_one_batch_are_computed_once() {
+    let (repo, nets) = fitted_repository(12);
+    let device = repo.device_names()[0].to_string();
+    let (a, b, c) = (&nets[0], &nets[1], &nets[2]);
+    let batch = [a, b, a, c, b, a].map(Network::clone);
+    let singles: Vec<f64> = batch
+        .iter()
+        .map(|n| repo.predict(&device, n).unwrap())
+        .collect();
+    let assert_matches = |got: &[f64], what: &str| {
+        for (i, (g, s)) in got.iter().zip(&singles).enumerate() {
+            assert_eq!(g.to_bits(), s.to_bits(), "{what} position {i} diverged");
+        }
+    };
+
+    // Cold: each distinct network is one miss, repeats count as neither.
+    let cold = ServingRepository::new(repo.clone(), ServeConfig::default());
+    assert_matches(&cold.predict_batch(&device, &batch).unwrap(), "cold");
+    let stats = cold.cache_stats();
+    assert_eq!((stats.prediction_misses, stats.prediction_hits), (3, 0));
+    assert_eq!(stats.encoding_misses, 3);
+
+    // Half-warm: A and C hit at every position, B misses once and its
+    // repeat counts as neither.
+    let warm = ServingRepository::new(repo, ServeConfig::default());
+    warm.predict(&device, a).unwrap();
+    warm.predict(&device, c).unwrap();
+    let before = warm.cache_stats();
+    assert_matches(&warm.predict_batch(&device, &batch).unwrap(), "half-warm");
+    let after = warm.cache_stats();
+    assert_eq!(after.prediction_misses - before.prediction_misses, 1);
+    assert_eq!(after.prediction_hits - before.prediction_hits, 4);
+}
+
+#[test]
 fn disabled_caches_still_serve_identical_bits() {
     let (repo, nets) = fitted_repository(13);
     let serving = ServingRepository::new(
@@ -140,10 +190,45 @@ fn disabled_caches_still_serve_identical_bits() {
             serving.predict(&device, net).unwrap().to_bits(),
             cold.to_bits()
         );
+        let pointer = pointer_walk(&serving, &device, net);
+        assert_eq!(cold.to_bits(), pointer.to_bits(), "frozen vs pointer walk");
     }
     let stats = serving.cache_stats();
     assert_eq!(stats.prediction_hits, 0, "disabled cache must never hit");
     assert_eq!(stats.encoding_hits, 0);
+}
+
+#[test]
+fn network_hash_is_a_content_hash() {
+    // Separately built copies of the same graph share a cache key.
+    for (a, b) in gdcm_gen::zoo::all().iter().zip(gdcm_gen::zoo::all()) {
+        assert_eq!(network_hash(a), network_hash(&b), "{}", a.name());
+        // The name is part of the content.
+        let renamed = b.clone().with_name(format!("{}_renamed", b.name()));
+        assert_ne!(network_hash(a), network_hash(&renamed), "{}", a.name());
+    }
+
+    // The zoo plus 2,000 seeded mobile-space candidates, named as a
+    // search names them, hash pairwise distinct.
+    let mut generator = RandomNetworkGenerator::new(SearchSpace::mobile(), 42);
+    let mut nets = gdcm_gen::zoo::all();
+    nets.extend((0..2000).map(|i| generator.generate(format!("candidate_{i:05}")).unwrap()));
+    let mut seen: HashMap<u64, &Network> = HashMap::new();
+    for net in &nets {
+        if let Some(other) = seen.insert(network_hash(net), net) {
+            panic!("{} and {} share a hash", other.name(), net.name());
+        }
+    }
+
+    // Under one common name, structure alone separates them: hashes are
+    // equal exactly when the graphs are.
+    let mut seen: HashMap<u64, Network> = HashMap::new();
+    for net in nets {
+        let net = net.with_name("candidate");
+        if let Some(other) = seen.insert(network_hash(&net), net.clone()) {
+            assert_eq!(other, net, "distinct graphs share a hash");
+        }
+    }
 }
 
 #[test]
