@@ -68,7 +68,7 @@ pub use folds::{check_folds, check_leave_device_out, check_signature, check_spli
 
 use gdcm_analyze::{DiagCode, Diagnostic, Report};
 use gdcm_core::AuditContext;
-use gdcm_ml::{BinnedMatrix, DenseMatrix, GbdtParams, GbdtRegressor};
+use gdcm_ml::{BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
 
 /// Default upper bound on rows replayed through the reference
 /// predictor — keeps the bit-for-bit check O(1) in dataset size while
@@ -132,6 +132,48 @@ pub fn audit_trained_model(
     y_train: &[f32],
     lints: &DatasetLints,
 ) -> Report {
+    audit_model_on_rebuilt_grid(label, model, params, x_train, y_train, lints).0
+}
+
+/// [`audit_trained_model`] plus, when `frozen` is given, the flatcheck
+/// pass over the compiled model ([`check_frozen_gbdt`]). Both passes
+/// check against one rebuild of the training grid from `x_train` at
+/// `params.max_bins`. The grid is rebuilt here, never taken from the
+/// producer, so the audit stays independent of the fit it certifies.
+pub fn audit_trained_artifacts(
+    label: &str,
+    model: &GbdtRegressor,
+    frozen: Option<&FrozenGbdt>,
+    params: Option<&GbdtParams>,
+    x_train: &DenseMatrix,
+    y_train: &[f32],
+    lints: &DatasetLints,
+) -> Report {
+    let (mut report, binned) =
+        audit_model_on_rebuilt_grid(label, model, params, x_train, y_train, lints);
+    if let Some(frozen) = frozen {
+        check_frozen_gbdt(
+            label,
+            model,
+            frozen,
+            binned.as_ref(),
+            &mut report.diagnostics,
+        );
+    }
+    report
+}
+
+/// The ensemble and dataset passes of [`audit_trained_model`], also
+/// returning the training grid they rebuilt (`None` without `params`,
+/// on a width mismatch, or on an empty matrix).
+fn audit_model_on_rebuilt_grid(
+    label: &str,
+    model: &GbdtRegressor,
+    params: Option<&GbdtParams>,
+    x_train: &DenseMatrix,
+    y_train: &[f32],
+    lints: &DatasetLints,
+) -> (Report, Option<BinnedMatrix>) {
     let _span = gdcm_obs::span!("audit/model");
     let mut diags = Vec::new();
 
@@ -178,7 +220,7 @@ pub fn audit_trained_model(
     if !report.is_clean() {
         gdcm_obs::counter("audit/models_flagged").incr();
     }
-    report
+    (report, binned)
 }
 
 /// Audits everything a pipeline training run exposes through the
@@ -190,25 +232,15 @@ pub fn audit_trained_model(
 /// separation.
 pub fn audit_pipeline_context(ctx: &AuditContext<'_>) -> Report {
     let label = format!("gbdt/{}", ctx.method);
-    let mut report = audit_trained_model(
+    let mut report = audit_trained_artifacts(
         &label,
         ctx.model,
+        ctx.frozen,
         Some(ctx.params),
         ctx.x_train,
         ctx.y_train,
         &DatasetLints::pipeline(),
     );
-    if let Some(frozen) = ctx.frozen {
-        let binned = (ctx.x_train.n_cols() == ctx.model.n_features() && ctx.x_train.n_rows() > 0)
-            .then(|| BinnedMatrix::from_matrix(ctx.x_train, ctx.params.max_bins));
-        check_frozen_gbdt(
-            &label,
-            ctx.model,
-            frozen,
-            binned.as_ref(),
-            &mut report.diagnostics,
-        );
-    }
     check_split(
         &label,
         ctx.train_devices,

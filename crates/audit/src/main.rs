@@ -90,8 +90,9 @@ struct SweepReport {
 
 /// Audits one artifact set end to end: the full model audit with the
 /// pipeline's actual hyper-parameters (enabling the threshold-grid and
-/// depth/leaf-bound checks), then the split and signature hygiene of
-/// the experiment plan around it.
+/// depth/leaf-bound checks) and the flatcheck pass over its frozen
+/// form, then the split and signature hygiene of the experiment plan
+/// around it.
 fn audit_artifacts(
     artifacts: &TrainedArtifacts,
     params: &gdcm_ml::GbdtParams,
@@ -99,9 +100,12 @@ fn audit_artifacts(
     n_networks: usize,
 ) -> ModelCard {
     let label = format!("gbdt/{}", artifacts.method);
-    let mut report = gdcm_audit::audit_trained_model(
+    // The compiled form every artifact set carries is
+    // translation-validated against the same rebuilt training grid.
+    let mut report = gdcm_audit::audit_trained_artifacts(
         &label,
         &artifacts.model,
+        Some(&artifacts.frozen),
         Some(params),
         &artifacts.x_train,
         &artifacts.y_train,
@@ -119,16 +123,6 @@ fn audit_artifacts(
         &artifacts.signature,
         &artifacts.networks,
         n_networks,
-        &mut report.diagnostics,
-    );
-    // Translation-validate the compiled form every artifact set now
-    // carries, against the deterministic rebuild of its training grid.
-    let binned = gdcm_ml::BinnedMatrix::from_matrix(&artifacts.x_train, params.max_bins);
-    gdcm_audit::check_frozen_gbdt(
-        &label,
-        &artifacts.model,
-        &artifacts.frozen,
-        Some(&binned),
         &mut report.diagnostics,
     );
     ModelCard::new(&artifacts.model, artifacts.x_train.n_rows(), report)

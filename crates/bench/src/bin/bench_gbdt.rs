@@ -2,12 +2,14 @@
 //! compiled-inference comparison.
 //!
 //! Fits a GBDT on a synthetic matrix at 1/2/4 pool threads, times fit
-//! and batch predict (min over repetitions), checks the models are
-//! bit-identical across thread counts, then fits a tree-heavy model,
-//! freezes it to the SoA arena, flatchecks the translation, and times
-//! frozen batch inference against the recursive node walker (asserting
-//! bit identity and that frozen is not slower). Writes `BENCH_gbdt.json`
-//! at the repo root (or `$GDCM_BENCH_OUT`).
+//! and batch predict (min over repetitions) and splits the fastest fit
+//! into its phases from the model's `TrainingLog` (binning, split search,
+//! prediction update, and the remainder no phase accounts for), checks
+//! the models are bit-identical across thread counts, then fits a
+//! tree-heavy model, freezes it to the SoA arena, flatchecks the
+//! translation, and times frozen batch inference against the recursive
+//! node walker (asserting bit identity and that frozen is not slower).
+//! Writes `BENCH_gbdt.json` at the repo root (or `$GDCM_BENCH_OUT`).
 //!
 //! ```sh
 //! cargo run --release -p gdcm-bench --bin bench_gbdt
@@ -30,6 +32,13 @@ use serde::Serialize;
 struct ThreadSample {
     threads: usize,
     fit_ms: f64,
+    /// Phases of the fastest fit, from its `TrainingLog`.
+    fit_bin_ms: f64,
+    fit_split_search_ms: f64,
+    fit_predict_update_ms: f64,
+    /// `fit_ms` minus the three phases: gradients, row and column
+    /// sampling, and bookkeeping.
+    fit_unattributed_ms: f64,
     predict_ms: f64,
     fit_speedup_vs_serial: f64,
     predict_speedup_vs_serial: f64,
@@ -111,13 +120,21 @@ fn main() {
         gdcm_par::set_threads(threads);
         let mut fit_ms = f64::INFINITY;
         let mut model = None;
+        let mut fastest = None;
         for _ in 0..reps {
             let start = Instant::now();
             let fitted = GbdtRegressor::fit(&x, &y, &params);
-            fit_ms = fit_ms.min(start.elapsed().as_secs_f64() * 1e3);
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            if ms < fit_ms {
+                fit_ms = ms;
+                fastest = fitted.training_log().cloned();
+            }
             model = Some(fitted);
         }
         let model = model.expect("reps >= 1");
+        let phases = fastest.expect("a fresh fit keeps its training log");
+        let fit_unattributed_ms =
+            fit_ms - phases.histogram_build_ms - phases.split_search_ms - phases.predict_update_ms;
         let mut predict_ms = f64::INFINITY;
         for _ in 0..reps {
             let start = Instant::now();
@@ -137,12 +154,17 @@ fn main() {
             .training_log()
             .map_or(0.0, |log| log.split_search_busy_ms);
         eprintln!(
-            "[{threads} threads] fit {fit_ms:.1} ms, predict {predict_ms:.1} ms, \
-             split busy {busy:.1} ms"
+            "[{threads} threads] fit {fit_ms:.1} ms (bin {:.1}, split {:.1}, update {:.1}, \
+             other {fit_unattributed_ms:.1}), predict {predict_ms:.1} ms, split busy {busy:.1} ms",
+            phases.histogram_build_ms, phases.split_search_ms, phases.predict_update_ms,
         );
         samples.push(ThreadSample {
             threads,
             fit_ms,
+            fit_bin_ms: phases.histogram_build_ms,
+            fit_split_search_ms: phases.split_search_ms,
+            fit_predict_update_ms: phases.predict_update_ms,
+            fit_unattributed_ms,
             predict_ms,
             fit_speedup_vs_serial: serial_fit_ms / fit_ms,
             predict_speedup_vs_serial: serial_predict_ms / predict_ms,

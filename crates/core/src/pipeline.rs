@@ -9,9 +9,7 @@
 //! 5. Report the coefficient of determination R² on the unseen devices.
 
 use gdcm_ml::metrics::{mape, r2_score, rmse};
-use gdcm_ml::{
-    train_test_split, BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor,
-};
+use gdcm_ml::{train_test_split, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor};
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::CostDataset;
@@ -246,17 +244,15 @@ impl<'a> CostModelPipeline<'a> {
         } else {
             y_train
         };
-        let model = {
+        let (model, grid) = {
             let _span = gdcm_obs::span!("pipeline/train");
-            GbdtRegressor::fit(&x_train, &train_target, &self.config.gbdt)
+            GbdtRegressor::fit_with_grid(&x_train, &train_target, &self.config.gbdt)
         };
-        // Compile the model for serving: rebinning is deterministic, so
-        // this grid is bitwise the one `fit` quantized against, and
-        // freezing a freshly fitted model on its own grid cannot fail.
+        // Compile the model for serving on the grid the fit quantized
+        // against, so freezing a freshly fitted model cannot fail.
         let frozen = {
             let _span = gdcm_obs::span!("pipeline/freeze");
-            let binned = BinnedMatrix::from_matrix(&x_train, self.config.gbdt.max_bins);
-            FrozenGbdt::freeze(&model, &binned)
+            FrozenGbdt::freeze(&model, &grid)
                 .expect("freshly fitted model freezes on its own training grid")
         };
 

@@ -345,13 +345,11 @@ impl CollaborativeRepository {
             });
         }
         let x = DenseMatrix::from_rows(&self.x_rows);
-        let model = GbdtRegressor::fit(&x, &self.y, &self.config.gbdt);
-        // Compile for the prediction paths. Rebinning is deterministic,
-        // so the grid is bitwise the one `fit` trained on and freezing a
-        // fresh model on it cannot fail.
-        let binned = BinnedMatrix::from_matrix(&x, self.config.gbdt.max_bins);
+        let (model, grid) = GbdtRegressor::fit_with_grid(&x, &self.y, &self.config.gbdt);
+        // Compile for the prediction paths on the grid the fit trained
+        // on, so freezing a fresh model cannot fail.
         self.frozen = Some(
-            FrozenGbdt::freeze(&model, &binned)
+            FrozenGbdt::freeze(&model, &grid)
                 .expect("freshly fitted model freezes on its own training grid"),
         );
         self.model = Some(model);

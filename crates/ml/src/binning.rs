@@ -1,4 +1,12 @@
 //! Quantile binning of feature matrices for histogram-based tree learning.
+//!
+//! [`BinnedMatrix::from_matrix`] bins features in parallel on the
+//! `gdcm-par` pool: contiguous feature groups, one per thread, each
+//! writing its columns' codes in place. A feature's cuts and codes come
+//! from the same serial code (gather, sort, [`bin_code`]) whichever group
+//! it lands in, so the grid is bitwise the same at any thread count.
+
+use std::ops::Range;
 
 use crate::dataset::DenseMatrix;
 
@@ -32,7 +40,8 @@ pub struct BinnedMatrix {
 }
 
 impl BinnedMatrix {
-    /// Bins `x` into at most `max_bins` quantile bins per feature.
+    /// Bins `x` into at most `max_bins` quantile bins per feature, one
+    /// feature group per `gdcm-par` thread (see the module docs).
     ///
     /// # Panics
     ///
@@ -47,21 +56,23 @@ impl BinnedMatrix {
         let n_rows = x.n_rows();
         let n_features = x.n_cols();
         let mut codes = vec![0u8; n_rows * n_features];
-        let mut cuts = Vec::with_capacity(n_features);
-        let mut constant = Vec::with_capacity(n_features);
-
-        let mut values: Vec<f32> = Vec::with_capacity(n_rows);
-        for f in 0..n_features {
-            values.clear();
-            values.extend((0..n_rows).map(|r| x.get(r, f)));
-            let feature_cuts = quantile_cuts(&values, max_bins);
-            constant.push(feature_cuts.is_empty());
-            let col = &mut codes[f * n_rows..(f + 1) * n_rows];
-            for (r, &v) in values.iter().enumerate() {
-                col[r] = bin_code(&feature_cuts, v);
-            }
-            cuts.push(feature_cuts);
-        }
+        let pool = gdcm_par::pool();
+        let group_len = n_features.div_ceil(pool.threads()).max(1);
+        let cuts: Vec<Vec<f32>> = pool.scope(|scope| {
+            let mut rest: &mut [u8] = &mut codes;
+            let tasks: Vec<_> = (0..n_features)
+                .step_by(group_len)
+                .map(|first| {
+                    let features = first..(first + group_len).min(n_features);
+                    let (cols, tail) =
+                        std::mem::take(&mut rest).split_at_mut(features.len() * n_rows);
+                    rest = tail;
+                    scope.spawn(move || bin_features(x, features, cols, max_bins))
+                })
+                .collect();
+            tasks.into_iter().flat_map(gdcm_par::Task::join).collect()
+        });
+        let constant = cuts.iter().map(Vec::is_empty).collect();
         Self {
             n_rows,
             n_features,
@@ -97,8 +108,7 @@ impl BinnedMatrix {
     }
 
     /// Largest per-feature bin count in this matrix (1 when there are no
-    /// features). Tree learners size their histogram scratch buffers to
-    /// this instead of the worst-case [`MAX_BINS`].
+    /// features); never above [`MAX_BINS`].
     pub fn max_n_bins(&self) -> usize {
         (0..self.n_features)
             .map(|f| self.n_bins(f))
@@ -122,6 +132,32 @@ impl BinnedMatrix {
     pub fn cuts(&self, f: usize) -> &[f32] {
         &self.cuts[f]
     }
+}
+
+/// Bins the contiguous `features` of `x`, writing their column-major
+/// codes into `cols` (`features.len() × n_rows` bytes) and returning
+/// their cuts in feature order.
+fn bin_features(
+    x: &DenseMatrix,
+    features: Range<usize>,
+    cols: &mut [u8],
+    max_bins: usize,
+) -> Vec<Vec<f32>> {
+    let n_rows = x.n_rows();
+    let mut values: Vec<f32> = Vec::with_capacity(n_rows);
+    features
+        .enumerate()
+        .map(|(i, f)| {
+            values.clear();
+            values.extend((0..n_rows).map(|r| x.get(r, f)));
+            let feature_cuts = quantile_cuts(&values, max_bins);
+            let col = &mut cols[i * n_rows..(i + 1) * n_rows];
+            for (code, &v) in col.iter_mut().zip(&values) {
+                *code = bin_code(&feature_cuts, v);
+            }
+            feature_cuts
+        })
+        .collect()
 }
 
 /// Ascending, deduplicated cut points at (approximately) uniform quantiles.

@@ -44,7 +44,6 @@ impl RandomForestRegressor {
         // Forest trees fit targets directly: g = -y, h = 1, λ = 0 makes
         // every leaf the mean of its targets.
         let grad: Vec<f64> = y.iter().map(|&v| -(v as f64)).collect();
-        let hess = vec![1f64; n];
         let params = TreeParams {
             max_depth,
             min_child_weight: 1.0,
@@ -76,7 +75,7 @@ impl RandomForestRegressor {
             })
             .collect();
         let trees = gdcm_par::pool().par_map(&samples, |(rows, feats)| {
-            Tree::fit(&binned, &grad, &hess, rows, feats, &params)
+            Tree::fit(&binned, &grad, rows, feats, &params)
         });
         Self {
             trees,

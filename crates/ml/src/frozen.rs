@@ -269,9 +269,10 @@ fn par_predict(
 
 /// Why a pointer-tree ensemble could not be frozen.
 ///
-/// `fit`-produced models always freeze against the `BinnedMatrix`
-/// rebuilt from their own training data and bin budget; these errors
-/// surface hand-built or mismatched inputs.
+/// `fit`-produced models always freeze against the `BinnedMatrix` of
+/// their own training data and bin budget (the grid
+/// [`GbdtRegressor::fit_with_grid`] returns, or a deterministic rebuild
+/// of it); these errors surface hand-built or mismatched inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FreezeError {
     /// The grid's feature count differs from the model's.
@@ -475,8 +476,9 @@ pub struct FrozenGbdt {
 
 impl FrozenGbdt {
     /// Freezes a fitted ensemble onto the bin grid of `binned` — which
-    /// must be the deterministic rebuild of the model's own training
-    /// matrix at its own `max_bins`, or thresholds will not land on the
+    /// must be the grid of the model's own training matrix at its own
+    /// `max_bins` (the one [`GbdtRegressor::fit_with_grid`] returns, or
+    /// a deterministic rebuild), or thresholds will not land on the
     /// grid.
     ///
     /// # Errors

@@ -43,7 +43,8 @@ pub struct GbdtParams {
     pub lambda: f64,
     /// Minimum split gain.
     pub gamma: f64,
-    /// Minimum hessian sum per child.
+    /// Minimum hessian sum per child. Squared error has unit hessians,
+    /// so this is a minimum row count.
     pub min_child_weight: f64,
     /// Fraction of rows sampled (without replacement) per tree.
     pub subsample: f32,
@@ -82,7 +83,11 @@ impl Default for GbdtParams {
 pub struct TrainingLog {
     /// Training-set RMSE after each boosting round.
     pub round_train_rmse: Vec<f32>,
-    /// Time spent building the binned feature matrix (ms).
+    /// Time spent binning this fit's training matrix (ms): quantile
+    /// cuts and codes for every feature, built once per fit on the
+    /// `gdcm-par` pool. The grid is the one
+    /// [`GbdtRegressor::fit_with_grid`] returns, so freezing the model
+    /// adds no binning time.
     pub histogram_build_ms: f64,
     /// Total wall time spent in tree fitting / split search (ms).
     pub split_search_ms: f64,
@@ -144,6 +149,21 @@ impl GbdtRegressor {
     /// Panics when `x` is empty, `y` length differs from the row count, or
     /// fractions are outside `(0, 1]`.
     pub fn fit(x: &DenseMatrix, y: &[f32], params: &GbdtParams) -> Self {
+        Self::fit_with_grid(x, y, params).0
+    }
+
+    /// [`GbdtRegressor::fit`], also returning the bin grid the ensemble
+    /// was trained on, so a caller that freezes the model
+    /// ([`crate::FrozenGbdt::freeze`]) bins the matrix once.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same conditions as [`GbdtRegressor::fit`].
+    pub fn fit_with_grid(
+        x: &DenseMatrix,
+        y: &[f32],
+        params: &GbdtParams,
+    ) -> (Self, Arc<BinnedMatrix>) {
         Self::fit_boosted(x, y, params, None)
     }
 
@@ -171,6 +191,22 @@ impl GbdtRegressor {
         prev: &GbdtRegressor,
         reuse: usize,
     ) -> Self {
+        Self::warm_fit_with_grid(x, y, params, prev, reuse).0
+    }
+
+    /// [`GbdtRegressor::warm_fit`], also returning the bin grid the
+    /// ensemble was trained on (see [`GbdtRegressor::fit_with_grid`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same conditions as [`GbdtRegressor::warm_fit`].
+    pub fn warm_fit_with_grid(
+        x: &DenseMatrix,
+        y: &[f32],
+        params: &GbdtParams,
+        prev: &GbdtRegressor,
+        reuse: usize,
+    ) -> (Self, Arc<BinnedMatrix>) {
         assert!(
             reuse <= prev.trees.len(),
             "cannot reuse {reuse} trees from a {}-tree model",
@@ -182,7 +218,7 @@ impl GbdtRegressor {
             params.n_estimators
         );
         if reuse == 0 {
-            return Self::fit(x, y, params);
+            return Self::fit_with_grid(x, y, params);
         }
         assert_eq!(
             prev.n_features,
@@ -202,7 +238,7 @@ impl GbdtRegressor {
         y: &[f32],
         params: &GbdtParams,
         warm: Option<(f32, &[Tree])>,
-    ) -> Self {
+    ) -> (Self, Arc<BinnedMatrix>) {
         assert!(!x.is_empty(), "cannot fit on an empty matrix");
         assert_eq!(x.n_rows(), y.len(), "x/y length mismatch");
         assert!(
@@ -251,7 +287,6 @@ impl GbdtRegressor {
             }
         }
         let rounds = params.n_estimators - reused.len();
-        let hess = Arc::new(vec![1f64; n]);
         let all_rows: Vec<usize> = (0..n).collect();
         let mut trees = Vec::with_capacity(params.n_estimators);
         trees.extend_from_slice(reused);
@@ -299,7 +334,6 @@ impl GbdtRegressor {
             let shared = SharedFit {
                 binned: Arc::clone(&binned),
                 grad,
-                hess: Arc::clone(&hess),
             };
             let split_start = Instant::now();
             let mut tree = Tree::fit_shared(&shared, &rows, &feats, &tree_params);
@@ -375,12 +409,13 @@ impl GbdtRegressor {
             );
         }
 
-        Self {
+        let model = Self {
             base_score,
             trees,
             n_features: x.n_cols(),
             training_log: Some(log),
-        }
+        };
+        (model, binned)
     }
 
     /// Telemetry from the `fit` call that produced this model.
@@ -679,6 +714,28 @@ mod tests {
         // Deterministic: the same warm refit rebuilds the same model.
         let again = GbdtRegressor::warm_fit(&x, &y, &params, &prev, 30);
         assert_eq!(warm, again);
+    }
+
+    #[test]
+    fn fit_with_grid_returns_the_grid_a_rebuild_gives() {
+        // Producers freeze on the returned grid while auditors rebuild
+        // it from the data, so the two must agree bitwise.
+        let (x, y) = synthetic(200);
+        let params = GbdtParams {
+            n_estimators: 10,
+            ..GbdtParams::default()
+        };
+        let (model, grid) = GbdtRegressor::fit_with_grid(&x, &y, &params);
+        assert_eq!(model, GbdtRegressor::fit(&x, &y, &params));
+        let rebuilt = BinnedMatrix::from_matrix(&x, params.max_bins);
+        for f in 0..x.n_cols() {
+            assert_eq!(grid.feature_codes(f), rebuilt.feature_codes(f));
+            let bits = |cuts: &[f32]| cuts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(grid.cuts(f)), bits(rebuilt.cuts(f)));
+        }
+        let (warm, warm_grid) = GbdtRegressor::warm_fit_with_grid(&x, &y, &params, &model, 5);
+        assert_eq!(warm, GbdtRegressor::warm_fit(&x, &y, &params, &model, 5));
+        assert_eq!(warm_grid.feature_codes(0), rebuilt.feature_codes(0));
     }
 
     #[test]

@@ -1,30 +1,50 @@
 //! Histogram-based regression tree with second-order (XGBoost-style) gains.
 //!
-//! The learner consumes a [`BinnedMatrix`] plus per-row gradient/hessian
-//! pairs, so the same code serves gradient boosting (g = prediction −
-//! target, h = 1 for squared error) and random forests (g = −target,
-//! h = 1, λ = 0, which makes each leaf the mean of its targets).
+//! The learner consumes a [`BinnedMatrix`] plus per-row gradients, so the
+//! same code serves gradient boosting (g = prediction − target for
+//! squared error) and random forests (g = −target, λ = 0, which makes
+//! each leaf the mean of its targets). Both losses have a unit hessian,
+//! so a node's hessian sum is its row count: `h = count as f64` is exact
+//! (a sum of k ones in f64 is k for k < 2^53), and no hessian vector
+//! exists.
+//!
+//! # Blocked split search
+//!
+//! A split-search job gathers its node's gradients into row order once,
+//! then builds histograms for [`LANES`] features per pass over the rows
+//! with a fixed-width inner loop. Most columns of the layer-wise
+//! encodings have two or three bins, so one feature at a time sends
+//! nearly every row into the same cell, and each add waits on the one
+//! before it; eight features per pass give eight independent chains. A
+//! short last block pads its unused lanes with its last feature and
+//! ignores their histograms, so one loop builds every histogram. Each
+//! feature's bins are then scanned in the caller's feature order with a
+//! strictly-greater comparison, so ties go to the earliest listed
+//! feature.
+//!
+//! The blocking changes no bit of any tree: every (feature, bin) cell
+//! receives the same f64 gradients in the node's row order whatever the
+//! loop nesting, and the scan visits candidates in the same order as a
+//! one-feature-at-a-time search.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::binning::BinnedMatrix;
+use crate::binning::{BinnedMatrix, MAX_BINS};
 
 /// Reference-counted training state for [`Tree::fit_shared`].
 ///
 /// The split search parallelizes over feature groups on the global
 /// `gdcm-par` pool, whose jobs are `'static`; wrapping the binned matrix
-/// and gradient/hessian vectors in `Arc`s lets worker jobs share them
-/// without copying the (large) training data per node.
+/// and gradient vector in `Arc`s lets worker jobs share them without
+/// copying the (large) training data per node.
 #[derive(Debug, Clone)]
 pub struct SharedFit {
     /// Binned training matrix.
     pub binned: Arc<BinnedMatrix>,
     /// Per-row gradients.
     pub grad: Arc<Vec<f64>>,
-    /// Per-row hessians.
-    pub hess: Arc<Vec<f64>>,
 }
 
 /// Borrowed per-fit context threaded through the recursive `grow`.
@@ -33,25 +53,30 @@ pub struct SharedFit {
 struct FitCtx<'a> {
     binned: &'a BinnedMatrix,
     grad: &'a [f64],
-    hess: &'a [f64],
     shared: Option<&'a SharedFit>,
 }
 
-/// Reusable histogram buffers sized to the matrix's widest feature
-/// (instead of the former hard-coded 256-slot arrays, which silently
-/// relied on bin codes fitting in `u8`).
+/// Features whose histograms one pass over a node's rows builds.
+const LANES: usize = 8;
+
+/// Reusable split-search buffers of one job: the node's gradients in
+/// row order, the non-constant features it scans, and one gradient and
+/// one count histogram per lane. Bin codes are `u8`, so [`MAX_BINS`]
+/// cells hold every code without a bounds check.
 struct HistScratch {
-    g: Vec<f64>,
-    h: Vec<f64>,
-    c: Vec<u32>,
+    grad: Vec<f64>,
+    features: Vec<usize>,
+    g: Box<[[f64; MAX_BINS]; LANES]>,
+    c: Box<[[u32; MAX_BINS]; LANES]>,
 }
 
 impl HistScratch {
-    fn new(max_bins: usize) -> Self {
+    fn new() -> Self {
         Self {
-            g: vec![0.0; max_bins],
-            h: vec![0.0; max_bins],
-            c: vec![0; max_bins],
+            grad: Vec::new(),
+            features: Vec::new(),
+            g: Box::new([[0.0; MAX_BINS]; LANES]),
+            c: Box::new([[0; MAX_BINS]; LANES]),
         }
     }
 }
@@ -68,7 +93,8 @@ const PAR_SPLIT_MIN_WORK: usize = 1 << 15;
 pub struct TreeParams {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
-    /// Minimum summed hessian required in each child.
+    /// Minimum summed hessian required in each child. Hessians are 1
+    /// per row, so this is a minimum row count.
     pub min_child_weight: f64,
     /// L2 regularization on leaf weights (XGBoost λ).
     pub lambda: f64,
@@ -119,19 +145,19 @@ pub struct Tree {
 }
 
 impl Tree {
-    /// Fits a tree to `(grad, hess)` over the given training rows.
+    /// Fits a tree to the gradients `grad` (unit hessians) over the
+    /// given training rows.
     ///
     /// `active_features` restricts split search (used for column
     /// subsampling); pass all feature indices for a full search.
     ///
     /// # Panics
     ///
-    /// Panics when `grad`/`hess` lengths differ from the binned matrix's
-    /// row count.
+    /// Panics when `grad`'s length differs from the binned matrix's row
+    /// count.
     pub fn fit(
         binned: &BinnedMatrix,
         grad: &[f64],
-        hess: &[f64],
         rows: &[usize],
         active_features: &[usize],
         params: &TreeParams,
@@ -139,7 +165,6 @@ impl Tree {
         let ctx = FitCtx {
             binned,
             grad,
-            hess,
             shared: None,
         };
         Self::fit_ctx(&ctx, rows, active_features, params)
@@ -153,8 +178,8 @@ impl Tree {
     ///
     /// # Panics
     ///
-    /// Panics when `grad`/`hess` lengths differ from the binned matrix's
-    /// row count.
+    /// Panics when `grad`'s length differs from the binned matrix's row
+    /// count.
     pub fn fit_shared(
         shared: &SharedFit,
         rows: &[usize],
@@ -164,7 +189,6 @@ impl Tree {
         let ctx = FitCtx {
             binned: &shared.binned,
             grad: &shared.grad,
-            hess: &shared.hess,
             shared: Some(shared),
         };
         Self::fit_ctx(&ctx, rows, active_features, params)
@@ -177,10 +201,9 @@ impl Tree {
         params: &TreeParams,
     ) -> Self {
         assert_eq!(ctx.grad.len(), ctx.binned.n_rows(), "grad length mismatch");
-        assert_eq!(ctx.hess.len(), ctx.binned.n_rows(), "hess length mismatch");
         let mut tree = Tree { nodes: Vec::new() };
         let mut rows = rows.to_vec();
-        let mut scratch = HistScratch::new(ctx.binned.max_n_bins());
+        let mut scratch = HistScratch::new();
         tree.grow(ctx, &mut rows, active_features, params, 0, &mut scratch);
         tree
     }
@@ -196,7 +219,7 @@ impl Tree {
         scratch: &mut HistScratch,
     ) -> usize {
         let g_sum: f64 = rows.iter().map(|&r| ctx.grad[r]).sum();
-        let h_sum: f64 = rows.iter().map(|&r| ctx.hess[r]).sum();
+        let h_sum = rows.len() as f64;
 
         let make_leaf = |nodes: &mut Vec<TreeNode>| {
             let weight = (-g_sum / (h_sum + params.lambda)) as f32;
@@ -208,7 +231,7 @@ impl Tree {
             return make_leaf(&mut self.nodes);
         }
 
-        let best = find_best_split(ctx, rows, active_features, params, g_sum, h_sum, scratch);
+        let best = find_best_split(ctx, rows, active_features, params, g_sum, scratch);
         let Some(split) = best else {
             return make_leaf(&mut self.nodes);
         };
@@ -337,7 +360,6 @@ fn find_best_split(
     active_features: &[usize],
     params: &TreeParams,
     g_sum: f64,
-    h_sum: f64,
     scratch: &mut HistScratch,
 ) -> Option<SplitCandidate> {
     if let Some(shared) = ctx.shared {
@@ -346,37 +368,27 @@ fn find_best_split(
             && active_features.len() >= 2
             && rows.len().saturating_mul(active_features.len()) >= PAR_SPLIT_MIN_WORK
         {
-            return find_best_split_parallel(
-                shared,
-                pool,
-                rows,
-                active_features,
-                params,
-                g_sum,
-                h_sum,
-            );
+            return find_best_split_parallel(shared, pool, rows, active_features, params, g_sum);
         }
     }
     best_split_over(
         ctx.binned,
         ctx.grad,
-        ctx.hess,
         rows,
         active_features,
         params,
         g_sum,
-        h_sum,
         scratch,
     )
 }
 
 /// Feature-parallel split search: `active_features` is cut into
-/// contiguous groups (in the caller's order), each group scanned by a
-/// pool job, and the per-group winners merged **in submission order**
-/// with a strictly-greater comparison. Ties on gain therefore resolve to
-/// the earliest feature in `active_features` — exactly the serial scan's
-/// tie-break — so the result is bit-identical at any thread count.
-#[allow(clippy::too_many_arguments)]
+/// contiguous groups (in the caller's order, whole [`LANES`]-wide blocks
+/// where possible), each group scanned by a pool job, and the per-group
+/// winners merged **in submission order** with a strictly-greater
+/// comparison. Ties on gain therefore resolve to the earliest feature in
+/// `active_features` — exactly the serial scan's tie-break — so the
+/// result is bit-identical at any thread count.
 fn find_best_split_parallel(
     shared: &SharedFit,
     pool: &gdcm_par::Pool,
@@ -384,11 +396,13 @@ fn find_best_split_parallel(
     active_features: &[usize],
     params: &TreeParams,
     g_sum: f64,
-    h_sum: f64,
 ) -> Option<SplitCandidate> {
     let rows: Arc<Vec<usize>> = Arc::new(rows.to_vec());
     let groups = pool.threads().min(active_features.len());
-    let group_len = active_features.len().div_ceil(groups);
+    let group_len = active_features
+        .len()
+        .div_ceil(groups)
+        .next_multiple_of(LANES);
     let params = *params;
     let jobs: Vec<gdcm_par::Job<Option<SplitCandidate>>> = active_features
         .chunks(group_len)
@@ -397,17 +411,14 @@ fn find_best_split_parallel(
             let shared = shared.clone();
             let rows = Arc::clone(&rows);
             let job: gdcm_par::Job<Option<SplitCandidate>> = Box::new(move || {
-                let mut scratch = HistScratch::new(shared.binned.max_n_bins());
                 best_split_over(
                     &shared.binned,
                     &shared.grad,
-                    &shared.hess,
                     &rows,
                     &features,
                     &params,
                     g_sum,
-                    h_sum,
-                    &mut scratch,
+                    &mut HistScratch::new(),
                 )
             });
             job
@@ -423,79 +434,110 @@ fn find_best_split_parallel(
 }
 
 /// The serial split scan over one list of features — the shared core of
-/// both execution paths.
-#[allow(clippy::too_many_arguments)]
+/// both execution paths. Builds the histograms of [`LANES`] features per
+/// pass over `rows` (see the module docs), then scans each feature's
+/// bins in list order.
 fn best_split_over(
     binned: &BinnedMatrix,
     grad: &[f64],
-    hess: &[f64],
     rows: &[usize],
     active_features: &[usize],
     params: &TreeParams,
     g_sum: f64,
-    h_sum: f64,
     scratch: &mut HistScratch,
 ) -> Option<SplitCandidate> {
-    let parent_score = score(g_sum, h_sum, params.lambda);
+    let HistScratch {
+        grad: node_grad,
+        features,
+        g: hist_g,
+        c: hist_c,
+    } = scratch;
+    node_grad.clear();
+    node_grad.extend(rows.iter().map(|&r| grad[r]));
+    features.clear();
+    features.extend(
+        active_features
+            .iter()
+            .copied()
+            .filter(|&f| !binned.is_constant(f)),
+    );
+
     let mut best: Option<SplitCandidate> = None;
-
-    let hist_g = &mut scratch.g;
-    let hist_h = &mut scratch.h;
-    let hist_c = &mut scratch.c;
-
-    for &f in active_features {
-        if binned.is_constant(f) {
-            continue;
+    for block in features.chunks(LANES) {
+        let column = |lane: usize| block[lane.min(block.len() - 1)];
+        let codes: [&[u8]; LANES] = std::array::from_fn(|lane| binned.feature_codes(column(lane)));
+        for lane in 0..LANES {
+            let n_bins = binned.n_bins(column(lane));
+            hist_g[lane][..n_bins].fill(0.0);
+            hist_c[lane][..n_bins].fill(0);
         }
-        let n_bins = binned.n_bins(f);
-        hist_g[..n_bins].fill(0.0);
-        hist_h[..n_bins].fill(0.0);
-        hist_c[..n_bins].fill(0);
-
-        let codes = binned.feature_codes(f);
-        for &r in rows {
-            let b = codes[r] as usize;
-            hist_g[b] += grad[r];
-            hist_h[b] += hess[r];
-            hist_c[b] += 1;
+        for (&r, &g) in rows.iter().zip(node_grad.iter()) {
+            for lane in 0..LANES {
+                let b = usize::from(codes[lane][r]);
+                hist_g[lane][b] += g;
+                hist_c[lane][b] += 1;
+            }
         }
-
-        let mut gl = 0f64;
-        let mut hl = 0f64;
-        let mut cl = 0u32;
-        // The last bin can never be a split point (right side empty).
-        for b in 0..n_bins - 1 {
-            gl += hist_g[b];
-            hl += hist_h[b];
-            cl += hist_c[b];
-            let cr = rows.len() as u32 - cl;
-            if cl == 0 {
-                continue;
-            }
-            if cr == 0 {
-                break;
-            }
-            if (cl as usize) < params.min_samples_leaf || (cr as usize) < params.min_samples_leaf {
-                continue;
-            }
-            let gr = g_sum - gl;
-            let hr = h_sum - hl;
-            if hl < params.min_child_weight || hr < params.min_child_weight {
-                continue;
-            }
-            let gain = 0.5
-                * (score(gl, hl, params.lambda) + score(gr, hr, params.lambda) - parent_score)
-                - params.gamma;
-            if gain > 1e-12 && best.as_ref().is_none_or(|b2| gain > b2.gain) {
-                best = Some(SplitCandidate {
-                    feature: f,
-                    bin: b as u8,
-                    gain,
-                });
-            }
+        for (lane, &f) in block.iter().enumerate() {
+            let n_bins = binned.n_bins(f);
+            scan_bins(
+                f,
+                &hist_g[lane][..n_bins],
+                &hist_c[lane][..n_bins],
+                rows.len(),
+                params,
+                g_sum,
+                &mut best,
+            );
         }
     }
     best
+}
+
+/// Scans one feature's histogram for the best split point, replacing
+/// `best` only on a strictly greater gain.
+fn scan_bins(
+    feature: usize,
+    hist_g: &[f64],
+    hist_c: &[u32],
+    n_rows: usize,
+    params: &TreeParams,
+    g_sum: f64,
+    best: &mut Option<SplitCandidate>,
+) {
+    let parent_score = score(g_sum, n_rows as f64, params.lambda);
+    let mut gl = 0f64;
+    let mut cl = 0u32;
+    // The last bin can never be a split point (right side empty).
+    for b in 0..hist_g.len() - 1 {
+        gl += hist_g[b];
+        cl += hist_c[b];
+        let cr = n_rows as u32 - cl;
+        if cl == 0 {
+            continue;
+        }
+        if cr == 0 {
+            break;
+        }
+        if (cl as usize) < params.min_samples_leaf || (cr as usize) < params.min_samples_leaf {
+            continue;
+        }
+        let gr = g_sum - gl;
+        let (hl, hr) = (f64::from(cl), f64::from(cr));
+        if hl < params.min_child_weight || hr < params.min_child_weight {
+            continue;
+        }
+        let gain = 0.5
+            * (score(gl, hl, params.lambda) + score(gr, hr, params.lambda) - parent_score)
+            - params.gamma;
+        if gain > 1e-12 && best.as_ref().is_none_or(|b2| gain > b2.gain) {
+            *best = Some(SplitCandidate {
+                feature,
+                bin: b as u8,
+                gain,
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -507,10 +549,9 @@ mod tests {
     fn fit_to_targets(x: &DenseMatrix, y: &[f32], params: TreeParams) -> Tree {
         let binned = BinnedMatrix::from_matrix(x, 64);
         let grad: Vec<f64> = y.iter().map(|&v| -v as f64).collect();
-        let hess = vec![1.0; y.len()];
         let rows: Vec<usize> = (0..y.len()).collect();
         let feats: Vec<usize> = (0..x.n_cols()).collect();
-        Tree::fit(&binned, &grad, &hess, &rows, &feats, &params)
+        Tree::fit(&binned, &grad, &rows, &feats, &params)
     }
 
     #[test]
@@ -522,15 +563,13 @@ mod tests {
         let y: Vec<f32> = (0..200).map(|i| ((i * 3) % 23) as f32).collect();
         let binned = BinnedMatrix::from_matrix(&x, 64);
         let grad: Vec<f64> = y.iter().map(|&v| -v as f64).collect();
-        let hess = vec![1.0; y.len()];
         let row_idx: Vec<usize> = (0..y.len()).collect();
         let feats: Vec<usize> = (0..x.n_cols()).collect();
         let params = TreeParams::default();
-        let plain = Tree::fit(&binned, &grad, &hess, &row_idx, &feats, &params);
+        let plain = Tree::fit(&binned, &grad, &row_idx, &feats, &params);
         let shared = SharedFit {
             binned: Arc::new(binned),
             grad: Arc::new(grad),
-            hess: Arc::new(hess),
         };
         let via_shared = Tree::fit_shared(&shared, &row_idx, &feats, &params);
         assert_eq!(plain, via_shared);
@@ -672,12 +711,10 @@ mod tests {
         let y: Vec<f32> = (0..40).map(|i| if i < 20 { 0.0 } else { 10.0 }).collect();
         let binned = BinnedMatrix::from_matrix(&x, 64);
         let grad: Vec<f64> = y.iter().map(|&v| -v as f64).collect();
-        let hess = vec![1.0; y.len()];
         let all_rows: Vec<usize> = (0..40).collect();
         let tree = Tree::fit(
             &binned,
             &grad,
-            &hess,
             &all_rows,
             &[1],
             &TreeParams {

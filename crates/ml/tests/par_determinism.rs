@@ -1,10 +1,12 @@
-//! Parallel-vs-serial determinism: the same model, bit for bit, at any
-//! thread count.
+//! Parallel-vs-serial determinism: the same grid and model, bit for bit,
+//! at any thread count.
 //!
 //! One `#[test]` only — `gdcm_par::set_threads` is process-global, so
 //! concurrent tests inside this binary would race on the budget.
 
-use gdcm_ml::{DenseMatrix, GbdtParams, GbdtRegressor, RandomForestRegressor, Regressor};
+use gdcm_ml::{
+    BinnedMatrix, DenseMatrix, GbdtParams, GbdtRegressor, RandomForestRegressor, Regressor,
+};
 
 fn synthetic(n_rows: usize, n_cols: usize) -> (DenseMatrix, Vec<f32>) {
     let rows: Vec<Vec<f32>> = (0..n_rows)
@@ -26,6 +28,51 @@ fn synthetic(n_rows: usize, n_cols: usize) -> (DenseMatrix, Vec<f32>) {
     (DenseMatrix::from_rows(&rows), y)
 }
 
+/// A paper-shaped wide matrix: mostly 2–3-bin columns, every ninth
+/// column constant, the rest 16 or 100 distinct values, and a width
+/// that is not a multiple of 8.
+fn wide(n_rows: usize, n_cols: usize) -> (DenseMatrix, Vec<f32>) {
+    let cell = |i: usize, j: usize| {
+        let (i, j) = (i as u64, j as u64);
+        ((i * 2_654_435_761 + j * 40_503 + (i * j) % 97) % 65_521) as usize
+    };
+    let rows: Vec<Vec<f32>> = (0..n_rows)
+        .map(|i| {
+            (0..n_cols)
+                .map(|j| match j % 9 {
+                    0 => 0.0,
+                    1..=5 => (cell(i, j) % (2 + j % 2)) as f32,
+                    6 => (cell(i, j) % 16) as f32,
+                    _ => (cell(i, j) % 100) as f32,
+                })
+                .collect()
+        })
+        .collect();
+    let y: Vec<f32> = rows
+        .iter()
+        .map(|r| r.iter().step_by(7).sum::<f32>() + r[1] * 4.0)
+        .collect();
+    (DenseMatrix::from_rows(&rows), y)
+}
+
+/// Every bit of a grid: per-feature codes, cut bits and constant flags.
+type GridBits = (Vec<Vec<u8>>, Vec<Vec<u32>>, Vec<bool>);
+
+fn grid_bits(binned: &BinnedMatrix) -> GridBits {
+    let features = 0..binned.n_features();
+    (
+        features
+            .clone()
+            .map(|f| binned.feature_codes(f).to_vec())
+            .collect(),
+        features
+            .clone()
+            .map(|f| binned.cuts(f).iter().map(|c| c.to_bits()).collect())
+            .collect(),
+        features.map(|f| binned.is_constant(f)).collect(),
+    )
+}
+
 #[test]
 fn models_are_bit_identical_across_thread_counts() {
     // Big enough that both the split-search and predict parallel paths
@@ -37,6 +84,36 @@ fn models_are_bit_identical_across_thread_counts() {
     };
 
     let original = gdcm_par::threads();
+
+    // Binning: fewer features than threads, a single row, and a wide
+    // matrix whose fit runs the parallel split search on its large nodes
+    // (the root's 600 rows × 180 active features is above the 2^15
+    // threshold) and the serial one on the nodes below it.
+    let narrow = synthetic(50, 3).0;
+    let single_row = synthetic(1, 10).0;
+    let (wide_x, wide_y) = wide(600, 203);
+    let grids = || {
+        [&narrow, &single_row, &wide_x, &x].map(|m| grid_bits(&BinnedMatrix::from_matrix(m, 64)))
+    };
+    let wide_params = GbdtParams {
+        n_estimators: 5,
+        ..GbdtParams::default()
+    };
+    gdcm_par::set_threads(1);
+    let grids_serial = grids();
+    let wide_serial = GbdtRegressor::fit(&wide_x, &wide_y, &wide_params);
+    for threads in [2usize, 4] {
+        gdcm_par::set_threads(threads);
+        assert!(
+            grids_serial == grids(),
+            "a grid differs at {threads} threads"
+        );
+        assert_eq!(
+            wide_serial,
+            GbdtRegressor::fit(&wide_x, &wide_y, &wide_params),
+            "wide GBDT model differs at {threads} threads"
+        );
+    }
 
     gdcm_par::set_threads(1);
     let gbdt_serial = GbdtRegressor::fit(&x, &y, &params);

@@ -46,7 +46,7 @@ use crate::serving::env_usize;
 use crate::wal::{WalRecord, WriteAheadLog};
 use crate::{snapshot, ServeError, ServingRepository};
 use gdcm_dnn::Network;
-use gdcm_ml::{BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtRegressor};
+use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtRegressor};
 
 /// Background-refresh configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -420,16 +420,15 @@ impl<'a> IngestPipeline<'a> {
             }
             _ => 0,
         };
-        let model = match (&prev, reuse) {
-            (Some(prev), r) if r > 0 => GbdtRegressor::warm_fit(&x, &y, &gbdt, prev, r),
-            _ => GbdtRegressor::fit(&x, &y, &gbdt),
+        let (model, grid) = match (&prev, reuse) {
+            (Some(prev), r) if r > 0 => GbdtRegressor::warm_fit_with_grid(&x, &y, &gbdt, prev, r),
+            _ => GbdtRegressor::fit_with_grid(&x, &y, &gbdt),
         };
-        let binned = BinnedMatrix::from_matrix(&x, gbdt.max_bins);
         // A freeze failure is handled exactly like an audit rejection —
         // count it, consume the pending rows, keep serving the old
         // model — rather than panicking the refresher thread (which
         // would propagate at scope join and take the server down).
-        let frozen = match FrozenGbdt::freeze(&model, &binned) {
+        let frozen = match FrozenGbdt::freeze(&model, &grid) {
             Ok(frozen) => frozen,
             Err(e) => {
                 return Err(self.reject_refresh(

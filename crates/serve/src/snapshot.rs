@@ -22,7 +22,7 @@
 
 use gdcm_audit::DatasetLints;
 use gdcm_core::{CollaborativeRepository, RepositoryParts};
-use gdcm_ml::{BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
+use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
@@ -129,30 +129,19 @@ pub(crate) fn audit_model_artifacts(
     frozen: Option<&FrozenGbdt>,
 ) -> Result<(), ServeError> {
     // The pipeline lint profile: padded layer-wise encodings make
-    // constant and duplicate columns by design.
-    let mut report = gdcm_audit::audit_trained_model(
+    // constant and duplicate columns by design. Every prediction the
+    // repository serves runs the frozen model, so an artifact set is
+    // only accepted once that exact compiled form is certified
+    // equivalent to the pointer-tree model it claims to compile.
+    let report = gdcm_audit::audit_trained_artifacts(
         context,
         model,
+        frozen,
         Some(gbdt),
         x,
         y,
         &DatasetLints::pipeline(),
     );
-    // Every prediction the repository serves runs the frozen model, so
-    // an artifact set is only accepted once that exact compiled form is
-    // certified equivalent to the pointer-tree model it claims to
-    // compile.
-    if let Some(frozen) = frozen {
-        let binned = (x.n_cols() == model.n_features() && x.n_rows() > 0)
-            .then(|| BinnedMatrix::from_matrix(x, gbdt.max_bins));
-        gdcm_audit::check_frozen_gbdt(
-            context,
-            model,
-            frozen,
-            binned.as_ref(),
-            &mut report.diagnostics,
-        );
-    }
     if report.error_count() > 0 {
         return Err(ServeError::AuditRejected {
             diagnostics: report.diagnostics.iter().map(|d| d.to_string()).collect(),
