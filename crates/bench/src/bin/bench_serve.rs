@@ -37,7 +37,7 @@ use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::{
     serve, BinClient, IngestPipeline, OpsClient, RefreshConfig, Request, Response, ServeConfig,
-    ServerConfig, ServingRepository,
+    ServingRepository,
 };
 use serde::Serialize;
 
@@ -308,7 +308,6 @@ fn main() {
                     bare_listener,
                     None,
                     IngestPipeline::new(serving_bare, RefreshConfig::default()),
-                    ServerConfig { workers: 1 },
                 )
             });
             let ops_server = scope.spawn(move || {
@@ -316,7 +315,6 @@ fn main() {
                     main_listener,
                     Some(ops_listener),
                     IngestPipeline::new(serving_ops, RefreshConfig::default()),
-                    ServerConfig { workers: 1 },
                 )
             });
             let mut bare_client = BinClient::connect_with_retry(bare_addr, Duration::from_secs(10))

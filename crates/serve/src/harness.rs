@@ -1,12 +1,12 @@
 //! A socket-free driver for the server's per-connection state machine.
 //!
-//! The production [`crate::server`] event loop is generic over a
-//! byte-stream `Transport` seam; this module substitutes a *scripted*
-//! in-memory transport so conformance tooling (`gdcm-wirecheck`) can
-//! drive the **identical** connection code — same preamble gate, framing,
-//! backpressure, and drain logic — through exhaustively enumerated
-//! event schedules: bytes arriving in arbitrary chunk splits, partial
-//! or stalled writes, mid-frame disconnects.
+//! The production [`crate::server`] connection state machine is
+//! generic over a byte-stream `Transport` seam; this module substitutes
+//! a *scripted* in-memory transport so conformance tooling
+//! (`gdcm-wirecheck`) can drive the **identical** connection code —
+//! same preamble gate, framing, backpressure, and drain logic — through
+//! exhaustively enumerated event schedules: bytes arriving in arbitrary
+//! chunk splits, partial or stalled writes, mid-frame disconnects.
 //!
 //! Nothing here is stubbed or simplified: [`ConnHarness::pump`] calls
 //! the same `Conn::pump` a live TCP connection runs, against a real
@@ -132,12 +132,12 @@ pub struct ConnHarness<'a> {
 
 impl<'a> ConnHarness<'a> {
     /// A fresh connection awaiting its preamble, over the same counters
-    /// and flags as a live single-shard server with an in-memory
-    /// pipeline and no listeners.
+    /// and flags as a live server with an in-memory pipeline and no
+    /// listeners.
     #[must_use]
     pub fn new(serving: &'a ServingRepository) -> Self {
         let pipeline = IngestPipeline::new(serving, RefreshConfig::default());
-        let shared = ServerShared::new(pipeline, None, 1);
+        let shared = ServerShared::new(pipeline, None, None);
         let conn = Conn::new(&shared, ScriptedTransport::new());
         Self {
             shared,
@@ -214,6 +214,14 @@ impl<'a> ConnHarness<'a> {
     #[must_use]
     pub fn pending_output(&self) -> usize {
         self.conn.out.len() - self.conn.written
+    }
+
+    /// Whether the connection's thread, after an idle sweep, would block
+    /// until the peer sends (`true`) rather than sleep (`false`). A
+    /// wrong `true` is a busy loop.
+    #[must_use]
+    pub fn awaits_input(&self) -> bool {
+        self.conn.awaits_input()
     }
 
     /// Whether a `Shutdown` request flipped the server's stop flag.
@@ -317,6 +325,34 @@ mod tests {
             wire::decode_frame_header(&out).expect("header").request_id,
             1
         );
+    }
+
+    #[test]
+    fn idle_connection_blocks_only_when_waiting_on_its_peer() {
+        let serving = tiny_serving();
+        let opened = |req: &Request| [wire::preamble().to_vec(), frame(1, req)].concat();
+        let (ping, shutdown) = (opened(&Request::Ping), opened(&Request::Shutdown));
+        // (state, input, stalled peer, EOF, blocks on the socket)
+        let cases: [(&str, &[u8], bool, bool, bool); 5] = [
+            ("fresh", &[], false, false, true),
+            ("ping answered", &ping, false, false, true),
+            ("stalled peer, response pending", &ping, true, false, false),
+            ("EOF, output pending", &ping, true, true, false),
+            ("closing, output stalled", &shutdown, true, false, false),
+        ];
+        for (state, input, stalled, eof, blocks) in cases {
+            let mut h = ConnHarness::new(&serving);
+            h.set_write_quota(stalled.then_some(0));
+            h.deliver(input);
+            if eof {
+                h.eof();
+            }
+            h.pump_until_quiet(16);
+            assert!(!h.is_dead(), "{state}");
+            assert_eq!(h.pending_output() > 0, stalled, "{state}");
+            assert_eq!(h.is_closing(), input == shutdown.as_slice(), "{state}");
+            assert_eq!(h.awaits_input(), blocks, "{state}");
+        }
     }
 
     #[test]

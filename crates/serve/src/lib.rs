@@ -20,10 +20,11 @@
 //!   validation **and** the `gdcm-audit` ensemble + dataset passes, so a
 //!   corrupted or poisoned snapshot is rejected before it can serve.
 //! * [`server`] — a TCP server (`std::net::TcpListener`, safe Rust
-//!   only): a non-blocking event loop sharded by the `gdcm-par` budget
-//!   serves the length-prefixed, pipelined `binary-v1` protocol
-//!   ([`protocol::wire`]), with per-request latency histograms,
-//!   open-connection gauges, and graceful drain-then-exit shutdown.
+//!   only): one thread per connection, which spins briefly when idle
+//!   and then blocks until its peer sends, serves the length-prefixed,
+//!   pipelined `binary-v1` protocol ([`protocol::wire`]), with
+//!   per-request latency histograms, an open-connection gauge, and
+//!   graceful drain-then-exit shutdown.
 //! * [`wal`] + [`refresh`] — streaming ingestion: a checksummed,
 //!   fsync-before-ack write-ahead log for mutating requests, replayed
 //!   over the latest snapshot on startup, and a background refresh
@@ -62,7 +63,7 @@ pub use client::{BinClient, OpsClient};
 pub use lru::LruCache;
 pub use protocol::{Request, Response};
 pub use refresh::{IngestPipeline, RefreshConfig};
-pub use server::{serve, ServerConfig, ServerSummary};
+pub use server::{serve, ServerSummary};
 pub use serving::{network_hash, CacheStats, ServeConfig, ServingRepository};
 pub use snapshot::{
     load_repository, save_repository, RepositorySnapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,

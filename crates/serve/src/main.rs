@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! gdcm-serve --build-zoo PATH [--devices N] [--seed S] [--random K]
-//! gdcm-serve --snapshot PATH --addr HOST:PORT [--workers W] [--ops-addr HOST:PORT]
-//!            [--wal PATH]
+//! gdcm-serve --snapshot PATH --addr HOST:PORT [--ops-addr HOST:PORT] [--wal PATH]
 //! gdcm-serve --probe HOST:PORT --snapshot PATH [--seed S] [--random K]
 //!            [--ops HOST:PORT [--ops-out PATH]] [--refresh N]
 //! ```
@@ -12,11 +11,12 @@
 //!   zoo-plus-random benchmark suite (deterministic in `--seed`) and
 //!   writes a versioned snapshot.
 //! * `--snapshot --addr` loads the snapshot **under audit** and serves
-//!   it over TCP with the length-prefixed binary-v1 protocol until a
-//!   client sends `Shutdown`. Prints `LISTENING <addr>` once the
-//!   listener is bound so scripts can synchronize. With `--ops-addr` a
-//!   second listener serves the ops endpoint (`health` / `metrics` /
-//!   `slowlog` / `quiesce`) and per-request telemetry records; it
+//!   it over TCP with the length-prefixed binary-v1 protocol, one
+//!   thread per connection, until a client sends `Shutdown`. Prints
+//!   `LISTENING <addr>` once the listener is bound so scripts can
+//!   synchronize. With `--ops-addr` a second listener serves the ops
+//!   endpoint (`health` / `metrics` / `slowlog` / `quiesce`) and
+//!   per-request telemetry records; it
 //!   prints `OPS LISTENING <addr>` too. When `GDCM_SERVE_REFRESH_ROWS`
 //!   is set, a background refresher refits after that many new
 //!   contributions and swaps the audited model in without blocking
@@ -57,13 +57,12 @@ use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::{codes, Request, Response};
 use gdcm_serve::{
     load_repository, replay_record, serve, BinClient, IngestPipeline, OpsClient, RefreshConfig,
-    ServeConfig, ServerConfig, ServingRepository, WriteAheadLog,
+    ServeConfig, ServingRepository, WriteAheadLog,
 };
 
 const USAGE: &str = "usage:
   gdcm-serve --build-zoo PATH [--devices N] [--seed S] [--random K]
-  gdcm-serve --snapshot PATH --addr HOST:PORT [--workers W] [--ops-addr HOST:PORT]
-             [--wal PATH]
+  gdcm-serve --snapshot PATH --addr HOST:PORT [--ops-addr HOST:PORT] [--wal PATH]
   gdcm-serve --probe HOST:PORT --snapshot PATH [--seed S] [--random K]
              [--ops HOST:PORT [--ops-out PATH]] [--refresh N]
 
@@ -73,7 +72,6 @@ const USAGE: &str = "usage:
   --ops-addr ADDR   also serve the ops endpoint (health/metrics/slowlog/quiesce)
   --wal PATH        write-ahead log mutating requests here (replayed on start,
                     compacted into the snapshot after each background refresh)
-  --workers W       connection worker threads (default: GDCM_THREADS budget)
   --probe ADDR      act as the scripted smoke client against ADDR
   --ops ADDR        probe the server's ops endpoint at ADDR too
   --ops-out PATH    where the probe writes the metrics snapshot
@@ -94,7 +92,6 @@ struct Args {
     ops: Option<String>,
     ops_out: Option<PathBuf>,
     refresh: Option<usize>,
-    workers: Option<usize>,
     devices: usize,
     seed: u64,
     random: usize,
@@ -111,7 +108,6 @@ fn parse_args() -> Result<Args, String> {
         ops: None,
         ops_out: None,
         refresh: None,
-        workers: None,
         devices: 16,
         seed: 42,
         random: 8,
@@ -129,7 +125,6 @@ fn parse_args() -> Result<Args, String> {
             "--ops" => args.ops = Some(value("--ops")?),
             "--ops-out" => args.ops_out = Some(PathBuf::from(value("--ops-out")?)),
             "--refresh" => args.refresh = Some(number(&flag, value(&flag)?)?),
-            "--workers" => args.workers = Some(number(&flag, value(&flag)?)?),
             "--devices" => args.devices = number(&flag, value(&flag)?)?,
             "--seed" => args.seed = number(&flag, value(&flag)?)?,
             "--random" => args.random = number(&flag, value(&flag)?)?,
@@ -239,17 +234,12 @@ fn serve_mode(args: &Args, snapshot: &Path, addr: &str) -> Result<(), String> {
         }
         None => None,
     };
-    let config = ServerConfig {
-        workers: args
-            .workers
-            .unwrap_or_else(|| ServerConfig::default().workers),
-    };
     let refresh = RefreshConfig::from_env();
     let pipeline = match wal {
         Some(wal) => IngestPipeline::with_wal(&serving, wal, snapshot, refresh),
         None => IngestPipeline::new(&serving, refresh),
     };
-    let summary = serve(listener, ops_listener, pipeline, config).map_err(|e| e.to_string())?;
+    let summary = serve(listener, ops_listener, pipeline).map_err(|e| e.to_string())?;
     println!(
         "served {} request(s) over {} connection(s), {} error(s); shut down cleanly",
         summary.requests, summary.connections, summary.request_errors

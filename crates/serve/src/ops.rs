@@ -52,8 +52,9 @@ pub struct HealthReply {
     pub errors_total: u64,
     /// Connections accepted since startup.
     pub connections_total: u64,
-    /// Event-loop shards sweeping connections.
-    pub workers: usize,
+    /// Serving connections open right now (the ops listener's own
+    /// excluded).
+    pub open_connections: u64,
     /// Wire protocols the serving listener speaks, by stable name
     /// (`binary-v1`).
     pub protocols: Vec<String>,
@@ -260,7 +261,7 @@ fn health_reply(shared: &ServerShared<'_>) -> HealthReply {
         requests_total: shared.requests.load(Ordering::SeqCst),
         errors_total: shared.request_errors.load(Ordering::SeqCst),
         connections_total: shared.connections.load(Ordering::SeqCst),
-        workers: shared.workers,
+        open_connections: shared.open_connections.load(Ordering::SeqCst).max(0) as u64,
         protocols: vec![crate::protocol::PROTOCOL_BINARY_V1.to_string()],
         epoch: serving.model_epoch(),
         refreshes: ingest.refreshes(),

@@ -341,8 +341,10 @@ impl<'a> IngestPipeline<'a> {
     /// [`crate::server::serve`]. A gate-rejected refresh is
     /// logged and the loop keeps serving the old model. The poll
     /// interval (25 ms against an uncontended mutex) bounds refresh
-    /// latency; the vendored `parking_lot` shim has no `Condvar`, and a
-    /// refit takes orders of magnitude longer than a poll tick anyway.
+    /// latency. A `Condvar` could wake the loop sooner (the vendored
+    /// `parking_lot` shim hands out std guards, and `gdcm-par` already
+    /// waits on a std `Condvar` with them), but a refit takes orders of
+    /// magnitude longer than a poll tick, so it would buy nothing.
     pub fn run(&self) {
         while !self.stop.load(Ordering::Acquire) {
             if !self.refresh_due() {

@@ -1,21 +1,26 @@
-//! The TCP server: a non-blocking readiness loop with per-connection
-//! state machines, `binary-v1` framing, and graceful shutdown.
+//! The TCP server: a thread per connection, each driving a non-blocking
+//! per-connection state machine, `binary-v1` framing, and graceful
+//! shutdown.
 //!
-//! Safe Rust only, on `std::net`. There is no `poll(2)` in safe std, so
-//! readiness is emulated the portable way: every socket is switched to
-//! non-blocking mode and a small set of event-loop *shards* sweeps its
-//! connections — read until `WouldBlock`, process every complete
-//! request buffered so far, flush until `WouldBlock` — backing off to
-//! `yield_now` and then `park_timeout` only when a full sweep makes no
-//! progress. The accept loop runs shard 0 on the calling thread; the
-//! `gdcm-par` budget (`GDCM_THREADS`) sizes additional shard threads,
-//! with accepted connections dealt round-robin:
+//! Safe Rust only, on `std::net`. The accept loop blocks on the
+//! listener and gives every stream a scoped thread of its own, which
+//! sweeps the connection: read until `WouldBlock`, process every
+//! complete request, flush until `WouldBlock`. After a sweep that moves
+//! nothing it spins [`SPIN_SWEEPS`] sweeps on `yield_now`, so
+//! back-to-back requests never pay a wake-up, and then waits. If the
+//! connection waits only on its peer (`Conn::awaits_input`), the socket
+//! turns blocking for a one-byte `peek`, which returns as soon as bytes
+//! or EOF arrive or the [`IDLE_WAIT`] read timeout passes. In any other
+//! state (output the peer is not draining, EOF or closing with output
+//! pending) a peek would return at once or miss the drain, so the
+//! thread sleeps one [`IDLE_WAIT`].
 //!
-//! * budget 1 — one shard, on the accept thread: the exact serial
-//!   path (mirroring `gdcm-par`'s own serial short-circuit).
-//! * budget N>1 — N shards; each connection lives on one shard for its
-//!   whole life, so request handling needs no cross-thread locking and
-//!   `reqtrace`'s thread-local spans stay coherent.
+//! Safe std has no `poll(2)`, and none is needed: a thread waits on one
+//! socket, and a blocking read is that socket's readiness wait. A
+//! connection lives on one thread, so request handling needs no
+//! cross-thread locking and `reqtrace`'s thread-local spans stay
+//! coherent. This suits a few concurrent connections; thousands would
+//! need `epoll`, which safe std lacks.
 //!
 //! ## One protocol
 //!
@@ -37,11 +42,13 @@
 //!
 //! ## Shutdown
 //!
-//! `Shutdown` is still the SIGTERM-equivalent drain: the stop flag
-//! flips, the accept loop stops accepting and closes the shard
-//! channels, and every shard keeps sweeping until its remaining
-//! connections disconnect. Nothing is aborted mid-request and every
-//! buffered response is flushed.
+//! `Shutdown` is the SIGTERM-equivalent drain: the stop flag flips and
+//! one wake-up connection to the listener's own address unblocks the
+//! accept loop, which stops accepting without counting it. Every
+//! connection thread keeps serving until its peer disconnects, and
+//! [`serve`] joins them all before it stops the refresher and the ops
+//! endpoint. Nothing is aborted mid-request and every buffered response
+//! is flushed.
 //!
 //! ## One request path
 //!
@@ -56,8 +63,8 @@
 //! and connection counts ([`ServerSummary`], ops `health`), the
 //! repository's cache counters ([`ServingRepository::cache_stats`]),
 //! a `serve/request_ms` latency histogram, and the
-//! `serve/open_connections` / `serve/workers` gauges — plain atomics
-//! and registry writes, no event emission.
+//! `serve/open_connections` gauge — plain atomics and registry writes,
+//! no event emission.
 //!
 //! Live telemetry is opt-in: handing [`serve`] an ops listener starts
 //! the [`crate::ops`] endpoint and turns on per-request recording —
@@ -66,38 +73,23 @@
 //! cache counters, and slow-log admission. Without an ops listener none
 //! of that code runs: the request loop checks one plain `bool` and the
 //! hot path stays byte-for-byte the uninstrumented one (`bench_serve`
-//! asserts the enabled cost too). In the event-driven loop the `read`
-//! stage spans from the previous request's completion to this
-//! request's dispatch (client idle time included, as before), and the
-//! `write` stage measures enqueue into the connection's output buffer —
-//! the socket write itself is batched across pipelined responses.
+//! asserts the enabled cost too). The `read` stage spans from the
+//! previous request's completion to this request's dispatch (client
+//! idle time included), and the `write` stage measures enqueue into the
+//! connection's output buffer — the socket write itself is batched
+//! across pipelined responses.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use crate::protocol::wire;
 use crate::protocol::{codes, request_label, Request, Response};
 use crate::refresh::IngestPipeline;
 use crate::serving::{network_hash, CacheStats, ServingRepository};
-
-/// Server configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Event-loop shards. 1 sweeps every connection on the accept
-    /// thread. Defaults to the `gdcm-par` thread budget.
-    pub workers: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            workers: gdcm_par::threads().max(1),
-        }
-    }
-}
 
 /// What the server did before it stopped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,7 +112,8 @@ pub(crate) struct ServerShared<'a> {
     pub(crate) requests: AtomicU64,
     pub(crate) request_errors: AtomicU64,
     pub(crate) connections: AtomicU64,
-    open_connections: AtomicI64,
+    /// Connections open now: the `serve/open_connections` gauge's source.
+    pub(crate) open_connections: AtomicI64,
     /// Whether per-request telemetry (traces, windowed metrics, slow
     /// log) records. True exactly when an ops listener is attached.
     pub(crate) telemetry: bool,
@@ -128,20 +121,22 @@ pub(crate) struct ServerShared<'a> {
     pub(crate) draining: AtomicBool,
     /// Tells the ops accept loop to exit.
     pub(crate) ops_stop: AtomicBool,
+    /// The serving and ops listeners, for their shutdown wake-ups.
+    addr: Option<SocketAddr>,
     ops_addr: Option<SocketAddr>,
     /// Server start, for uptime reporting.
     pub(crate) started: Instant,
-    pub(crate) workers: usize,
 }
 
 impl<'a> ServerShared<'a> {
-    /// Fresh counters and flags; telemetry records exactly when an ops
-    /// listener (`ops_addr`) is attached. The socket-free harness
-    /// ([`crate::harness`]) builds one with no listener at all.
+    /// Fresh counters and flags for a server listening on `addr`;
+    /// telemetry records exactly when an ops listener (`ops_addr`) is
+    /// attached. The socket-free harness ([`crate::harness`]) builds one
+    /// with no listener at all.
     pub(crate) fn new(
         ingest: IngestPipeline<'a>,
+        addr: Option<SocketAddr>,
         ops_addr: Option<SocketAddr>,
-        workers: usize,
     ) -> Self {
         ServerShared {
             ingest,
@@ -153,25 +148,26 @@ impl<'a> ServerShared<'a> {
             telemetry: ops_addr.is_some(),
             draining: AtomicBool::new(false),
             ops_stop: AtomicBool::new(false),
+            addr,
             ops_addr,
             started: Instant::now(),
-            workers,
         }
     }
 
-    /// Flags shutdown; the non-blocking accept loop observes it within
-    /// one park interval without needing a wake-up connection.
+    /// Flags shutdown, then connects once to the serving listener's own
+    /// address so the blocking accept returns. The accept loop checks
+    /// the flag before it counts a connection, so it drops this one
+    /// uncounted. Only the first call connects.
     fn trigger_shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            wake(self.addr);
+        }
     }
 
-    /// The ops accept loop *does* block, so it still gets the classic
-    /// wake-up-connection poke.
+    /// The same for the ops accept loop.
     fn trigger_ops_shutdown(&self) {
-        if let Some(addr) = self.ops_addr {
-            if !self.ops_stop.swap(true, Ordering::SeqCst) {
-                let _ = TcpStream::connect(addr);
-            }
+        if !self.ops_stop.swap(true, Ordering::SeqCst) {
+            wake(self.ops_addr);
         }
     }
 
@@ -181,10 +177,24 @@ impl<'a> ServerShared<'a> {
     }
 }
 
+/// Connects once to a blocking accept loop's listener so it sees its
+/// stop flag. A wildcard bind is reached through loopback.
+fn wake(addr: Option<SocketAddr>) {
+    let Some(mut addr) = addr else { return };
+    if addr.ip().is_unspecified() {
+        addr.set_ip(if addr.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    let _ = TcpStream::connect(addr);
+}
+
 /// Bytes read from a socket per `read` call.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
-/// Bytes read from one connection per sweep before yielding to its
-/// shard neighbours.
+/// Bytes read from one connection per sweep before processing what
+/// arrived.
 const READ_BURST: usize = 256 * 1024;
 /// Unprocessed input cap per connection; a frame backlog larger than
 /// this drops the connection.
@@ -192,11 +202,13 @@ pub(crate) const MAX_BUFFERED_INPUT: usize = 64 * 1024 * 1024;
 /// Pending-output level above which a connection stops consuming new
 /// requests until the peer drains responses (pipelining backpressure).
 pub(crate) const WRITE_HIGH_WATER: usize = 1024 * 1024;
-/// No-progress sweeps spent on `yield_now` before parking.
+/// No-progress sweeps a connection thread spends on `yield_now` before
+/// it waits.
 const SPIN_SWEEPS: u32 = 128;
-/// First and largest park interval once a shard goes idle.
-const PARK_MIN: Duration = Duration::from_micros(100);
-const PARK_MAX: Duration = Duration::from_millis(2);
+/// The longest one idle wait lasts: the read timeout on a connection's
+/// blocking peek, the sleep in every state a peek cannot wait on, and
+/// the accept loop's back-off after an accept error.
+const IDLE_WAIT: Duration = Duration::from_millis(2);
 
 /// Runs the server until a client sends [`Request::Shutdown`]. Returns
 /// the traffic summary after a graceful drain.
@@ -224,17 +236,15 @@ pub fn serve(
     listener: TcpListener,
     ops_listener: Option<TcpListener>,
     pipeline: IngestPipeline<'_>,
-    config: ServerConfig,
 ) -> std::io::Result<ServerSummary> {
     let _span = gdcm_obs::span!("serve/server");
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    let addr = listener.local_addr()?;
     let ops_addr = ops_listener
         .as_ref()
         .map(TcpListener::local_addr)
         .transpose()?;
-    let workers = config.workers.max(1);
-    let shared = ServerShared::new(pipeline, ops_addr, workers);
-    gdcm_obs::gauge("serve/workers").set(workers as f64);
+    let shared = ServerShared::new(pipeline, Some(addr), ops_addr);
 
     let shared = &shared;
     std::thread::scope(|outer| {
@@ -245,25 +255,12 @@ pub fn serve(
             .refresher_needed()
             .then(|| outer.spawn(|| shared.ingest.run()));
 
-        // Shards 1.. run on their own threads; shard 0 shares the
-        // accept thread so `workers == 1` spawns nothing.
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers - 1);
-        let mut shard_handles = Vec::with_capacity(workers - 1);
-        for _ in 1..workers {
-            let (tx, rx) = channel::<TcpStream>();
-            senders.push(tx);
-            shard_handles.push(outer.spawn(move || shard_loop(shared, &rx)));
-        }
-        accept_loop(shared, &listener, senders);
-        for handle in shard_handles {
-            // Shard closures don't panic; join errors would only
-            // reflect a panic escaping the request path's catch-all.
-            let _ = handle.join();
-        }
+        // The inner scope joins every connection thread, so request
+        // traffic has drained when it returns.
+        std::thread::scope(|conns| accept_loop(shared, &listener, conns));
 
-        // Request traffic has drained: stop the refresher (mid-refresh
-        // work completes — the swap and compaction are not torn), then
-        // the ops endpoint.
+        // Stop the refresher (mid-refresh work completes — the swap and
+        // compaction are not torn), then the ops endpoint.
         if let Some(handle) = refresher {
             shared.ingest.stop();
             let _ = handle.join();
@@ -281,112 +278,69 @@ pub fn serve(
     })
 }
 
-/// Shard 0 + accept duty: polls the listener, deals connections round-
-/// robin across shards (itself included), sweeps its own connections,
-/// and on stop closes the shard channels and drains its share.
-fn accept_loop(
-    shared: &ServerShared<'_>,
+/// Accepts until shutdown, serving each connection on its own thread in
+/// `conns`. The accept blocks; the stop flag is checked before a
+/// connection is counted, so the wake-up connection never is.
+fn accept_loop<'scope, 'env>(
+    shared: &'env ServerShared<'_>,
     listener: &TcpListener,
-    mut senders: Vec<Sender<TcpStream>>,
+    conns: &'scope Scope<'scope, 'env>,
 ) {
-    let slots = senders.len() + 1;
-    let mut rr = 0usize;
-    run_shard(shared, |conns| {
-        if shared.stop.load(Ordering::SeqCst) {
-            // Channel close is the drain signal the other shards exit on.
-            senders.clear();
-            return (false, true);
-        }
-        let mut progress = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    shared.connections.fetch_add(1, Ordering::SeqCst);
-                    progress = true;
-                    let slot = rr % slots;
-                    rr = rr.wrapping_add(1);
-                    if slot == 0 {
-                        conns.push(Conn::new(shared, stream));
-                    } else if let Err(back) = senders[slot - 1].send(stream) {
-                        // Unreachable: shards outlive the senders.
-                        conns.push(Conn::new(shared, back.0));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return (progress, false),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    gdcm_obs::event(
-                        "accept_error",
-                        "serve",
-                        &[("error", gdcm_obs::FieldValue::Str(e.to_string()))],
-                    );
-                    return (progress, false);
-                }
+    while !shared.stop.load(Ordering::SeqCst) {
+        let failed = match listener.accept() {
+            Ok(_) if shared.stop.load(Ordering::SeqCst) => return,
+            Ok((stream, _)) => {
+                shared.connections.fetch_add(1, Ordering::SeqCst);
+                // A refused spawn drops the stream with its closure.
+                std::thread::Builder::new()
+                    .name("gdcm-serve-conn".to_string())
+                    .spawn_scoped(conns, move || serve_connection(shared, stream))
+                    .err()
             }
-        }
-    });
-}
-
-/// A spawned shard: sweeps connections handed over the channel until
-/// the channel closes *and* every connection has drained.
-fn shard_loop(shared: &ServerShared<'_>, rx: &Receiver<TcpStream>) {
-    run_shard(shared, |conns| {
-        let mut progress = false;
-        loop {
-            match rx.try_recv() {
-                Ok(stream) => {
-                    conns.push(Conn::new(shared, stream));
-                    progress = true;
-                }
-                Err(TryRecvError::Empty) => return (progress, false),
-                Err(TryRecvError::Disconnected) => return (progress, true),
-            }
-        }
-    });
-}
-
-/// One shard's event loop. Each round `intake` adds new connections and
-/// reports `(progress, closed)`; every connection is then pumped once
-/// and the finished ones reaped. The loop returns once intake is closed
-/// and every connection has drained.
-///
-/// Idle strategy: stay hot through `yield_now` while traffic looks
-/// imminent, then park with exponential backoff up to [`PARK_MAX`] so
-/// a quiet server costs ~no CPU but still notices the stop flag fast.
-fn run_shard(shared: &ServerShared<'_>, mut intake: impl FnMut(&mut Vec<Conn>) -> (bool, bool)) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = Scratch::new();
-    let mut idle: u32 = 0;
-    let mut park = PARK_MIN;
-    loop {
-        let (mut progress, closed) = intake(&mut conns);
-        for conn in &mut conns {
-            progress |= conn.pump(shared, &mut scratch);
-        }
-        let before = conns.len();
-        conns.retain(|c| !c.dead);
-        let reaped = before - conns.len();
-        if reaped > 0 {
-            #[allow(clippy::cast_possible_wrap)]
-            shared.track_open(-(reaped as i64));
-            progress = true;
-        }
-        if closed && conns.is_empty() {
-            return;
-        }
-        if progress {
-            idle = 0;
-            park = PARK_MIN;
-        } else {
-            idle = idle.saturating_add(1);
-            if idle <= SPIN_SWEEPS {
-                std::thread::yield_now();
-            } else {
-                std::thread::park_timeout(park);
-                park = (park * 2).min(PARK_MAX);
-            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => None,
+            Err(e) => Some(e),
+        };
+        if let Some(e) = failed {
+            let error = gdcm_obs::FieldValue::Str(e.to_string());
+            gdcm_obs::event("accept_error", "serve", &[("error", error)]);
+            // Out of descriptors or threads: back off, don't spin.
+            std::thread::sleep(IDLE_WAIT);
         }
     }
+}
+
+/// One connection's thread: pumps the connection until it is done,
+/// idling as the module doc describes. A panic escaping the request
+/// path ends this connection only, so the server still drains and
+/// shuts down.
+fn serve_connection(shared: &ServerShared<'_>, stream: TcpStream) {
+    let mut conn = Conn::new(shared, stream);
+    let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut scratch = Scratch::new();
+        let mut idle: u32 = 0;
+        while !conn.dead {
+            if conn.pump(shared, &mut scratch) {
+                idle = 0;
+            } else if idle < SPIN_SWEEPS {
+                idle += 1;
+                std::thread::yield_now();
+            } else if conn.awaits_input() {
+                conn.dead = wait_readable(&conn.stream).is_err();
+            } else {
+                std::thread::sleep(IDLE_WAIT);
+            }
+        }
+    }));
+    shared.track_open(-1);
+}
+
+/// Blocks until the peer sends or closes, or the read timeout set in
+/// `prepare` passes. What the peek saw is left for the next sweep's
+/// read; only a failure to switch the socket's mode is an error.
+fn wait_readable(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(false)?;
+    let _ = stream.peek(&mut [0u8; 1]);
+    stream.set_nonblocking(true)
 }
 
 /// The byte-stream seam under a connection's state machine. Production
@@ -421,12 +375,14 @@ impl Transport for TcpStream {
         // Responses can be small; without TCP_NODELAY each flush can
         // wait on the peer's delayed ACK.
         let _ = self.set_nodelay(true);
+        // Bounds the idle thread's blocking peek.
+        self.set_read_timeout(Some(IDLE_WAIT))?;
         self.set_nonblocking(true)
     }
 }
 
-/// Per-shard scratch reused across every connection and request: the
-/// socket read chunk and the response serialize buffer.
+/// Per-thread scratch reused across every request: the socket read
+/// chunk and the response serialize buffer.
 pub(crate) struct Scratch {
     chunk: Vec<u8>,
     ser: Vec<u8>,
@@ -470,7 +426,7 @@ pub(crate) struct Conn<T: Transport = TcpStream> {
     peer_eof: bool,
     /// Stop reading; close once `out` is flushed.
     pub(crate) closing: bool,
-    /// Finished (or broken): reap on the next sweep.
+    /// Finished (or broken): the connection's thread exits.
     pub(crate) dead: bool,
     /// When the previous request on this connection finished, for the
     /// `read` stage span (includes client idle time, as documented).
@@ -557,6 +513,14 @@ impl<T: Transport> Conn<T> {
             }
         }
         progress
+    }
+
+    /// Whether an idle connection waits only on its peer: the next pump
+    /// would read (live, not closing, no EOF) and no output is pending,
+    /// so none holds input back at the high-water mark. Only then may its
+    /// thread block until bytes arrive; a wrong `true` is a busy loop.
+    pub(crate) fn awaits_input(&self) -> bool {
+        !self.dead && !self.closing && !self.peer_eof && self.written == self.out.len()
     }
 
     /// Whether unconsumed input could still form a request. After EOF
@@ -855,7 +819,7 @@ fn decode_frame(serving: &ServingRepository, payload: &[u8], cache: &mut CacheSt
 /// Folds one finished request into the live-telemetry surfaces:
 /// windowed counters/histograms, per-stage cumulative histograms, and
 /// the slow log. `cache` holds exactly this request's own cache
-/// lookups, so a concurrent shard's traffic never leaks into it. Only
+/// lookups, so another connection's traffic never leaks into it. Only
 /// called when telemetry is enabled.
 fn record_telemetry(label: &str, request_us: u64, is_error: bool, cache: CacheStats) {
     let now_us = gdcm_obs::timestamp_us();

@@ -9,11 +9,11 @@ use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::{codes, wire};
 use gdcm_serve::{
-    serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig, ServerConfig,
+    serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig,
     ServingRepository,
 };
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
@@ -61,7 +61,7 @@ fn read_raw_frame(stream: &mut TcpStream) -> std::io::Result<(u64, Vec<u8>)> {
     Ok((header.request_id, payload))
 }
 
-fn run_binary_session(workers: usize, seed: u64) {
+fn run_binary_session(seed: u64) {
     let (repo, nets) = fitted_repository(seed);
     let serving = ServingRepository::new(repo, ServeConfig::default());
     let device = serving.device_names()[0].clone();
@@ -80,7 +80,6 @@ fn run_binary_session(workers: usize, seed: u64) {
                 listener,
                 None,
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers },
             )
         });
 
@@ -194,12 +193,49 @@ fn run_binary_session(workers: usize, seed: u64) {
 
 #[test]
 fn binary_session_end_to_end_single_shard() {
-    run_binary_session(1, 41);
+    run_binary_session(41);
 }
 
 #[test]
 fn binary_session_end_to_end_sharded() {
-    run_binary_session(2, 42);
+    run_binary_session(42);
+}
+
+#[test]
+fn shutdown_wakes_a_wildcard_accept_and_counts_only_clients() {
+    let (repo, _) = fitted_repository(48);
+    // Leaked so the server thread may outlive a missed deadline: a
+    // `serve` that never returns must fail this test, not hang it.
+    let serving: &'static ServingRepository = Box::leak(Box::new(ServingRepository::new(
+        repo,
+        ServeConfig::default(),
+    )));
+    let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+    let addr = SocketAddr::from(([127, 0, 0, 1], listener.local_addr().unwrap().port()));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let pipeline = IngestPipeline::new(serving, RefreshConfig::default());
+        let _ = done_tx.send(serve(listener, None, pipeline));
+    });
+
+    // Two clients, one after the other; the second shuts the server
+    // down. Their answers are judged once `serve` has returned.
+    let ask = |request: &Request| {
+        let mut client = BinClient::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
+        client.request(request).unwrap()
+    };
+    let answers = [ask(&Request::Ping), ask(&Request::Shutdown)];
+
+    let summary = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve must return within 10 s of Shutdown")
+        .expect("serve result");
+    assert!(matches!(answers, [Response::Pong, Response::ShuttingDown]));
+    assert_eq!(
+        summary.connections, 2,
+        "the wake-up connection is no client"
+    );
+    assert_eq!(summary.requests, 2);
 }
 
 /// Reads until the server closes `stream`, returning what it wrote, or
@@ -232,7 +268,6 @@ fn non_binary_openings_are_closed_without_an_answer() {
                 listener,
                 None,
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers: 2 },
             )
         });
 
@@ -295,7 +330,6 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
                 listener,
                 None,
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers: 1 },
             )
         });
 
@@ -354,7 +388,6 @@ fn truncated_frame_mid_read_closes_cleanly() {
                 listener,
                 None,
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers: 1 },
             )
         });
 
@@ -417,7 +450,6 @@ fn repeated_predicts_stay_fresh_across_re_enroll() {
                 listener,
                 None,
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers: 1 },
             )
         });
 
@@ -495,7 +527,6 @@ fn garbage_payload_does_not_corrupt_neighbouring_pipelined_responses() {
                 listener,
                 None,
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers: 1 },
             )
         });
 

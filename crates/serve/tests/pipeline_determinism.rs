@@ -15,7 +15,7 @@ use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::wire;
 use gdcm_serve::{
-    serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig, ServerConfig,
+    serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig,
     ServingRepository,
 };
 use std::io::{Read, Write};
@@ -144,7 +144,6 @@ fn pipelined_responses_are_byte_identical_to_sequential_across_thread_counts() {
                     listener,
                     None,
                     IngestPipeline::new(serving, RefreshConfig::default()),
-                    ServerConfig { workers: threads },
                 )
             });
 

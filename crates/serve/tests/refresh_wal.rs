@@ -261,7 +261,7 @@ fn serve_binary_counts_one_bad_cache_knob_once() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_gdcm-serve"))
         .arg("--snapshot")
         .arg(&snapshot)
-        .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+        .args(["--addr", "127.0.0.1:0"])
         .env_clear()
         .env("GDCM_SERVE_PRED_CACHE", "lots")
         .env("GDCM_REPORT_DIR", &reports)

@@ -7,7 +7,7 @@ use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::{
     serve, BinClient, IngestPipeline, OpsClient, RefreshConfig, Request, Response, ServeConfig,
-    ServerConfig, ServingRepository,
+    ServingRepository,
 };
 use std::net::TcpListener;
 use std::time::Duration;
@@ -96,7 +96,6 @@ fn ops_endpoint_reports_live_telemetry() {
                 listener,
                 Some(ops_listener),
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers: 2 },
             )
         });
         let mut guard = ShutdownGuard::new(addr);
@@ -126,6 +125,11 @@ fn ops_endpoint_reports_live_telemetry() {
             serde_json::from_str(&ops.query("health").unwrap()).unwrap();
         assert_eq!(health.get("status").and_then(|s| s.as_str()), Some("ok"));
         assert_eq!(health.get("fitted").and_then(|f| f.as_bool()), Some(true));
+        assert_eq!(
+            health.get("open_connections").and_then(|o| o.as_u64()),
+            Some(1),
+            "the one client is open; the ops connection is not counted"
+        );
         assert!(
             health
                 .get("requests_total")

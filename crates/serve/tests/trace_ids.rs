@@ -10,7 +10,7 @@ use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::{codes, wire};
 use gdcm_serve::{
     serve, BinClient, IngestPipeline, OpsClient, RefreshConfig, Request, Response, ServeConfig,
-    ServerConfig, ServingRepository,
+    ServingRepository,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -81,7 +81,6 @@ fn frame_ids_are_echoed_and_name_slowlog_entries() {
                 listener,
                 Some(ops_listener),
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers: 1 },
             )
         });
 

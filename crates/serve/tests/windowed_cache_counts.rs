@@ -10,7 +10,7 @@ use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::{codes, wire};
 use gdcm_serve::{
     serve, BinClient, IngestPipeline, OpsClient, RefreshConfig, Request, Response, ServeConfig,
-    ServerConfig, ServingRepository,
+    ServingRepository,
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -76,7 +76,6 @@ fn windowed_cache_counts_are_exact_under_concurrent_shards() {
                 listener,
                 Some(ops_listener),
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers: 2 },
             )
         });
 

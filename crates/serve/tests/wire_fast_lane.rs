@@ -11,7 +11,7 @@ use gdcm_dnn::Network;
 use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::wire;
 use gdcm_serve::{
-    serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig, ServerConfig,
+    serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig,
     ServingRepository,
 };
 use std::net::TcpListener;
@@ -114,7 +114,6 @@ fn fast_lane_stays_coherent_across_snapshot_load() {
                 listener,
                 None,
                 IngestPipeline::new(serving, RefreshConfig::default()),
-                ServerConfig { workers: 1 },
             )
         });
         let mut client = BinClient::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
