@@ -4,8 +4,6 @@
 //!
 //! * **uncached vs cached** single-row prediction throughput (caches
 //!   disabled vs a warm prediction cache);
-//! * **single-row vs batched** prediction throughput with caches
-//!   disabled (per-call overhead vs the `gdcm-par` chunked batch path);
 //! * end-to-end **TCP** throughput over the binary wire protocol
 //!   against in-process servers — one frame in flight to a bare server
 //!   (`tcp_binary_single`) and to one with the ops listener attached
@@ -223,35 +221,7 @@ fn main() {
         });
     }
 
-    // Mode 3: uncached batches — per-call overhead amortized through the
-    // gdcm-par chunked predictor.
-    {
-        let serving = ServingRepository::new(repo.clone(), NO_CACHE);
-        for (d, name) in device_names.iter().enumerate() {
-            let batch = serving.predict_batch(name, &nets).expect("predicts");
-            for (n, value) in batch.iter().enumerate() {
-                bit_identical &= value.to_bits() == truth[d][n];
-            }
-        }
-        let start = Instant::now();
-        for _ in 0..rounds {
-            for name in &device_names {
-                std::hint::black_box(serving.predict_batch(name, &nets).expect("predicts"));
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let qps = (rounds * per_round) as f64 / elapsed;
-        samples.push(ModeSample {
-            mode: "uncached_batch",
-            predictions: rounds * per_round,
-            elapsed_ms: elapsed * 1e3,
-            qps,
-            speedup_vs_uncached_single: qps / uncached_single_qps,
-            speedup_vs_cached_single: 0.0,
-        });
-    }
-
-    // Modes 4-6: end-to-end TCP over binary-v1 with a warm server
+    // Modes 3-5: end-to-end TCP over binary-v1 with a warm server
     // cache. A bare server and one with the ops listener attached
     // (per-request telemetry on) run concurrently, and timed passes
     // with one frame in flight alternate between them, so drift in
@@ -473,7 +443,7 @@ fn main() {
          flight ({bin_single_qps:.0} qps)"
     );
 
-    // Mode 8: the streaming-refresh path. First warm-vs-cold refit cost
+    // Then the streaming-refresh path. First warm-vs-cold refit cost
     // on identical rows (min of 3 runs each to shed scheduler noise),
     // then serving throughput while a warm refit + swap runs on a
     // background thread — the epoch-guarded swap must never block

@@ -46,7 +46,6 @@ pub mod encoding;
 pub mod gate;
 pub mod hardware;
 pub mod pipeline;
-mod predictor;
 pub mod repository;
 pub mod signature;
 
@@ -57,6 +56,5 @@ pub use gate::{
 };
 pub use hardware::{HardwareRepr, StaticSpecEncoder};
 pub use pipeline::{CostModelPipeline, EvalReport, PipelineConfig, TrainedArtifacts};
-pub use predictor::CostModel;
 pub use repository::{CollaborativeRepository, RepositoryConfig, RepositoryError, RepositoryParts};
 pub use signature::{MutualInfoSelector, RandomSelector, SignatureSelector, SpearmanSelector};

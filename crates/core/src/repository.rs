@@ -436,8 +436,8 @@ impl CollaborativeRepository {
 
     /// Scores the row a network `encoding` (as
     /// [`NetworkEncoder::encode`] produces it) followed by a device's
-    /// signature latencies forms. This is the one single-row scoring
-    /// path: [`CollaborativeRepository::predict`],
+    /// signature latencies forms. It is the repository's one scoring path:
+    /// [`CollaborativeRepository::predict`],
     /// [`CollaborativeRepository::predict_for_new_device`] and the
     /// serving layer's cache misses all call it.
     ///
@@ -469,22 +469,6 @@ impl CollaborativeRepository {
         row.extend_from_slice(encoding);
         row.extend_from_slice(signature);
         Ok(frozen.predict_row(&row) as f64)
-    }
-
-    /// Predicts the latency (ms) of many pre-built feature rows at once
-    /// through the chunked `gdcm-par` batch predictor. Each row must be
-    /// `encoder.len() + signature_size` wide (network encoding followed
-    /// by the hardware signature); `gdcm-serve` uses this to serve
-    /// batches from its encoding cache. Bit-identical to calling
-    /// [`CollaborativeRepository::predict`] per row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RepositoryError::NotFitted`] before the first
-    /// successful fit.
-    pub fn predict_rows(&self, rows: &DenseMatrix) -> Result<Vec<f64>, RepositoryError> {
-        let frozen = self.frozen.as_ref().ok_or(RepositoryError::NotFitted)?;
-        Ok(frozen.predict(rows).into_iter().map(f64::from).collect())
     }
 
     /// Number of enrolled devices.

@@ -8,12 +8,13 @@
 //!
 //! * [`ServingRepository`] — a thread-safe façade adding a
 //!   content-hash-keyed LRU cache for network encodings (the repository
-//!   used to re-encode the network on every `predict`), a
-//!   `(device, network-hash)` LRU for finished predictions, and a
-//!   [`ServingRepository::predict_batch`] path routed through the
-//!   `gdcm-par` chunked batch predictor instead of per-row calls.
-//!   Cached and batched answers are **bit-identical** to the uncached
-//!   single-row path — the caches only skip work, never change it.
+//!   used to re-encode the network on every `predict`) and a
+//!   `(device, network-hash)` LRU for finished predictions. A
+//!   prediction for an enrolled device is a cache hit or, on a miss,
+//!   one `CollaborativeRepository::predict_encoded` call; a client
+//!   pricing many networks pipelines `Predict` requests. Cached answers
+//!   are **bit-identical** to the uncached path — the caches only skip
+//!   work, never change it.
 //! * [`snapshot`] — versioned serde persistence of the full repository
 //!   state (encoder config, devices, training rows, fitted
 //!   [`gdcm_ml::GbdtRegressor`]). Loading replays `gdcm-core` ingestion

@@ -27,7 +27,7 @@
 //!   compacts the log back into the snapshot file.
 //! * `--probe` is the scripted client the CI smoke job runs: it loads
 //!   the same snapshot locally, queries the server over binary-v1
-//!   (ping / predict / error code / batch / cached re-predict / stats /
+//!   (ping / predict / error code / cached re-predict / stats /
 //!   pipelined predict), asserts every prediction is bit-identical to
 //!   the local uncached path, then sends raw frames whose u64 ids —
 //!   above 2^53 and at `u64::MAX` — must echo back unchanged on success
@@ -294,20 +294,6 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
         "unknown-device probe",
     )?;
 
-    // Batch path: same bits, in order.
-    match ask(&Request::PredictBatch {
-        device: device.clone(),
-        networks: probe_nets.clone(),
-    })? {
-        Response::Predictions { latency_ms }
-            if latency_ms.len() == expected.len()
-                && latency_ms
-                    .iter()
-                    .zip(&expected)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()) => {}
-        other => return Err(format!("batch mismatch: {other:?} vs {expected:?}")),
-    }
-
     // Cached re-ask: still the same bits.
     same_bits(
         ask(&predict(device, &probe_nets[0]))?,
@@ -368,7 +354,7 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
         other => return Err(format!("shutdown answered {other:?}")),
     }
     println!(
-        "probe OK: ping, {} predictions, error code, batch, cache hit, stats, pipeline, raw-frame id echo/hardening{}{}, shutdown",
+        "probe OK: ping, {} predictions, error code, cache hit, stats, pipeline, raw-frame id echo/hardening{}{}, shutdown",
         probe_nets.len(),
         if args.ops.is_some() { ", ops" } else { "" },
         if args.refresh.is_some() {

@@ -20,14 +20,17 @@
 //!
 //! Ops traffic is rare and small, so connections are handled inline by
 //! the single ops thread — no pool, no backpressure interaction with
-//! the serving path.
+//! the serving path. A connection's reads time out every `IDLE_WAIT`
+//! (the serving connections' idle bound), so a client that stays
+//! connected without sending cannot hold the ops thread, and with it
+//! the end of [`crate::serve`], past shutdown.
 
 use serde::Serialize;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 
-use crate::server::ServerShared;
+use crate::server::{ServerShared, IDLE_WAIT};
 
 /// Reply to the `health` verb.
 #[derive(Debug, Clone, Serialize)]
@@ -196,53 +199,70 @@ pub(crate) fn run_ops(listener: TcpListener, shared: &ServerShared<'_>) {
     }
 }
 
-/// Serves one ops connection: one verb line in, one JSON line out.
+/// Serves one ops connection: one verb line in, one JSON line out,
+/// until the peer disconnects or the ops listener stops. Each read
+/// waits at most `IDLE_WAIT`; a line split across reads is kept until
+/// its newline arrives.
 fn handle_ops_connection(shared: &ServerShared<'_>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let reader = match stream.try_clone() {
+    if stream.set_read_timeout(Some(IDLE_WAIT)).is_err() {
+        return;
+    }
+    let mut reader = match stream.try_clone() {
         Ok(clone) => BufReader::new(clone),
         Err(_) => return,
     };
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
+    let mut line = Vec::new();
+    while !shared.ops_stop.load(Ordering::SeqCst) {
+        // `read_until` keeps what it read before a timeout in `line`.
+        let eof = match reader.read_until(b'\n', &mut line) {
+            Ok(_) => line.last() != Some(&b'\n'),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            Err(_) => return,
         };
-        let verb = line.trim();
-        if verb.is_empty() {
-            continue;
+        let Ok(verb) = std::str::from_utf8(&line) else {
+            return;
+        };
+        let verb = verb.trim();
+        if !verb.is_empty() && answer(shared, &mut writer, verb).is_err() {
+            return;
         }
-        let json = match verb.to_ascii_lowercase().as_str() {
-            "health" => serde_json::to_string(&health_reply(shared)),
-            "metrics" => serde_json::to_string(&metrics_reply(shared)),
-            "slowlog" => serde_json::to_string(&SlowlogReply {
-                capacity: gdcm_obs::slowlog::global().capacity(),
-                entries: gdcm_obs::slowlog::snapshot(),
-            }),
-            "quiesce" => {
-                shared.draining.store(true, Ordering::SeqCst);
-                serde_json::to_string(&StatusReply {
-                    status: "draining".to_string(),
-                })
-            }
-            other => serde_json::to_string(&ErrorReply {
-                error: format!("unknown ops verb: {other}"),
-            }),
-        };
-        let json = match json {
-            Ok(json) => json,
-            Err(_) => break, // plain data; serialization cannot fail
-        };
-        if writer
-            .write_all(json.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            break;
+        if eof {
+            return;
         }
+        line.clear();
     }
+}
+
+/// Answers one ops verb on `writer`.
+fn answer(
+    shared: &ServerShared<'_>,
+    writer: &mut BufWriter<TcpStream>,
+    verb: &str,
+) -> std::io::Result<()> {
+    let json = match verb.to_ascii_lowercase().as_str() {
+        "health" => serde_json::to_string(&health_reply(shared)),
+        "metrics" => serde_json::to_string(&metrics_reply(shared)),
+        "slowlog" => serde_json::to_string(&SlowlogReply {
+            capacity: gdcm_obs::slowlog::global().capacity(),
+            entries: gdcm_obs::slowlog::snapshot(),
+        }),
+        "quiesce" => {
+            shared.draining.store(true, Ordering::SeqCst);
+            serde_json::to_string(&StatusReply {
+                status: "draining".to_string(),
+            })
+        }
+        other => serde_json::to_string(&ErrorReply {
+            error: format!("unknown ops verb: {other}"),
+        }),
+    };
+    // Plain data: serialization cannot fail.
+    let json = json.map_err(std::io::Error::other)?;
+    writer.write_all(json.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 fn health_reply(shared: &ServerShared<'_>) -> HealthReply {

@@ -34,13 +34,6 @@ pub enum Request {
         /// The network to price.
         network: Network,
     },
-    /// Predict many networks on one device in a single batched call.
-    PredictBatch {
-        /// Enrolled device name.
-        device: String,
-        /// The networks to price, answered in order.
-        networks: Vec<Network>,
-    },
     /// Predict for an unenrolled device from raw signature latencies.
     PredictForNewDevice {
         /// Measured signature-set latencies (ms).
@@ -88,11 +81,6 @@ pub enum Response {
     Prediction {
         /// Predicted latency (ms).
         latency_ms: f64,
-    },
-    /// Answer to [`Request::PredictBatch`], in request order.
-    Predictions {
-        /// Predicted latencies (ms).
-        latency_ms: Vec<f64>,
     },
     /// Answer to [`Request::Stats`].
     Stats {
@@ -199,7 +187,6 @@ pub fn request_label(request: &Request) -> &'static str {
         Request::Ping => "ping",
         Request::Stats => "stats",
         Request::Predict { .. } => "predict",
-        Request::PredictBatch { .. } => "predict_batch",
         Request::PredictForNewDevice { .. } => "predict_new_device",
         Request::OnboardDevice { .. } => "onboard_device",
         Request::ReEnroll { .. } => "re_enroll",
@@ -217,12 +204,5 @@ mod tests {
     fn request_labels_are_stable() {
         assert_eq!(request_label(&Request::Ping), "ping");
         assert_eq!(request_label(&Request::Fit), "fit");
-        assert_eq!(
-            request_label(&Request::PredictBatch {
-                device: "d".into(),
-                networks: vec![],
-            }),
-            "predict_batch"
-        );
     }
 }

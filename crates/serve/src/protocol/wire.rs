@@ -1,11 +1,11 @@
 //! The length-prefixed binary wire protocol (`binary-v1`), the only
 //! protocol the serving listener speaks.
 //!
-//! Requests and responses are the externally-tagged [`Request`] /
-//! [`Response`] enums, serialized through the vendored serde and
-//! encoded as a compact binary content tree: no text encode/decode, and
-//! framing that lets a client pipeline instead of waiting out one round
-//! trip per request.
+//! Requests and responses are the externally-tagged
+//! [`Request`](crate::Request) / [`Response`](crate::Response) enums,
+//! serialized through the vendored serde and encoded as a compact
+//! binary content tree: no text encode/decode, and framing that lets a
+//! client pipeline instead of waiting out one round trip per request.
 //!
 //! ## Connection preamble
 //!

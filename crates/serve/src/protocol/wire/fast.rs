@@ -62,16 +62,6 @@ pub fn append_request(buf: &mut Vec<u8>, req: &Request) {
             put_key(buf, "network");
             put_network(buf, network);
         }
-        Request::PredictBatch { device, networks } => {
-            put_variant(buf, "PredictBatch", 2);
-            put_key(buf, "device");
-            put_str(buf, device);
-            put_key(buf, "networks");
-            put_seq(buf, networks.len());
-            for network in networks {
-                put_network(buf, network);
-            }
-        }
         Request::PredictForNewDevice {
             signature_ms,
             network,
@@ -411,7 +401,7 @@ pub(crate) fn fnv_words(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a-style hash over 8-byte words ([`fnv_words`]), cheap enough
+/// FNV-1a-style hash over 8-byte words (`fnv_words`), cheap enough
 /// to run on every frame. Length is folded in up front so a payload and
 /// its zero-padded extension cannot collide. It is also the WAL record
 /// checksum, so its output is an on-disk format: the values are pinned
@@ -567,20 +557,6 @@ fn parse_request(c: &mut Cur<'_>) -> Option<Request> {
                     c.key("network")?;
                     let network = parse_network(c)?;
                     Some(Request::Predict { device, network })
-                }
-                b"PredictBatch" => {
-                    c.map(2)?;
-                    c.key("device")?;
-                    let device = c.string()?;
-                    c.key("networks")?;
-                    // The smallest network payload is far above 2
-                    // bytes; 2 is just the hostile-count bound.
-                    let len = c.seq(2)?;
-                    let mut networks = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        networks.push(parse_network(c)?);
-                    }
-                    Some(Request::PredictBatch { device, networks })
                 }
                 b"PredictForNewDevice" => {
                     c.map(2)?;
@@ -886,14 +862,6 @@ mod tests {
                 device: "pixel-4".to_string(),
                 network: net.clone(),
             },
-            Request::PredictBatch {
-                device: String::new(),
-                networks: vec![net.clone(), net.clone()],
-            },
-            Request::PredictBatch {
-                device: "empty-batch".to_string(),
-                networks: vec![],
-            },
             Request::PredictForNewDevice {
                 signature_ms: vec![1.5, -0.0, f64::MAX, f64::MIN_POSITIVE],
                 network: net.clone(),
@@ -1076,15 +1044,16 @@ mod tests {
 
     #[test]
     fn hostile_sequence_counts_cannot_drive_allocation() {
-        // PredictBatch claiming u32::MAX networks with no bytes behind
-        // it: both the strict parser and the fallback must refuse.
+        // OnboardDevice claiming u32::MAX signature latencies with no
+        // bytes behind them: both the strict parser and the fallback
+        // must refuse.
         let mut bytes = Vec::new();
         put_map(&mut bytes, 1);
-        put_key(&mut bytes, "PredictBatch");
+        put_key(&mut bytes, "OnboardDevice");
         put_map(&mut bytes, 2);
         put_key(&mut bytes, "device");
         put_str(&mut bytes, "d");
-        put_key(&mut bytes, "networks");
+        put_key(&mut bytes, "signature_ms");
         bytes.push(TAG_SEQ);
         crate::protocol::wire::write_varint(&mut bytes, u64::from(u32::MAX));
         assert!(decode_request(&bytes).is_err());

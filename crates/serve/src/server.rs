@@ -6,14 +6,14 @@
 //! listener and gives every stream a scoped thread of its own, which
 //! sweeps the connection: read until `WouldBlock`, process every
 //! complete request, flush until `WouldBlock`. After a sweep that moves
-//! nothing it spins [`SPIN_SWEEPS`] sweeps on `yield_now`, so
+//! nothing it spins `SPIN_SWEEPS` sweeps on `yield_now`, so
 //! back-to-back requests never pay a wake-up, and then waits. If the
 //! connection waits only on its peer (`Conn::awaits_input`), the socket
 //! turns blocking for a one-byte `peek`, which returns as soon as bytes
-//! or EOF arrive or the [`IDLE_WAIT`] read timeout passes. In any other
+//! or EOF arrive or the `IDLE_WAIT` read timeout passes. In any other
 //! state (output the peer is not draining, EOF or closing with output
 //! pending) a peek would return at once or miss the drain, so the
-//! thread sleeps one [`IDLE_WAIT`].
+//! thread sleeps one `IDLE_WAIT`.
 //!
 //! Safe std has no `poll(2)`, and none is needed: a thread waits on one
 //! socket, and a blocking read is that socket's readiness wait. A
@@ -206,9 +206,10 @@ pub(crate) const WRITE_HIGH_WATER: usize = 1024 * 1024;
 /// it waits.
 const SPIN_SWEEPS: u32 = 128;
 /// The longest one idle wait lasts: the read timeout on a connection's
-/// blocking peek, the sleep in every state a peek cannot wait on, and
-/// the accept loop's back-off after an accept error.
-const IDLE_WAIT: Duration = Duration::from_millis(2);
+/// blocking peek, the sleep in every state a peek cannot wait on, the
+/// accept loop's back-off after an accept error, and the read timeout
+/// on an ops connection.
+pub(crate) const IDLE_WAIT: Duration = Duration::from_millis(2);
 
 /// Runs the server until a client sends [`Request::Shutdown`]. Returns
 /// the traffic summary after a graceful drain.
@@ -889,9 +890,6 @@ fn dispatch(
                 .predict_tallied(&device, &network, hash, cache, || {})
                 .map(|latency_ms| Response::Prediction { latency_ms })
         }
-        Request::PredictBatch { device, networks } => serving
-            .predict_batch_tallied(&device, &networks, cache, || {})
-            .map(|latency_ms| Response::Predictions { latency_ms }),
         Request::PredictForNewDevice {
             signature_ms,
             network,

@@ -2,21 +2,19 @@
 //!
 //! ## Bit-identity contract
 //!
-//! Every cached or batched answer is bit-identical to what the plain
-//! `CollaborativeRepository::predict` single-row path returns for the
-//! same inputs:
+//! Every cached answer is bit-identical to what the plain
+//! `CollaborativeRepository::predict` path returns for the same inputs:
 //!
 //! * the encoding cache stores the exact `Vec<f32>` that
 //!   `NetworkEncoder::encode` (a deterministic function) produces;
 //! * the prediction cache stores the exact `f64` a cold call computed;
-//! * a single-row miss scores through
-//!   `CollaborativeRepository::predict_encoded`, the same function
-//!   `predict` calls, on the borrowed device signature;
-//! * the batch path goes through `FrozenGbdt::predict`, whose
-//!   `gdcm-par` chunked implementation walks each row exactly as
-//!   `predict_row` does.
+//! * a miss scores through `CollaborativeRepository::predict_encoded`,
+//!   the same function `predict` calls, on the borrowed device
+//!   signature.
 //!
-//! Caches only skip work; they never change it.
+//! Caches only skip work; they never change it. There is one scoring
+//! path: a client pricing many networks pipelines `Predict` requests,
+//! and each one takes the same lookup-then-score route.
 //!
 //! ## Cache keys
 //!
@@ -46,10 +44,8 @@
 
 use gdcm_core::{CollaborativeRepository, RepositoryError};
 use gdcm_dnn::Network;
-use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtRegressor};
+use gdcm_ml::{FrozenGbdt, GbdtRegressor};
 use parking_lot::{Mutex, RwLock};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,7 +81,7 @@ impl ServeConfig {
     /// Reads the cache knobs from `GDCM_SERVE_ENC_CACHE` and
     /// `GDCM_SERVE_PRED_CACHE` (entry counts; 0 disables; unset falls
     /// back to the defaults silently, set-but-unparsable falls back
-    /// with a structured warning — see [`env_usize`]).
+    /// with a structured warning — see `env_usize`).
     pub fn from_env() -> Self {
         Self {
             encoding_cache: env_usize("GDCM_SERVE_ENC_CACHE", DEFAULT_ENC_CACHE),
@@ -397,121 +393,6 @@ impl ServingRepository {
     /// hashes each decoded network once for the index and the caches.
     pub(crate) fn index_wire(&self, wire_hash: u64, hash: u64) {
         self.wire_index.lock().insert(wire_hash, hash);
-    }
-
-    /// Predicts many networks for one device in a single call, routed
-    /// through the `gdcm-par` chunked batch predictor. Cache hits are
-    /// served directly; only misses reach the model, in request order.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CollaborativeRepository::predict`]; the whole
-    /// batch fails if the device is unknown or the model unfitted.
-    pub fn predict_batch(
-        &self,
-        device: &str,
-        networks: &[Network],
-    ) -> Result<Vec<f64>, ServeError> {
-        self.predict_batch_hooked(device, networks, || {})
-    }
-
-    /// [`ServingRepository::predict_batch`] with the same test hook as
-    /// [`ServingRepository::predict_hooked`]: invoked after the batch
-    /// is computed (read guard released) and before its values are
-    /// published to the cache.
-    #[doc(hidden)]
-    pub fn predict_batch_hooked(
-        &self,
-        device: &str,
-        networks: &[Network],
-        between_compute_and_insert: impl FnOnce(),
-    ) -> Result<Vec<f64>, ServeError> {
-        let mut tally = CacheStats::default();
-        self.predict_batch_tallied(device, networks, &mut tally, between_compute_and_insert)
-    }
-
-    /// [`ServingRepository::predict_batch_hooked`], adding this call's
-    /// cache lookups to `tally`.
-    pub(crate) fn predict_batch_tallied(
-        &self,
-        device: &str,
-        networks: &[Network],
-        tally: &mut CacheStats,
-        between_compute_and_insert: impl FnOnce(),
-    ) -> Result<Vec<f64>, ServeError> {
-        let hashes: Vec<u64> = networks.iter().map(network_hash).collect();
-        let mut out = vec![0f64; networks.len()];
-        // Positions whose hash missed and was *first seen* there — each
-        // unique network is computed (and counted as a miss) once.
-        let mut misses: Vec<usize> = Vec::new();
-        // `(position, slot in misses)` for each position repeating a
-        // queued hash; it reuses that slot's computed value and counts
-        // neither as hit nor miss.
-        let mut repeats: Vec<(usize, usize)> = Vec::new();
-        {
-            let _stage = gdcm_obs::reqtrace::stage("cache_lookup");
-            let mut queued: HashMap<u64, usize> = HashMap::new();
-            // One reusable key for the whole probe loop: mutate the
-            // hash half instead of re-allocating the device name per
-            // network.
-            let mut key = (device.to_string(), 0u64);
-            let mut cache = self.predictions.lock();
-            for (i, hash) in hashes.iter().enumerate() {
-                key.1 = *hash;
-                if let Some(&value) = cache.get(&key) {
-                    out[i] = value;
-                    count(&self.pred_hits, &mut tally.prediction_hits);
-                    continue;
-                }
-                match queued.entry(*hash) {
-                    Entry::Occupied(slot) => repeats.push((i, *slot.get())),
-                    Entry::Vacant(slot) => {
-                        slot.insert(misses.len());
-                        misses.push(i);
-                        count(&self.pred_misses, &mut tally.prediction_misses);
-                    }
-                }
-            }
-        }
-        if misses.is_empty() {
-            return Ok(out);
-        }
-        let (predicted, epoch) = {
-            let _stage = gdcm_obs::reqtrace::stage("predict");
-            let repo = self.repo.read();
-            let hw = repo
-                .device_signature(device)
-                .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?;
-            let width = repo.encoder().len() + repo.signature_size();
-            let mut rows = DenseMatrix::with_capacity(misses.len(), width);
-            let mut row = Vec::with_capacity(width);
-            for &i in &misses {
-                let enc = self.cached_encoding(&repo, hashes[i], &networks[i], tally);
-                row.clear();
-                row.extend_from_slice(&enc);
-                row.extend_from_slice(hw);
-                rows.push_row(&row);
-            }
-            (repo.predict_rows(&rows)?, repo.model_epoch())
-        };
-        between_compute_and_insert();
-        {
-            let mut cache = self.predictions.lock();
-            let fresh = self.cache_epoch.load(Ordering::Acquire) == epoch;
-            if !fresh {
-                gdcm_obs::counter("serve/pred_cache_stale_discard").incr();
-            }
-            for (&i, &value) in misses.iter().zip(&predicted) {
-                out[i] = value;
-                if fresh {
-                    cache.insert((device.to_string(), hashes[i]), value);
-                }
-            }
-        }
-        for (i, slot) in repeats {
-            out[i] = predicted[slot];
-        }
-        Ok(out)
     }
 
     /// Predicts for an unenrolled device from raw signature latencies.

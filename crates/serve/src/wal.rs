@@ -17,12 +17,13 @@
 //!
 //! The payload is the [`WalRecord`] in the same self-describing binary
 //! encoding the wire protocol uses ([`crate::protocol::wire`]), and the
-//! checksum is [`wire_hash`] over the payload bytes. Recovery scans
-//! records until the first frame that is short, oversized, or fails its
-//! checksum — that frame and everything after it is a torn tail from a
-//! crash mid-append, and is truncated away. Records before it were
-//! fully written (appends are fsynced before the ack, so an
-//! acknowledged record is never in the torn region).
+//! checksum is [`wire_hash`](crate::protocol::wire::fast::wire_hash)
+//! over the payload bytes. Recovery scans records until the first frame
+//! that is short, oversized, or fails its checksum — that frame and
+//! everything after it is a torn tail from a crash mid-append, and is
+//! truncated away. Records before it were fully written (appends are
+//! fsynced before the ack, so an acknowledged record is never in the
+//! torn region).
 //!
 //! ## At-least-once replay
 //!

@@ -3,10 +3,10 @@
 //! framing and non-binary openings, with responses checked bit-for-bit
 //! against the uncached repository.
 
-use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
+mod common;
+
+use common::fitted_repository;
 use gdcm_dnn::Network;
-use gdcm_ml::GbdtParams;
 use gdcm_serve::protocol::{codes, wire};
 use gdcm_serve::{
     serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig,
@@ -15,41 +15,6 @@ use gdcm_serve::{
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
-
-fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
-    let data = CostDataset::tiny(seed, 6, 6);
-    let all: Vec<usize> = (0..data.n_devices()).collect();
-    let signature = MutualInfoSelector::default().select(&data.db, &all, 3);
-    let mut repo = CollaborativeRepository::new(
-        data.encoder.clone(),
-        signature.len(),
-        RepositoryConfig {
-            gbdt: GbdtParams {
-                n_estimators: 20,
-                ..GbdtParams::default()
-            },
-            min_rows: 8,
-        },
-    );
-    let open: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    for d in 0..data.n_devices() {
-        let lat: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
-        let name = data.devices[d].model.clone();
-        repo.onboard_device(name.clone(), &lat).unwrap();
-        for &n in open.iter().cycle().skip(d % open.len()).take(8) {
-            repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
-                .unwrap();
-        }
-    }
-    repo.fit().unwrap();
-    let nets = open
-        .iter()
-        .map(|&n| data.suite[n].network.clone())
-        .collect();
-    (repo, nets)
-}
 
 /// Reads one raw response frame (header + payload bytes) off a stream.
 fn read_raw_frame(stream: &mut TcpStream) -> std::io::Result<(u64, Vec<u8>)> {
@@ -116,16 +81,19 @@ fn run_binary_session(seed: u64) {
                 network: net.clone(),
             })
             .collect();
-        let responses = client.pipeline(&requests, 4).unwrap();
-        assert_eq!(responses.len(), nets.len());
-        for (resp, want) in responses.iter().zip(&expected) {
-            match resp {
-                Response::Prediction { latency_ms } => {
-                    assert_eq!(latency_ms.to_bits(), want.to_bits());
+        let assert_pipelined = |client: &mut BinClient| {
+            let responses = client.pipeline(&requests, 4).unwrap();
+            assert_eq!(responses.len(), nets.len());
+            for (resp, want) in responses.iter().zip(&expected) {
+                match resp {
+                    Response::Prediction { latency_ms } => {
+                        assert_eq!(latency_ms.to_bits(), want.to_bits());
+                    }
+                    other => panic!("pipelined predict answered {other:?}"),
                 }
-                other => panic!("pipelined predict answered {other:?}"),
             }
-        }
+        };
+        assert_pipelined(&mut client);
 
         // Errors answer in-band with stable codes; connection survives.
         match client
@@ -146,23 +114,11 @@ fn run_binary_session(seed: u64) {
         // server must keep accepting after a client hangs up.
         drop(client);
 
-        // A batch from a second connection — still the same bits, and
-        // answered from the cache the first connection warmed.
+        // The same predictions pipelined from a second connection —
+        // still the same bits, and answered from the cache the first
+        // connection warmed.
         let mut client = BinClient::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
-        match client
-            .request(&Request::PredictBatch {
-                device: device.clone(),
-                networks: nets.clone(),
-            })
-            .unwrap()
-        {
-            Response::Predictions { latency_ms } => {
-                let got: Vec<u64> = latency_ms.iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want);
-            }
-            other => panic!("batch answered {other:?}"),
-        }
+        assert_pipelined(&mut client);
         match client.request(&Request::Stats).unwrap() {
             Response::Stats {
                 fitted,
@@ -172,7 +128,7 @@ fn run_binary_session(seed: u64) {
             } => {
                 assert!(fitted);
                 assert!(devices > 0);
-                assert!(prediction_hits > 0, "batch should have hit the warm cache");
+                assert!(prediction_hits > 0, "predictions should hit the warm cache");
             }
             other => panic!("stats answered {other:?}"),
         }
@@ -183,21 +139,21 @@ fn run_binary_session(seed: u64) {
         ));
         drop(client);
         let summary = server.join().expect("server thread").expect("serve result");
-        // Each request counted once: ping, the sequential and pipelined
-        // predictions, the error, batch, stats and shutdown.
+        // Each request counted once: ping, the sequential and both
+        // pipelined rounds of predictions, the error, stats and shutdown.
         assert_eq!(summary.connections, 2);
-        assert_eq!(summary.requests, 2 * nets.len() as u64 + 5);
+        assert_eq!(summary.requests, 3 * nets.len() as u64 + 4);
         assert_eq!(summary.request_errors, 1);
     });
 }
 
 #[test]
-fn binary_session_end_to_end_single_shard() {
+fn binary_session_end_to_end_seed_41() {
     run_binary_session(41);
 }
 
 #[test]
-fn binary_session_end_to_end_sharded() {
+fn binary_session_end_to_end_seed_42() {
     run_binary_session(42);
 }
 
@@ -572,6 +528,86 @@ fn garbage_payload_does_not_corrupt_neighbouring_pipelined_responses() {
         ));
         drop(client);
         let summary = server.join().expect("server thread").expect("serve result");
+        assert_eq!(summary.request_errors, 1);
+    });
+}
+
+#[test]
+fn a_retired_batch_payload_is_a_parse_error_and_the_connection_keeps_serving() {
+    /// The retired batch request's payload shape. No `Request` has its
+    /// name now, so it is answered like any other unparsable payload.
+    #[derive(serde::Serialize)]
+    enum Retired {
+        PredictBatch {
+            device: String,
+            networks: Vec<Network>,
+        },
+    }
+    let (repo, nets) = fitted_repository(49);
+    let serving = ServingRepository::new(repo, ServeConfig::default());
+    let device = serving.device_names()[0].clone();
+    let expected = serving
+        .with_repository(|r| r.predict(&device, &nets[0]))
+        .unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+
+    std::thread::scope(|scope| {
+        let serving = &serving;
+        let server = scope.spawn(move || {
+            serve(
+                listener,
+                None,
+                IngestPipeline::new(serving, RefreshConfig::default()),
+            )
+        });
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let retired = Retired::PredictBatch {
+            device: device.clone(),
+            networks: nets.clone(),
+        };
+        let predict = Request::Predict {
+            device: device.clone(),
+            network: nets[0].clone(),
+        };
+        let mut frame = wire::preamble().to_vec();
+        wire::append_frame(&mut frame, 11, &retired).unwrap();
+        stream.write_all(&frame).unwrap();
+        let refused = read_raw_frame(&mut stream);
+        frame.clear();
+        wire::append_frame(&mut frame, 12, &predict).unwrap();
+        stream.write_all(&frame).unwrap();
+        let answered = read_raw_frame(&mut stream);
+        drop(stream);
+
+        // Judged after shutdown, so a failure cannot leave it running.
+        let mut client = BinClient::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
+        assert!(matches!(
+            client.request(&Request::Shutdown).unwrap(),
+            Response::ShuttingDown
+        ));
+        drop(client);
+        let summary = server.join().expect("server thread").expect("serve result");
+
+        let (id, payload) = refused.unwrap();
+        assert_eq!(id, 11, "the error must carry the retired frame's id");
+        match wire::decode_value::<Response>(&payload).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, codes::PARSE_ERROR),
+            other => panic!("retired batch payload answered {other:?}"),
+        }
+        let (id, payload) = answered.unwrap();
+        assert_eq!(id, 12);
+        match wire::decode_value::<Response>(&payload).unwrap() {
+            Response::Prediction { latency_ms } => {
+                assert_eq!(latency_ms.to_bits(), expected.to_bits());
+            }
+            other => panic!("predict after the parse error answered {other:?}"),
+        }
         assert_eq!(summary.request_errors, 1);
     });
 }

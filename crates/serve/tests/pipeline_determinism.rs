@@ -9,10 +9,9 @@
 //! bytes), not decoded values: the wire encoding itself must be
 //! deterministic for bit-identity to mean anything over the network.
 
-use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
-use gdcm_dnn::Network;
-use gdcm_ml::GbdtParams;
+mod common;
+
+use common::fitted_repository;
 use gdcm_serve::protocol::wire;
 use gdcm_serve::{
     serve, BinClient, IngestPipeline, RefreshConfig, Request, Response, ServeConfig,
@@ -21,41 +20,6 @@ use gdcm_serve::{
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
-
-fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
-    let data = CostDataset::tiny(seed, 6, 6);
-    let all: Vec<usize> = (0..data.n_devices()).collect();
-    let signature = MutualInfoSelector::default().select(&data.db, &all, 3);
-    let mut repo = CollaborativeRepository::new(
-        data.encoder.clone(),
-        signature.len(),
-        RepositoryConfig {
-            gbdt: GbdtParams {
-                n_estimators: 20,
-                ..GbdtParams::default()
-            },
-            min_rows: 8,
-        },
-    );
-    let open: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    for d in 0..data.n_devices() {
-        let lat: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
-        let name = data.devices[d].model.clone();
-        repo.onboard_device(name.clone(), &lat).unwrap();
-        for &n in open.iter().cycle().skip(d % open.len()).take(8) {
-            repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
-                .unwrap();
-        }
-    }
-    repo.fit().unwrap();
-    let nets = open
-        .iter()
-        .map(|&n| data.suite[n].network.clone())
-        .collect();
-    (repo, nets)
-}
 
 /// Reads one complete raw response frame off a blocking stream.
 fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
@@ -128,10 +92,6 @@ fn pipelined_responses_are_byte_identical_to_sequential_across_thread_counts() {
                 network: net.clone(),
             })
             .collect();
-        requests.push(Request::PredictBatch {
-            device: device.clone(),
-            networks: nets.clone(),
-        });
         requests.push(Request::Ping);
         let frames = encode_frames(&requests);
 

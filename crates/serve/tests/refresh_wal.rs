@@ -4,51 +4,14 @@
 //! writes, write-ahead-log crash recovery, and the background-refresh
 //! pipeline end to end.
 
-use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
-use gdcm_dnn::Network;
-use gdcm_ml::GbdtParams;
+mod common;
+
+use common::fitted_repository;
 use gdcm_serve::{
     load_repository, save_repository, IngestPipeline, RefreshConfig, ServeConfig, ServeError,
     ServingRepository, WriteAheadLog,
 };
 use std::path::PathBuf;
-
-/// A small fitted repository plus the open networks it never trained on.
-fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
-    let data = CostDataset::tiny(seed, 6, 6);
-    let all: Vec<usize> = (0..data.n_devices()).collect();
-    let signature = MutualInfoSelector::default().select(&data.db, &all, 3);
-    let mut repo = CollaborativeRepository::new(
-        data.encoder.clone(),
-        signature.len(),
-        RepositoryConfig {
-            gbdt: GbdtParams {
-                n_estimators: 20,
-                ..GbdtParams::default()
-            },
-            min_rows: 8,
-        },
-    );
-    let open: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    for d in 0..data.n_devices() {
-        let lat: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
-        let name = data.devices[d].model.clone();
-        repo.onboard_device(name.clone(), &lat).unwrap();
-        for &n in open.iter().cycle().skip(d % open.len()).take(8) {
-            repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
-                .unwrap();
-        }
-    }
-    repo.fit().unwrap();
-    let nets = open
-        .iter()
-        .map(|&n| data.suite[n].network.clone())
-        .collect();
-    (repo, nets)
-}
 
 fn scratch_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gdcm_refresh_tests_{}", std::process::id()));
@@ -109,43 +72,6 @@ fn mid_flight_model_swap_discards_the_stale_prediction() {
         gdcm_obs::counter("serve/pred_cache_stale_discard").get() > discarded_before,
         "the discarded insert was not counted"
     );
-}
-
-/// The same race through the batch path: every miss computed before the
-/// swap must be discarded, and a follow-up batch recomputes them all.
-#[test]
-fn mid_flight_model_swap_discards_stale_batch_inserts() {
-    let (repo, nets) = fitted_repository(32);
-    let serving = ServingRepository::new(repo, ServeConfig::default());
-    let device = serving.device_names()[0].clone();
-    let sig_len = serving.with_repository(|r| r.signature_size());
-    let new_sig: Vec<f64> = (0..sig_len).map(|i| 3.25 + i as f64).collect();
-
-    serving
-        .predict_batch_hooked(&device, &nets, || {
-            serving.re_enroll(&device, &new_sig).unwrap();
-        })
-        .unwrap();
-    let after_race = serving.cache_stats();
-
-    // Nothing from the raced batch may be cached: the re-ask misses on
-    // every network and matches the new model bit for bit.
-    let fresh = serving.predict_batch(&device, &nets).unwrap();
-    let stats = serving.cache_stats();
-    assert_eq!(
-        stats.prediction_hits, after_race.prediction_hits,
-        "a stale batch insert survived the model swap"
-    );
-    assert_eq!(
-        stats.prediction_misses,
-        after_race.prediction_misses + nets.len() as u64
-    );
-    for (i, net) in nets.iter().enumerate() {
-        let uncached = serving
-            .with_repository(|r| r.predict(&device, net))
-            .unwrap();
-        assert_eq!(fresh[i].to_bits(), uncached.to_bits());
-    }
 }
 
 /// Snapshot writes go through a fsynced temp sibling + rename: no

@@ -1,55 +1,21 @@
 //! Integration tests for the serving façade and snapshot persistence:
-//! the bit-identity contract (cached and batched answers equal the
-//! uncached single-row path), snapshot round-trips, and defensive
-//! rejection of corrupt or audit-failing snapshots.
+//! the bit-identity contract (cached answers equal the uncached path),
+//! snapshot round-trips, and defensive rejection of corrupt or
+//! audit-failing snapshots.
 
-use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
+mod common;
+
+use common::fitted_repository;
+use gdcm_core::CollaborativeRepository;
 use gdcm_dnn::Network;
 use gdcm_gen::{RandomNetworkGenerator, SearchSpace};
-use gdcm_ml::{FrozenGbdt, FrozenNodes, GbdtParams, GbdtRegressor, Regressor, Tree, TreeNode};
+use gdcm_ml::{FrozenGbdt, FrozenNodes, GbdtRegressor, Regressor, Tree, TreeNode};
 use gdcm_serve::{
     load_repository, network_hash, save_repository, RepositorySnapshot, ServeConfig, ServeError,
     ServingRepository, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
-
-/// A small fitted repository plus the open networks it never trained on.
-fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
-    let data = CostDataset::tiny(seed, 6, 6);
-    let all: Vec<usize> = (0..data.n_devices()).collect();
-    let signature = MutualInfoSelector::default().select(&data.db, &all, 3);
-    let mut repo = CollaborativeRepository::new(
-        data.encoder.clone(),
-        signature.len(),
-        RepositoryConfig {
-            gbdt: GbdtParams {
-                n_estimators: 20,
-                ..GbdtParams::default()
-            },
-            min_rows: 8,
-        },
-    );
-    let open: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    for d in 0..data.n_devices() {
-        let lat: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
-        let name = data.devices[d].model.clone();
-        repo.onboard_device(name.clone(), &lat).unwrap();
-        for &n in open.iter().cycle().skip(d % open.len()).take(8) {
-            repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
-                .unwrap();
-        }
-    }
-    repo.fit().unwrap();
-    let nets = open
-        .iter()
-        .map(|&n| data.suite[n].network.clone())
-        .collect();
-    (repo, nets)
-}
 
 /// The pointer-tree walker's answer: the fitted `GbdtRegressor`, not
 /// the frozen model every serving path runs, on the same encoding +
@@ -89,82 +55,6 @@ fn cached_predictions_are_bit_identical_to_cold_calls() {
     assert_eq!(stats.prediction_hits, nets.len() as u64);
     // The second pass never re-encoded: one encoding miss per network.
     assert_eq!(stats.encoding_misses, nets.len() as u64);
-}
-
-#[test]
-fn batch_predictions_match_single_row_bits() {
-    let (repo, nets) = fitted_repository(12);
-    let serving = ServingRepository::new(repo, ServeConfig::default());
-    let device = serving.device_names()[0].clone();
-    let singles: Vec<f64> = nets
-        .iter()
-        .map(|n| serving.with_repository(|r| r.predict(&device, n)).unwrap())
-        .collect();
-
-    // All misses: the whole batch goes through the chunked predictor.
-    let batch = serving.predict_batch(&device, &nets).unwrap();
-    assert_eq!(batch.len(), singles.len());
-    for (b, s) in batch.iter().zip(&singles) {
-        assert_eq!(b.to_bits(), s.to_bits(), "batched bits diverged");
-    }
-
-    // Mixed: warm half the cache, then batch over everything.
-    let serving2 = {
-        let (repo, _) = fitted_repository(12);
-        ServingRepository::new(repo, ServeConfig::default())
-    };
-    for net in nets.iter().step_by(2) {
-        serving2.predict(&device, net).unwrap();
-    }
-    let mixed = serving2.predict_batch(&device, &nets).unwrap();
-    for (m, s) in mixed.iter().zip(&singles) {
-        assert_eq!(
-            m.to_bits(),
-            s.to_bits(),
-            "mixed cached/missed batch diverged"
-        );
-    }
-
-    // Fully cached: a pure cache read, same bits again.
-    let hot = serving2.predict_batch(&device, &nets).unwrap();
-    for (h, s) in hot.iter().zip(&singles) {
-        assert_eq!(h.to_bits(), s.to_bits(), "hot batch diverged");
-    }
-}
-
-#[test]
-fn repeated_networks_in_one_batch_are_computed_once() {
-    let (repo, nets) = fitted_repository(12);
-    let device = repo.device_names()[0].to_string();
-    let (a, b, c) = (&nets[0], &nets[1], &nets[2]);
-    let batch = [a, b, a, c, b, a].map(Network::clone);
-    let singles: Vec<f64> = batch
-        .iter()
-        .map(|n| repo.predict(&device, n).unwrap())
-        .collect();
-    let assert_matches = |got: &[f64], what: &str| {
-        for (i, (g, s)) in got.iter().zip(&singles).enumerate() {
-            assert_eq!(g.to_bits(), s.to_bits(), "{what} position {i} diverged");
-        }
-    };
-
-    // Cold: each distinct network is one miss, repeats count as neither.
-    let cold = ServingRepository::new(repo.clone(), ServeConfig::default());
-    assert_matches(&cold.predict_batch(&device, &batch).unwrap(), "cold");
-    let stats = cold.cache_stats();
-    assert_eq!((stats.prediction_misses, stats.prediction_hits), (3, 0));
-    assert_eq!(stats.encoding_misses, 3);
-
-    // Half-warm: A and C hit at every position, B misses once and its
-    // repeat counts as neither.
-    let warm = ServingRepository::new(repo, ServeConfig::default());
-    warm.predict(&device, a).unwrap();
-    warm.predict(&device, c).unwrap();
-    let before = warm.cache_stats();
-    assert_matches(&warm.predict_batch(&device, &batch).unwrap(), "half-warm");
-    let after = warm.cache_stats();
-    assert_eq!(after.prediction_misses - before.prediction_misses, 1);
-    assert_eq!(after.prediction_hits - before.prediction_hits, 4);
 }
 
 #[test]

@@ -1,51 +1,18 @@
-//! End-to-end telemetry test: the ops endpoint (`health` / `metrics` /
-//! `slowlog` / `quiesce`) under real load.
+//! End-to-end telemetry tests: the ops endpoint (`health` / `metrics` /
+//! `slowlog` / `quiesce`) under real load, and ops connections that
+//! idle or split a verb across reads.
 
-use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
-use gdcm_dnn::Network;
-use gdcm_ml::GbdtParams;
+mod common;
+
+use common::fitted_repository;
 use gdcm_serve::{
     serve, BinClient, IngestPipeline, OpsClient, RefreshConfig, Request, Response, ServeConfig,
-    ServingRepository,
+    ServerSummary, ServingRepository,
 };
-use std::net::TcpListener;
-use std::time::Duration;
-
-fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
-    let data = CostDataset::tiny(seed, 6, 6);
-    let all: Vec<usize> = (0..data.n_devices()).collect();
-    let signature = MutualInfoSelector::default().select(&data.db, &all, 3);
-    let mut repo = CollaborativeRepository::new(
-        data.encoder.clone(),
-        signature.len(),
-        RepositoryConfig {
-            gbdt: GbdtParams {
-                n_estimators: 20,
-                ..GbdtParams::default()
-            },
-            min_rows: 8,
-        },
-    );
-    let open: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    for d in 0..data.n_devices() {
-        let lat: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
-        let name = data.devices[d].model.clone();
-        repo.onboard_device(name.clone(), &lat).unwrap();
-        for &n in open.iter().cycle().skip(d % open.len()).take(8) {
-            repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
-                .unwrap();
-        }
-    }
-    repo.fit().unwrap();
-    let nets = open
-        .iter()
-        .map(|&n| data.suite[n].network.clone())
-        .collect();
-    (repo, nets)
-}
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::Receiver;
+use std::time::{Duration, Instant};
 
 /// Sends `Shutdown` to the server on drop unless disarmed. An assertion
 /// failure inside `thread::scope` unwinds through the scope's implicit
@@ -246,4 +213,79 @@ fn ops_endpoint_reports_live_telemetry() {
         let summary = server.join().expect("server thread").expect("serve result");
         assert!(summary.requests >= 5);
     });
+}
+
+/// Yields `serve`'s result once it returns.
+type Served = Receiver<std::io::Result<ServerSummary>>;
+
+/// Starts a server with an ops listener on a detached thread and
+/// returns its two addresses. The repository is leaked so the thread
+/// may outlive a missed deadline.
+fn spawn_ops_server(seed: u64) -> (SocketAddr, SocketAddr, Served) {
+    let (repo, _) = fitted_repository(seed);
+    let serving: &'static ServingRepository = Box::leak(Box::new(ServingRepository::new(
+        repo,
+        ServeConfig::default(),
+    )));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let ops_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let ops_addr = ops_listener.local_addr().unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let pipeline = IngestPipeline::new(serving, RefreshConfig::default());
+        let _ = done_tx.send(serve(listener, Some(ops_listener), pipeline));
+    });
+    (addr, ops_addr, done_rx)
+}
+
+/// Sends `Shutdown` over a fresh connection and returns the answer.
+fn shut_down(addr: SocketAddr) -> Response {
+    let mut client = BinClient::connect_with_retry(addr, Duration::from_secs(10)).unwrap();
+    client.request(&Request::Shutdown).unwrap()
+}
+
+/// An operator's session asks once, then stays connected without
+/// sending. `Shutdown` must still end `serve`.
+#[test]
+fn shutdown_does_not_wait_for_an_idle_ops_client() {
+    let (addr, ops_addr, done) = spawn_ops_server(44);
+    let mut ops = OpsClient::connect_with_retry(ops_addr, Duration::from_secs(10)).unwrap();
+    ops.query("health").unwrap();
+
+    let answer = shut_down(addr);
+    let sent = Instant::now();
+    let served = done.recv_timeout(Duration::from_secs(10));
+    let waited = sent.elapsed();
+    // Only now does the ops client leave, so a failing run still ends.
+    drop(ops);
+
+    assert!(matches!(answer, Response::ShuttingDown));
+    let summary = served
+        .unwrap_or_else(|_| panic!("serve had not returned {waited:?} after Shutdown"))
+        .expect("serve result");
+    assert_eq!(summary.requests, 1);
+}
+
+/// A verb whose halves arrive further apart than the ops read timeout
+/// is still one verb.
+#[test]
+fn an_ops_verb_split_across_reads_is_answered() {
+    let (addr, ops_addr, done) = spawn_ops_server(45);
+    let mut ops = TcpStream::connect(ops_addr).unwrap();
+    ops.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    ops.write_all(b"hea").unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    ops.write_all(b"lth\n").unwrap();
+    let mut reply = String::new();
+    let read = BufReader::new(&ops).read_line(&mut reply);
+    drop(ops);
+
+    assert!(matches!(shut_down(addr), Response::ShuttingDown));
+    done.recv_timeout(Duration::from_secs(10))
+        .expect("serve returns after Shutdown")
+        .expect("serve result");
+    read.expect("the ops endpoint answers");
+    let health: serde_json::Value = serde_json::from_str(&reply).unwrap();
+    assert_eq!(health.get("status").and_then(|s| s.as_str()), Some("ok"));
 }

@@ -1,12 +1,12 @@
 //! Windowed cache counts are exact under concurrency: each request's
 //! cache lookups are recorded from the request's own outcome, so two
-//! shards serving pipelined clients at once never count each other's
-//! lookups. One `#[test]` only — the windowed registry is process-wide.
+//! connections serving pipelined clients at once never count each
+//! other's lookups. One `#[test]` only — the windowed registry is
+//! process-wide.
 
-use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
-use gdcm_dnn::Network;
-use gdcm_ml::GbdtParams;
+mod common;
+
+use common::fitted_repository;
 use gdcm_serve::protocol::{codes, wire};
 use gdcm_serve::{
     serve, BinClient, IngestPipeline, OpsClient, RefreshConfig, Request, Response, ServeConfig,
@@ -16,41 +16,6 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
-    let data = CostDataset::tiny(seed, 6, 6);
-    let all: Vec<usize> = (0..data.n_devices()).collect();
-    let signature = MutualInfoSelector::default().select(&data.db, &all, 3);
-    let mut repo = CollaborativeRepository::new(
-        data.encoder.clone(),
-        signature.len(),
-        RepositoryConfig {
-            gbdt: GbdtParams {
-                n_estimators: 20,
-                ..GbdtParams::default()
-            },
-            min_rows: 8,
-        },
-    );
-    let open: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    for d in 0..data.n_devices() {
-        let lat: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
-        let name = data.devices[d].model.clone();
-        repo.onboard_device(name.clone(), &lat).unwrap();
-        for &n in open.iter().cycle().skip(d % open.len()).take(8) {
-            repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
-                .unwrap();
-        }
-    }
-    repo.fit().unwrap();
-    let nets = open
-        .iter()
-        .map(|&n| data.suite[n].network.clone())
-        .collect();
-    (repo, nets)
-}
-
 fn count_at(value: &serde_json::Value, path: &str) -> u64 {
     path.split('.')
         .try_fold(value, |cur, key| cur.get(key))
@@ -59,7 +24,7 @@ fn count_at(value: &serde_json::Value, path: &str) -> u64 {
 }
 
 #[test]
-fn windowed_cache_counts_are_exact_under_concurrent_shards() {
+fn windowed_cache_counts_are_exact_under_concurrent_connections() {
     const ROUNDS: usize = 16;
     let (repo, nets) = fitted_repository(51);
     let serving = ServingRepository::new(repo, ServeConfig::default());
@@ -79,9 +44,9 @@ fn windowed_cache_counts_are_exact_under_concurrent_shards() {
             )
         });
 
-        // Two clients, dealt to the two shards, pipelining at once. Every
-        // Predict makes exactly one prediction-cache lookup: a fast-lane
-        // hit, or a decode followed by a hit or a miss.
+        // Two clients, each on its own connection thread, pipelining at
+        // once. Every Predict makes exactly one prediction-cache lookup:
+        // a fast-lane hit, or a decode followed by a hit or a miss.
         let clients: Vec<_> = devices[..2]
             .iter()
             .map(|device| {

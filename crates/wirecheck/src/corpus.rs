@@ -86,13 +86,9 @@ pub fn all_requests() -> Vec<Request> {
             device: "pixel-4".to_string(),
             network: net.clone(),
         },
-        Request::PredictBatch {
+        Request::Predict {
             device: String::new(),
-            networks: vec![net.clone(), net.clone()],
-        },
-        Request::PredictBatch {
-            device: "empty-batch".to_string(),
-            networks: vec![],
+            network: net.clone(),
         },
         Request::PredictForNewDevice {
             signature_ms: vec![1.5, -0.0, f64::MAX, f64::MIN_POSITIVE],
@@ -127,7 +123,6 @@ mod tests {
         assert!(covered(|r| matches!(r, Request::Fit)));
         assert!(covered(|r| matches!(r, Request::Shutdown)));
         assert!(covered(|r| matches!(r, Request::Predict { .. })));
-        assert!(covered(|r| matches!(r, Request::PredictBatch { .. })));
         assert!(covered(|r| matches!(
             r,
             Request::PredictForNewDevice { .. }
