@@ -8,7 +8,7 @@
 //! device — far beyond any single device's contribution.
 
 use gdcm_ml::metrics::r2_score;
-use gdcm_ml::{DenseMatrix, GbdtParams, GbdtRegressor, Regressor};
+use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor};
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -150,7 +150,7 @@ pub fn simulate_collaborative(
             continue;
         }
 
-        let model = GbdtRegressor::fit(&x_train, &y_train, &config.gbdt);
+        let model = fit_frozen(&x_train, &y_train, &config.gbdt);
         let avg_r2 = average_device_r2(data, &model, &enrolled, &open_networks);
         if gdcm_obs::emitting() {
             gdcm_obs::series("collaborative/avg_r2").push(avg_r2);
@@ -164,10 +164,18 @@ pub fn simulate_collaborative(
     curve
 }
 
+/// Fits a GBDT and compiles it on the grid it was trained on, so every
+/// prediction below runs the frozen trees the serving paths run.
+fn fit_frozen(x: &DenseMatrix, y: &[f32], gbdt: &GbdtParams) -> FrozenGbdt {
+    let (model, grid) = GbdtRegressor::fit_with_grid(x, y, gbdt);
+    FrozenGbdt::freeze(&model, &grid)
+        .expect("freshly fitted model freezes on its own training grid")
+}
+
 /// Mean per-device R² of `model` over the open networks.
 fn average_device_r2(
     data: &CostDataset,
-    model: &GbdtRegressor,
+    model: &FrozenGbdt,
     enrolled: &[(usize, Vec<f32>)],
     networks: &[usize],
 ) -> f64 {
@@ -227,7 +235,7 @@ pub fn isolated_curve(
             x.push_row(data.encodings.row(n));
             y.push(data.db.latency(device, n) as f32);
         }
-        let model = GbdtRegressor::fit(&x, &y, gbdt);
+        let model = fit_frozen(&x, &y, gbdt);
         let predicted: Vec<f32> = (0..data.n_networks())
             .map(|n| model.predict_row(data.encodings.row(n)))
             .collect();
@@ -293,7 +301,7 @@ pub fn collaborative_for_device(
         }
     }
 
-    let model = GbdtRegressor::fit(&x, &y, &config.gbdt);
+    let model = fit_frozen(&x, &y, &config.gbdt);
     let mut actual = Vec::with_capacity(open_networks.len());
     let mut predicted = Vec::with_capacity(open_networks.len());
     for &n in &open_networks {

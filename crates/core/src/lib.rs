@@ -56,5 +56,8 @@ pub use gate::{
 };
 pub use hardware::{HardwareRepr, StaticSpecEncoder};
 pub use pipeline::{CostModelPipeline, EvalReport, PipelineConfig, TrainedArtifacts};
-pub use repository::{CollaborativeRepository, RepositoryConfig, RepositoryError, RepositoryParts};
+pub use repository::{
+    CollaborativeRepository, RepositoryConfig, RepositoryError, RepositoryParts, RepositoryPartsV1,
+    TrainingSet,
+};
 pub use signature::{MutualInfoSelector, RandomSelector, SignatureSelector, SpearmanSelector};

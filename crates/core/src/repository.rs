@@ -29,17 +29,28 @@
 //! used to leave previously contributed rows carrying the *stale*
 //! signature vector, so the training set disagreed with the features
 //! `predict` builds for the same device. Deliberate signature updates go
-//! through [`CollaborativeRepository::re_enroll`], which atomically
-//! rewrites the hardware-feature tail of every row the device already
-//! contributed so training data and prediction features stay consistent
-//! (the model itself only picks the change up at the next
+//! through [`CollaborativeRepository::re_enroll`], which replaces the
+//! device's one stored signature. A row does not store its hardware
+//! features: every training matrix ([`TrainingSet::matrix`]) appends
+//! the owner's *current* signature to the row's network encoding, so
+//! training data and prediction features cannot disagree (the model
+//! itself only picks the change up at the next
 //! [`CollaborativeRepository::fit`]).
+//!
+//! ## Storage
+//!
+//! Many devices measure the same networks, so the repository stores
+//! each distinct network encoding once, keyed by its exact bits, and a
+//! training row as (encoding id, device id) plus its label, in
+//! contribution order. Device ids are given in onboarding order and
+//! never reused.
 
 use gdcm_dnn::Network;
 use gdcm_ml::{BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::encoding::NetworkEncoder;
 
@@ -141,12 +152,26 @@ fn validate_latency_ms(value: f64) -> Result<f32, RepositoryError> {
     Ok(narrowed)
 }
 
+fn corrupt(reason: String) -> RepositoryError {
+    RepositoryError::CorruptParts { reason }
+}
+
+/// The width of a training row, refusing a stored signature size so
+/// large that it overflows.
+fn row_width(encoding_width: usize, signature_size: usize) -> Result<usize, RepositoryError> {
+    encoding_width
+        .checked_add(signature_size)
+        .ok_or_else(|| corrupt(format!("signature_size {signature_size} is out of range")))
+}
+
 /// The serializable state of a [`CollaborativeRepository`].
 ///
 /// Produced by [`CollaborativeRepository::to_parts`] and validated by
 /// [`CollaborativeRepository::from_parts`]; `gdcm-serve` wraps this in a
-/// versioned snapshot envelope for persistence. Devices are stored as a
-/// name-sorted vector (not a map) so serialization is deterministic.
+/// versioned snapshot envelope for persistence (layout version 2).
+/// Devices are stored as a name-sorted vector (not a map) so
+/// serialization is deterministic; a row names its device by position
+/// in that vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepositoryParts {
     /// The fitted network encoder.
@@ -157,41 +182,246 @@ pub struct RepositoryParts {
     pub config: RepositoryConfig,
     /// Enrolled devices, sorted by name: `(name, signature_latencies)`.
     pub devices: Vec<(String, Vec<f32>)>,
+    /// Each distinct network encoding once (`encoder.len()` wide), in
+    /// the order rows first use them.
+    pub encodings: Vec<Vec<f32>>,
+    /// Training rows in contribution order: `(encoding, device)`, as
+    /// indices into `encodings` and `devices`.
+    pub rows: Vec<(u32, u32)>,
+    /// Training labels (ms), one per row.
+    pub y: Vec<f32>,
+    /// The fitted model, when `fit` has succeeded.
+    pub model: Option<GbdtRegressor>,
+    /// The compiled (frozen SoA) form of `model`. Defaults to `None`
+    /// when absent; [`CollaborativeRepository::from_parts`] then
+    /// recompiles it from the training rows.
+    #[serde(default)]
+    pub frozen: Option<FrozenGbdt>,
+    /// Model epoch at snapshot time (see
+    /// [`CollaborativeRepository::model_epoch`]).
+    #[serde(default)]
+    pub epoch: u64,
+}
+
+/// The version-1 snapshot layout of [`RepositoryParts`]: every training
+/// row stored in full (encoding followed by its owner's signature),
+/// with its owner's name. Still read so old snapshots load;
+/// [`RepositoryPartsV1::upgrade`] converts it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RepositoryPartsV1 {
+    /// The fitted network encoder.
+    pub encoder: NetworkEncoder,
+    /// Agreed signature-set size.
+    pub signature_size: usize,
+    /// Fit-time configuration.
+    pub config: RepositoryConfig,
+    /// Enrolled devices, sorted by name: `(name, signature_latencies)`.
+    pub devices: Vec<(String, Vec<f32>)>,
     /// Owning device of each training row (parallel to `x_rows`).
     pub row_devices: Vec<String>,
-    /// Accumulated training rows (`encoder.len() + signature_size` wide).
+    /// Training rows (`encoder.len() + signature_size` wide).
     pub x_rows: Vec<Vec<f32>>,
     /// Training labels (ms).
     pub y: Vec<f32>,
     /// The fitted model, when `fit` has succeeded.
     pub model: Option<GbdtRegressor>,
-    /// The compiled (frozen SoA) form of `model`. Defaults to `None`
-    /// when absent so pre-freeze snapshots still deserialize;
-    /// [`CollaborativeRepository::from_parts`] recompiles it from the
-    /// training rows in that case.
+    /// The compiled form of `model`; absent in pre-freeze snapshots.
     #[serde(default)]
     pub frozen: Option<FrozenGbdt>,
-    /// Model epoch at snapshot time (see
-    /// [`CollaborativeRepository::model_epoch`]). `default` so old
-    /// snapshots deserialize with epoch 0.
+    /// Model epoch at snapshot time; absent in the oldest snapshots.
     #[serde(default)]
     pub epoch: u64,
+}
+
+impl RepositoryPartsV1 {
+    /// Converts to the current layout, storing each distinct encoding
+    /// once in first-seen row order. Row order, and so every training
+    /// matrix, is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RepositoryError::CorruptParts`] when the row arrays
+    /// disagree in length, a row has the wrong width or a non-finite
+    /// feature, a row's owner is not enrolled, or a row's hardware
+    /// features disagree with its owner's signature — the one
+    /// inconsistency the current layout cannot represent. Everything
+    /// else is left to [`CollaborativeRepository::from_parts`].
+    pub fn upgrade(self) -> Result<RepositoryParts, RepositoryError> {
+        if self.x_rows.len() != self.y.len() || self.x_rows.len() != self.row_devices.len() {
+            return Err(corrupt(format!(
+                "row arrays disagree: {} rows, {} labels, {} owners",
+                self.x_rows.len(),
+                self.y.len(),
+                self.row_devices.len()
+            )));
+        }
+        let enc_width = self.encoder.len();
+        let width = row_width(enc_width, self.signature_size)?;
+        let ids: HashMap<&str, u32> = self
+            .devices
+            .iter()
+            .zip(0u32..)
+            .map(|((name, _), id)| (name.as_str(), id))
+            .collect();
+        let mut index = EncodingIndex::default();
+        let mut encodings: Vec<Vec<f32>> = Vec::new();
+        let mut rows = Vec::with_capacity(self.x_rows.len());
+        for (i, (row, owner)) in self.x_rows.iter().zip(&self.row_devices).enumerate() {
+            if row.len() != width {
+                return Err(corrupt(format!(
+                    "row {i} has {} features but the encoder + signature need {width}",
+                    row.len()
+                )));
+            }
+            if !row.iter().all(|v| v.is_finite()) {
+                return Err(corrupt(format!("row {i} contains a non-finite feature")));
+            }
+            let device = *ids
+                .get(owner.as_str())
+                .ok_or_else(|| corrupt(format!("row {i} owner {owner:?} is not enrolled")))?;
+            let (encoding, hardware) = row.split_at(enc_width);
+            if hardware != &self.devices[device as usize].1[..] {
+                return Err(corrupt(format!(
+                    "row {i} hardware features disagree with the signature of {owner:?}"
+                )));
+            }
+            let (id, _) = index.intern(&mut encodings, encoding, <[f32]>::to_vec);
+            rows.push((id, device));
+        }
+        Ok(RepositoryParts {
+            encoder: self.encoder,
+            signature_size: self.signature_size,
+            config: self.config,
+            devices: self.devices,
+            encodings,
+            rows,
+            y: self.y,
+            model: self.model,
+            frozen: self.frozen,
+            epoch: self.epoch,
+        })
+    }
+}
+
+/// FNV-1a over an encoding's bits, two values to a 64-bit word.
+fn bits_hash(encoding: &[f32]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut pairs = encoding.chunks_exact(2);
+    let h = pairs.by_ref().fold(0xcbf2_9ce4_8422_2325, |h, pair| {
+        let word = u64::from(pair[0].to_bits()) | u64::from(pair[1].to_bits()) << 32;
+        (h ^ word).wrapping_mul(PRIME)
+    });
+    match pairs.remainder() {
+        [last] => (h ^ u64::from(last.to_bits())).wrapping_mul(PRIME),
+        _ => h,
+    }
+}
+
+/// Finds stored encodings by their exact bits.
+#[derive(Debug, Clone, Default)]
+struct EncodingIndex(HashMap<u64, Vec<u32>>);
+
+impl EncodingIndex {
+    /// The id of the encoding in `stored` with exactly `encoding`'s
+    /// bits, and `false`; or, when there is none, pushes
+    /// `store(encoding)` and returns its new id and `true`. The hash
+    /// only picks candidates: bits are compared on every hit.
+    fn intern<E: AsRef<[f32]>>(
+        &mut self,
+        stored: &mut Vec<E>,
+        encoding: &[f32],
+        store: impl FnOnce(&[f32]) -> E,
+    ) -> (u32, bool) {
+        let ids = self.0.entry(bits_hash(encoding)).or_default();
+        let same = |e: &E| {
+            let e = e.as_ref();
+            e.len() == encoding.len()
+                && e.iter()
+                    .zip(encoding)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        if let Some(&id) = ids.iter().find(|&&id| same(&stored[id as usize])) {
+            return (id, false);
+        }
+        let id = u32::try_from(stored.len()).expect("fewer than 2^32 distinct encodings");
+        ids.push(id);
+        stored.push(store(encoding));
+        (id, true)
+    }
+}
+
+/// What a fit reads: each distinct network encoding once, one signature
+/// per device, and every row as ids plus its label.
+///
+/// Cloning is cheap — the encodings are shared — so a background
+/// refresh can take a copy under a read lock and build the matrix
+/// ([`TrainingSet::matrix`]) off it.
+#[derive(Debug, Clone)]
+pub struct TrainingSet {
+    /// Distinct encodings, indexed by encoding id.
+    encodings: Vec<Arc<[f32]>>,
+    encoding_width: usize,
+    /// `signature_size` latencies per device id.
+    signatures: Vec<f32>,
+    signature_size: usize,
+    /// `(encoding id, device id)` of each row, in contribution order.
+    rows: Vec<(u32, u32)>,
+    y: Vec<f32>,
+}
+
+impl TrainingSet {
+    fn new(encoding_width: usize, signature_size: usize) -> Self {
+        Self {
+            encodings: Vec::new(),
+            encoding_width,
+            signatures: Vec::new(),
+            signature_size,
+            rows: Vec::new(),
+            y: Vec::new(),
+        }
+    }
+
+    fn signature(&self, device: u32) -> &[f32] {
+        let start = device as usize * self.signature_size;
+        &self.signatures[start..start + self.signature_size]
+    }
+
+    /// Number of training rows.
+    pub fn n_rows(&self) -> usize {
+        self.y.len()
+    }
+
+    /// The training labels (ms), one per row.
+    pub fn labels(&self) -> &[f32] {
+        &self.y
+    }
+
+    /// The training matrix: each row is its network encoding followed
+    /// by its device's current signature, in contribution order. Every
+    /// fit, audit and refresh trains on exactly this matrix.
+    pub fn matrix(&self) -> DenseMatrix {
+        let width = self.encoding_width + self.signature_size;
+        let mut data = Vec::with_capacity(self.rows.len() * width);
+        for &(encoding, device) in &self.rows {
+            data.extend_from_slice(&self.encodings[encoding as usize]);
+            data.extend_from_slice(self.signature(device));
+        }
+        DenseMatrix::from_vec(data, self.rows.len(), width)
+    }
 }
 
 /// A growing, refittable collaborative cost-model repository.
 #[derive(Debug, Clone)]
 pub struct CollaborativeRepository {
     encoder: NetworkEncoder,
-    signature_size: usize,
     config: RepositoryConfig,
-    /// Device name -> measured signature latencies (ms).
-    devices: HashMap<String, Vec<f32>>,
-    /// Device that contributed each training row (parallel to `x_rows`);
-    /// lets `re_enroll` rewrite the stale hardware tail of old rows.
-    row_devices: Vec<String>,
-    /// Accumulated training rows.
-    x_rows: Vec<Vec<f32>>,
-    y: Vec<f32>,
+    /// Device name -> device id.
+    device_ids: HashMap<String, u32>,
+    /// Device names by id.
+    device_names: Vec<String>,
+    /// Finds `train`'s encodings by their bits.
+    index: EncodingIndex,
+    train: TrainingSet,
     model: Option<GbdtRegressor>,
     /// Compiled form of `model`, refreshed by every successful `fit` —
     /// the prediction paths run this; `model` is kept as the reference
@@ -214,14 +444,14 @@ impl CollaborativeRepository {
     /// Panics when `signature_size` is 0.
     pub fn new(encoder: NetworkEncoder, signature_size: usize, config: RepositoryConfig) -> Self {
         assert!(signature_size >= 1, "signature size must be >= 1");
+        let train = TrainingSet::new(encoder.len(), signature_size);
         Self {
             encoder,
-            signature_size,
             config,
-            devices: HashMap::new(),
-            row_devices: Vec::new(),
-            x_rows: Vec::new(),
-            y: Vec::new(),
+            device_ids: HashMap::new(),
+            device_names: Vec::new(),
+            index: EncodingIndex::default(),
+            train,
             model: None,
             frozen: None,
             epoch: 0,
@@ -233,9 +463,9 @@ impl CollaborativeRepository {
         &self,
         signature_latencies_ms: &[f64],
     ) -> Result<Vec<f32>, RepositoryError> {
-        if signature_latencies_ms.len() != self.signature_size {
+        if signature_latencies_ms.len() != self.train.signature_size {
             return Err(RepositoryError::SignatureLength {
-                expected: self.signature_size,
+                expected: self.train.signature_size,
                 actual: signature_latencies_ms.len(),
             });
         }
@@ -243,6 +473,15 @@ impl CollaborativeRepository {
             .iter()
             .map(|&v| validate_latency_ms(v))
             .collect()
+    }
+
+    /// Gives `name` the next device id. The caller has validated the
+    /// signature and checked that the name is new.
+    fn enroll(&mut self, name: String, signature: &[f32]) {
+        let id = u32::try_from(self.device_names.len()).expect("fewer than 2^32 devices");
+        self.device_ids.insert(name.clone(), id);
+        self.device_names.push(name);
+        self.train.signatures.extend_from_slice(signature);
     }
 
     /// Enrolls a *new* device with its measured signature-set latencies
@@ -263,16 +502,16 @@ impl CollaborativeRepository {
     ) -> Result<(), RepositoryError> {
         let sig = self.validate_signature(signature_latencies_ms)?;
         let name = name.into();
-        if self.devices.contains_key(&name) {
+        if self.device_ids.contains_key(&name) {
             return Err(RepositoryError::AlreadyEnrolled(name));
         }
-        self.devices.insert(name, sig);
+        self.enroll(name, &sig);
         Ok(())
     }
 
-    /// Replaces the signature of an *already enrolled* device and
-    /// rewrites the hardware-feature tail of every row it has
-    /// contributed, so existing training data stays consistent with the
+    /// Replaces the signature of an *already enrolled* device. Its
+    /// contributed rows pick the new signature up in every later
+    /// training matrix, so training data stays consistent with the
     /// features [`CollaborativeRepository::predict`] will build. Call
     /// [`CollaborativeRepository::fit`] afterwards to refresh the model.
     ///
@@ -287,17 +526,12 @@ impl CollaborativeRepository {
         signature_latencies_ms: &[f64],
     ) -> Result<(), RepositoryError> {
         let sig = self.validate_signature(signature_latencies_ms)?;
-        let slot = self
-            .devices
-            .get_mut(name)
+        let id = *self
+            .device_ids
+            .get(name)
             .ok_or_else(|| RepositoryError::UnknownDevice(name.to_string()))?;
-        *slot = sig.clone();
-        let hw_start = self.encoder.len();
-        for (row, owner) in self.x_rows.iter_mut().zip(&self.row_devices) {
-            if owner == name {
-                row[hw_start..].copy_from_slice(&sig);
-            }
-        }
+        let start = id as usize * self.train.signature_size;
+        self.train.signatures[start..start + sig.len()].copy_from_slice(&sig);
         // The model is unchanged but predictions for this device now use
         // the new signature, so anything cached against the old one is
         // stale.
@@ -319,15 +553,17 @@ impl CollaborativeRepository {
         latency_ms: f64,
     ) -> Result<(), RepositoryError> {
         let label = validate_latency_ms(latency_ms)?;
-        let hw = self
-            .devices
+        let device = *self
+            .device_ids
             .get(device)
             .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?;
-        let mut row = self.encoder.encode(network);
-        row.extend_from_slice(hw);
-        self.x_rows.push(row);
-        self.row_devices.push(device.to_string());
-        self.y.push(label);
+        // Look the encoding up while it is still in cache.
+        let encoding = self.encoder.encode(network);
+        let (id, _) = self
+            .index
+            .intern(&mut self.train.encodings, &encoding, |e| e.into());
+        self.train.rows.push((id, device));
+        self.train.y.push(label);
         Ok(())
     }
 
@@ -338,14 +574,14 @@ impl CollaborativeRepository {
     /// Returns [`RepositoryError::NotEnoughData`] below the configured
     /// row minimum.
     pub fn fit(&mut self) -> Result<(), RepositoryError> {
-        if self.y.len() < self.config.min_rows {
+        if self.train.n_rows() < self.config.min_rows {
             return Err(RepositoryError::NotEnoughData {
-                rows: self.y.len(),
+                rows: self.train.n_rows(),
                 required: self.config.min_rows,
             });
         }
-        let x = DenseMatrix::from_rows(&self.x_rows);
-        let (model, grid) = GbdtRegressor::fit_with_grid(&x, &self.y, &self.config.gbdt);
+        let x = self.train.matrix();
+        let (model, grid) = GbdtRegressor::fit_with_grid(&x, &self.train.y, &self.config.gbdt);
         // Compile for the prediction paths on the grid the fit trained
         // on, so freezing a fresh model cannot fail.
         self.frozen = Some(
@@ -372,22 +608,18 @@ impl CollaborativeRepository {
         model: GbdtRegressor,
         frozen: FrozenGbdt,
     ) -> Result<(), RepositoryError> {
-        let width = self.encoder.len() + self.signature_size;
+        let width = self.encoder.len() + self.train.signature_size;
         if model.n_features() != width {
-            return Err(RepositoryError::CorruptParts {
-                reason: format!(
-                    "installed model expects {} features but rows have {width}",
-                    model.n_features()
-                ),
-            });
+            return Err(corrupt(format!(
+                "installed model expects {} features but rows have {width}",
+                model.n_features()
+            )));
         }
         if frozen.n_features() != width {
-            return Err(RepositoryError::CorruptParts {
-                reason: format!(
-                    "installed frozen model expects {} features but rows have {width}",
-                    frozen.n_features()
-                ),
-            });
+            return Err(corrupt(format!(
+                "installed frozen model expects {} features but rows have {width}",
+                frozen.n_features()
+            )));
         }
         self.model = Some(model);
         self.frozen = Some(frozen);
@@ -412,8 +644,7 @@ impl CollaborativeRepository {
     /// Fails when the device is unknown or the model is unfitted.
     pub fn predict(&self, device: &str, network: &Network) -> Result<f64, RepositoryError> {
         let hw = self
-            .devices
-            .get(device)
+            .device_signature(device)
             .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?;
         self.predict_encoded(&self.encoder.encode(network), hw)
     }
@@ -457,10 +688,10 @@ impl CollaborativeRepository {
         signature: &[f32],
     ) -> Result<f64, RepositoryError> {
         assert!(
-            encoding.len() == self.encoder.len() && signature.len() == self.signature_size,
+            encoding.len() == self.encoder.len() && signature.len() == self.train.signature_size,
             "predict_encoded takes a {}-wide encoding and a {}-wide signature, got {} and {}",
             self.encoder.len(),
-            self.signature_size,
+            self.train.signature_size,
             encoding.len(),
             signature.len()
         );
@@ -473,12 +704,12 @@ impl CollaborativeRepository {
 
     /// Number of enrolled devices.
     pub fn n_devices(&self) -> usize {
-        self.devices.len()
+        self.device_names.len()
     }
 
     /// Number of contributed training rows.
     pub fn n_rows(&self) -> usize {
-        self.y.len()
+        self.train.n_rows()
     }
 
     /// Whether a fitted model is available.
@@ -488,7 +719,7 @@ impl CollaborativeRepository {
 
     /// Names of enrolled devices, sorted.
     pub fn device_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.devices.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self.device_names.iter().map(String::as_str).collect();
         names.sort_unstable();
         names
     }
@@ -500,7 +731,7 @@ impl CollaborativeRepository {
 
     /// The agreed signature-set size.
     pub fn signature_size(&self) -> usize {
-        self.signature_size
+        self.train.signature_size
     }
 
     /// The repository configuration.
@@ -510,7 +741,9 @@ impl CollaborativeRepository {
 
     /// The stored signature of an enrolled device, if any.
     pub fn device_signature(&self, name: &str) -> Option<&[f32]> {
-        self.devices.get(name).map(Vec::as_slice)
+        self.device_ids
+            .get(name)
+            .map(|&id| self.train.signature(id))
     }
 
     /// The fitted model, when available.
@@ -526,27 +759,50 @@ impl CollaborativeRepository {
         self.frozen.as_ref()
     }
 
-    /// The accumulated training rows and labels (for auditing).
-    pub fn training_data(&self) -> (&[Vec<f32>], &[f32]) {
-        (&self.x_rows, &self.y)
+    /// What a fit reads. Clone it for a cheap copy to train on off a
+    /// lock.
+    pub fn training_set(&self) -> &TrainingSet {
+        &self.train
+    }
+
+    /// The training rows, each materialized as its own vector, and the
+    /// labels. For callers that want owned rows; the repository's own
+    /// paths build one matrix with [`TrainingSet::matrix`].
+    pub fn training_data(&self) -> (Vec<Vec<f32>>, &[f32]) {
+        let x = self.train.matrix();
+        (x.rows().map(<[f32]>::to_vec).collect(), &self.train.y)
     }
 
     /// Extracts the full serializable state (devices sorted by name).
     pub fn to_parts(&self) -> RepositoryParts {
-        let mut devices: Vec<(String, Vec<f32>)> = self
-            .devices
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        devices.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut order: Vec<u32> = (0..self.device_names.len() as u32).collect();
+        order.sort_by(|&a, &b| self.device_names[a as usize].cmp(&self.device_names[b as usize]));
+        // Device id -> position in the name-sorted list.
+        let mut position = vec![0u32; order.len()];
+        for (pos, &id) in (0u32..).zip(&order) {
+            position[id as usize] = pos;
+        }
         RepositoryParts {
             encoder: self.encoder.clone(),
-            signature_size: self.signature_size,
+            signature_size: self.train.signature_size,
             config: self.config.clone(),
-            devices,
-            row_devices: self.row_devices.clone(),
-            x_rows: self.x_rows.clone(),
-            y: self.y.clone(),
+            devices: order
+                .iter()
+                .map(|&id| {
+                    (
+                        self.device_names[id as usize].clone(),
+                        self.train.signature(id).to_vec(),
+                    )
+                })
+                .collect(),
+            encodings: self.train.encodings.iter().map(|e| e.to_vec()).collect(),
+            rows: self
+                .train
+                .rows
+                .iter()
+                .map(|&(e, d)| (e, position[d as usize]))
+                .collect(),
+            y: self.train.y.clone(),
             model: self.model.clone(),
             frozen: self.frozen.clone(),
             epoch: self.epoch,
@@ -555,65 +811,82 @@ impl CollaborativeRepository {
 
     /// Rebuilds a repository from [`RepositoryParts`], re-validating
     /// every invariant the incremental API enforces (this is the
-    /// snapshot-load path, so the parts may come from disk).
+    /// snapshot-load path, so the parts may come from disk). Device ids
+    /// follow the parts' name order.
     ///
     /// # Errors
     ///
     /// Returns [`RepositoryError::CorruptParts`] when any structural
-    /// invariant is violated and [`RepositoryError::InvalidLatency`] /
+    /// invariant is violated — a zero signature size, a duplicate device
+    /// name, an encoding of the wrong width, with a non-finite value or
+    /// with the same bits as another, a row id out of range, a model of
+    /// the wrong width — and [`RepositoryError::InvalidLatency`] /
     /// [`RepositoryError::SignatureLength`] when stored measurements
     /// fail ingestion validation.
     pub fn from_parts(parts: RepositoryParts) -> Result<Self, RepositoryError> {
-        let corrupt = |reason: String| RepositoryError::CorruptParts { reason };
         if parts.signature_size == 0 {
             return Err(corrupt("signature_size is 0".into()));
         }
-        let width = parts.encoder.len() + parts.signature_size;
-        for (name, sig) in &parts.devices {
+        let width = row_width(parts.encoder.len(), parts.signature_size)?;
+        let mut repo = Self::new(parts.encoder, parts.signature_size, parts.config);
+        for (name, sig) in parts.devices {
             if sig.len() != parts.signature_size {
                 return Err(RepositoryError::SignatureLength {
                     expected: parts.signature_size,
                     actual: sig.len(),
                 });
             }
-            for &v in sig {
+            for &v in &sig {
                 validate_latency_ms(f64::from(v))?;
             }
-            if parts.devices.iter().filter(|(n, _)| n == name).count() > 1 {
+            if repo.device_ids.contains_key(&name) {
                 return Err(corrupt(format!("device {name:?} appears twice")));
             }
+            repo.enroll(name, &sig);
         }
-        if parts.x_rows.len() != parts.y.len() || parts.x_rows.len() != parts.row_devices.len() {
-            return Err(corrupt(format!(
-                "row arrays disagree: {} rows, {} labels, {} owners",
-                parts.x_rows.len(),
-                parts.y.len(),
-                parts.row_devices.len()
-            )));
-        }
-        let devices: HashMap<String, Vec<f32>> = parts.devices.into_iter().collect();
-        for (i, (row, owner)) in parts.x_rows.iter().zip(&parts.row_devices).enumerate() {
-            if row.len() != width {
+        let enc_width = repo.encoder.len();
+        for (i, encoding) in parts.encodings.iter().enumerate() {
+            if encoding.len() != enc_width {
                 return Err(corrupt(format!(
-                    "row {i} has {} features but the encoder + signature need {width}",
-                    row.len()
+                    "encoding {i} has {} values but the encoder makes {enc_width}",
+                    encoding.len()
                 )));
             }
-            if !row.iter().all(|v| v.is_finite()) {
-                return Err(corrupt(format!("row {i} contains a non-finite feature")));
+            if !encoding.iter().all(|v| v.is_finite()) {
+                return Err(corrupt(format!("encoding {i} contains a non-finite value")));
             }
-            let sig = devices
-                .get(owner)
-                .ok_or_else(|| corrupt(format!("row {i} owner {owner:?} is not enrolled")))?;
-            if row[parts.encoder.len()..] != sig[..] {
+            let (id, new) = repo
+                .index
+                .intern(&mut repo.train.encodings, encoding, |e| e.into());
+            if !new {
+                return Err(corrupt(format!("encoding {i} repeats encoding {id}")));
+            }
+        }
+        if parts.rows.len() != parts.y.len() {
+            return Err(corrupt(format!(
+                "row arrays disagree: {} rows, {} labels",
+                parts.rows.len(),
+                parts.y.len()
+            )));
+        }
+        let (n_encodings, n_devices) = (repo.train.encodings.len(), repo.n_devices());
+        for (i, &(encoding, device)) in parts.rows.iter().enumerate() {
+            if encoding as usize >= n_encodings {
                 return Err(corrupt(format!(
-                    "row {i} hardware features disagree with the signature of {owner:?}"
+                    "row {i} names encoding {encoding} of {n_encodings}"
+                )));
+            }
+            if device as usize >= n_devices {
+                return Err(corrupt(format!(
+                    "row {i} names device {device} of {n_devices}"
                 )));
             }
         }
         for &label in &parts.y {
             validate_latency_ms(f64::from(label))?;
         }
+        repo.train.rows = parts.rows;
+        repo.train.y = parts.y;
         if let Some(model) = &parts.model {
             if model.n_features() != width {
                 return Err(corrupt(format!(
@@ -622,7 +895,7 @@ impl CollaborativeRepository {
                 )));
             }
         }
-        let frozen = match (&parts.model, parts.frozen) {
+        repo.frozen = match (&parts.model, parts.frozen) {
             (None, None) => None,
             (None, Some(_)) => {
                 return Err(corrupt(
@@ -635,8 +908,8 @@ impl CollaborativeRepository {
             // here a failed freeze means the model cannot have come from
             // these rows.
             (Some(model), None) => {
-                let x = DenseMatrix::from_rows(&parts.x_rows);
-                let binned = BinnedMatrix::from_matrix(&x, parts.config.gbdt.max_bins);
+                let binned =
+                    BinnedMatrix::from_matrix(&repo.train.matrix(), repo.config.gbdt.max_bins);
                 Some(FrozenGbdt::freeze(model, &binned).map_err(|e| {
                     corrupt(format!("stored model does not recompile on its rows: {e}"))
                 })?)
@@ -655,18 +928,9 @@ impl CollaborativeRepository {
                 Some(frozen)
             }
         };
-        Ok(Self {
-            encoder: parts.encoder,
-            signature_size: parts.signature_size,
-            config: parts.config,
-            devices,
-            row_devices: parts.row_devices,
-            x_rows: parts.x_rows,
-            y: parts.y,
-            model: parts.model,
-            frozen,
-            epoch: parts.epoch,
-        })
+        repo.model = parts.model;
+        repo.epoch = parts.epoch;
+        Ok(repo)
     }
 }
 
@@ -914,9 +1178,9 @@ mod tests {
 
         // install_model bumps and swaps both artifacts.
         let (model, frozen) = {
-            let (rows, y) = repo.training_data();
-            let x = DenseMatrix::from_rows(rows);
-            let model = GbdtRegressor::fit(&x, y, &repo.config().gbdt);
+            let train = repo.training_set();
+            let x = train.matrix();
+            let model = GbdtRegressor::fit(&x, train.labels(), &repo.config().gbdt);
             let binned = BinnedMatrix::from_matrix(&x, repo.config().gbdt.max_bins);
             let frozen = FrozenGbdt::freeze(&model, &binned).expect("fresh model");
             (model, frozen)
@@ -949,6 +1213,34 @@ mod tests {
         assert_eq!(rebuilt.model_epoch(), 3);
     }
 
+    /// The version-1 layout of `repo`, built row by row as version 1
+    /// stored it: each row its full encoding and its owner's signature.
+    fn v1_parts(repo: &CollaborativeRepository) -> RepositoryPartsV1 {
+        let parts = repo.to_parts();
+        let (row_devices, x_rows) = parts
+            .rows
+            .iter()
+            .map(|&(e, d)| {
+                let (owner, sig) = &parts.devices[d as usize];
+                let mut row = parts.encodings[e as usize].clone();
+                row.extend_from_slice(sig);
+                (owner.clone(), row)
+            })
+            .unzip();
+        RepositoryPartsV1 {
+            encoder: parts.encoder,
+            signature_size: parts.signature_size,
+            config: parts.config,
+            devices: parts.devices,
+            row_devices,
+            x_rows,
+            y: parts.y,
+            model: parts.model,
+            frozen: parts.frozen,
+            epoch: parts.epoch,
+        }
+    }
+
     #[test]
     fn corrupt_parts_are_rejected() {
         let data = CostDataset::tiny(17, 4, 5);
@@ -957,13 +1249,13 @@ mod tests {
         repo.contribute("d", &data.suite[0].network, 5.0)
             .expect("enrolled");
 
-        // Stale hardware tail (the pre-fix inconsistency) is now caught
-        // at load time.
-        let mut parts = repo.to_parts();
-        let hw_start = parts.encoder.len();
-        parts.x_rows[0][hw_start] = 999.0;
+        // Version 1 stored each row's hardware tail, so a stale tail (the
+        // pre-fix inconsistency) is caught when it is upgraded.
+        let mut v1 = v1_parts(&repo);
+        let hw_start = v1.encoder.len();
+        v1.x_rows[0][hw_start] = 999.0;
         assert!(matches!(
-            CollaborativeRepository::from_parts(parts),
+            v1.upgrade(),
             Err(RepositoryError::CorruptParts { .. })
         ));
 
@@ -983,12 +1275,67 @@ mod tests {
             Err(RepositoryError::InvalidLatency { .. })
         ));
 
-        // Orphan row owner.
+        // Orphan row owner: by name in version 1, by an out-of-range
+        // device id in version 2.
+        let mut v1 = v1_parts(&repo);
+        v1.row_devices[0] = "ghost".into();
+        assert!(matches!(
+            v1.upgrade(),
+            Err(RepositoryError::CorruptParts { .. })
+        ));
         let mut parts = repo.to_parts();
-        parts.row_devices[0] = "ghost".into();
+        parts.rows[0].1 = 1;
         assert!(matches!(
             CollaborativeRepository::from_parts(parts),
             Err(RepositoryError::CorruptParts { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_parts_are_refused_without_a_panic() {
+        let data = CostDataset::tiny(17, 4, 5);
+        let mut repo = build_repo(&data, &[0, 1]);
+        repo.onboard_device("a", &[10.0, 20.0]).expect("valid");
+        repo.onboard_device("b", &[11.0, 21.0]).expect("valid");
+        for device in ["a", "b"] {
+            for net in &data.suite[..5] {
+                repo.contribute(device, &net.network, 5.0)
+                    .expect("enrolled");
+            }
+        }
+        let parts = repo.to_parts();
+        assert_eq!((parts.encodings.len(), parts.rows.len()), (5, 10));
+
+        type Edit = fn(&mut RepositoryParts);
+        let edits: [(&str, Edit); 7] = [
+            ("names encoding", |p| p.rows[1].0 = p.encodings.len() as u32),
+            ("names device", |p| p.rows[2].1 = u32::MAX),
+            ("repeats encoding", |p| {
+                let copy = p.encodings[0].clone();
+                p.encodings[1] = copy;
+            }),
+            ("but the encoder makes", |p| {
+                p.encodings[1].pop();
+            }),
+            ("non-finite value", |p| p.encodings[0][3] = f32::INFINITY),
+            ("appears twice", |p| p.devices[1].0 = "a".into()),
+            ("out of range", |p| p.signature_size = usize::MAX),
+        ];
+        let refusal = |parts| match CollaborativeRepository::from_parts(parts) {
+            Err(RepositoryError::CorruptParts { reason }) => reason,
+            other => panic!("hostile parts were not refused as corrupt: {other:?}"),
+        };
+        for (expected, edit) in edits {
+            let mut hostile = parts.clone();
+            edit(&mut hostile);
+            let reason = refusal(hostile);
+            assert!(reason.contains(expected), "{expected:?} not in {reason:?}");
+        }
+        // A model of the wrong width is refused too.
+        repo.fit().expect("ten rows clear min_rows");
+        let mut parts = repo.to_parts();
+        parts.signature_size = 3;
+        parts.devices.iter_mut().for_each(|(_, sig)| sig.push(1.0));
+        assert!(refusal(parts).contains("model expects"));
     }
 }

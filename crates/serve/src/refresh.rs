@@ -14,8 +14,11 @@
 //!    as replay noise.
 //! 2. **Threshold-triggered refresh.** Contributions are counted; once
 //!    `GDCM_SERVE_REFRESH_ROWS` new rows accumulate, the background
-//!    refresher (spawned by the server when refresh is enabled) clones
-//!    the training data under a brief read lock, trains *off-lock* —
+//!    refresher (spawned by the server when refresh is enabled) copies
+//!    the training set under a brief read lock — shared encodings, row
+//!    ids, labels and signatures, not the matrix
+//!    ([`gdcm_core::TrainingSet`]) — then builds the matrix and trains
+//!    *off-lock* —
 //!    warm-starting from the previous model's trees so refit cost
 //!    scales with the residual rounds, not total rounds
 //!    ([`gdcm_ml::GbdtRegressor::warm_fit`]) — runs the same audit +
@@ -46,7 +49,7 @@ use crate::serving::env_usize;
 use crate::wal::{WalRecord, WriteAheadLog};
 use crate::{snapshot, ServeError, ServingRepository};
 use gdcm_dnn::Network;
-use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtRegressor};
+use gdcm_ml::{FrozenGbdt, GbdtRegressor};
 
 /// Background-refresh configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -379,8 +382,9 @@ impl<'a> IngestPipeline<'a> {
         }
     }
 
-    /// One refresh cycle: clone the training state under a brief read
-    /// lock, (warm-)fit off-lock, audit, swap, compact. Returns
+    /// One refresh cycle: copy the training set under a brief read
+    /// lock, build its matrix and (warm-)fit off-lock, audit, swap,
+    /// compact. Returns
     /// `Ok(false)` when there is not yet enough data to fit.
     ///
     /// # Errors
@@ -391,23 +395,23 @@ impl<'a> IngestPipeline<'a> {
     pub fn refresh_once(&self) -> Result<bool, ServeError> {
         let _span = gdcm_obs::span!("serve/refresh");
         let take = *self.pending_rows.lock();
-        // Clone what training needs under the read lock; concurrent
-        // readers share it, and the expensive work below runs off-lock.
-        let (x_rows, y, gbdt, min_rows, prev) = self.serving.with_repository(|repo| {
-            let (x_rows, y) = repo.training_data();
+        // Copy what training needs under the read lock — shared
+        // encodings, ids, labels and signatures, not the matrix — and
+        // build the matrix and fit off-lock.
+        let (train, gbdt, min_rows, prev) = self.serving.with_repository(|repo| {
             (
-                x_rows.to_vec(),
-                y.to_vec(),
+                repo.training_set().clone(),
                 repo.config().gbdt,
                 repo.config().min_rows,
                 repo.model().cloned(),
             )
         });
-        if y.len() < min_rows {
+        if train.n_rows() < min_rows {
             return Ok(false);
         }
         let started = Instant::now();
-        let x = DenseMatrix::from_rows(&x_rows);
+        let x = train.matrix();
+        let y = train.labels();
         // Warm-start only when the previous model is shaped like the
         // configured fit; any mismatch (hyper-parameter change, feature
         // width change after a signature-set change) falls back cold.
@@ -423,8 +427,8 @@ impl<'a> IngestPipeline<'a> {
             _ => 0,
         };
         let (model, grid) = match (&prev, reuse) {
-            (Some(prev), r) if r > 0 => GbdtRegressor::warm_fit_with_grid(&x, &y, &gbdt, prev, r),
-            _ => GbdtRegressor::fit_with_grid(&x, &y, &gbdt),
+            (Some(prev), r) if r > 0 => GbdtRegressor::warm_fit_with_grid(&x, y, &gbdt, prev, r),
+            _ => GbdtRegressor::fit_with_grid(&x, y, &gbdt),
         };
         // A freeze failure is handled exactly like an audit rejection —
         // count it, consume the pending rows, keep serving the old
@@ -444,7 +448,7 @@ impl<'a> IngestPipeline<'a> {
         // The same gate the snapshot loader runs: a refreshed model
         // must clear the audit + flatcheck passes *before* it swaps in.
         if let Err(e) =
-            snapshot::audit_model_artifacts("serve/refresh", &model, &gbdt, &x, &y, Some(&frozen))
+            snapshot::audit_model_artifacts("serve/refresh", &model, &gbdt, &x, y, Some(&frozen))
         {
             return Err(self.reject_refresh(take, e));
         }

@@ -430,8 +430,9 @@ impl ServingRepository {
             .onboard_device(name, signature_latencies_ms)?)
     }
 
-    /// Updates an enrolled device's signature, rewriting its
-    /// contributed rows (see [`CollaborativeRepository::re_enroll`]).
+    /// Replaces an enrolled device's signature; its contributed rows
+    /// train on the new one from the next fit on (see
+    /// [`CollaborativeRepository::re_enroll`]).
     /// Drops every cached prediction: the device's feature vector — and
     /// after the next fit, potentially every prediction — changes.
     ///

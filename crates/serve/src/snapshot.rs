@@ -1,17 +1,30 @@
 //! Versioned snapshot persistence for the collaborative repository.
 //!
 //! A snapshot is the full serializable repository state
-//! ([`gdcm_core::RepositoryParts`]: encoder + config, enrolled devices,
-//! training rows with their owners, and the fitted model) wrapped in a
-//! `{format, version}` envelope so future layouts can be detected
-//! instead of misparsed.
+//! ([`gdcm_core::RepositoryParts`]) wrapped in a `{format, version}`
+//! envelope so other layouts are detected instead of misparsed. The
+//! envelope is read first; `parts` is then deserialized, from the same
+//! parsed document, in the layout its version names.
+//!
+//! - **Version 2** (written by this build) stores each distinct network
+//!   encoding once. It holds the encoder and config, the enrolled
+//!   devices (name-sorted, with their signatures), the distinct
+//!   encodings in first-seen row order, every training row as an
+//!   (encoding index, device index) pair, the labels, and the model,
+//!   frozen model and epoch.
+//! - **Version 1** stored every row in full (encoding followed by its
+//!   owner's signature) with its owner's name. It still loads: its rows
+//!   are interned on load ([`gdcm_core::RepositoryPartsV1::upgrade`]),
+//!   which refuses a row whose hardware tail disagrees with its owner's
+//!   signature or whose owner is not enrolled. Saving it again writes
+//!   version 2.
 //!
 //! Loading is defensive twice over, because a snapshot file is exactly
 //! the kind of input the ingestion-validation policy exists for:
 //!
 //! 1. [`gdcm_core::CollaborativeRepository::from_parts`] replays every
-//!    structural invariant (row widths, finite features, signature
-//!    consistency, latency validity).
+//!    structural invariant (encoding widths and finiteness, distinct
+//!    encodings, ids in range, latency validity).
 //! 2. When the snapshot carries a fitted model, the `gdcm-audit`
 //!    ensemble + dataset passes run against the stored training data,
 //!    and the flatcheck pass translation-validates the compiled
@@ -21,7 +34,7 @@
 //!    through `gdcm-obs` but do not block serving.
 
 use gdcm_audit::DatasetLints;
-use gdcm_core::{CollaborativeRepository, RepositoryParts};
+use gdcm_core::{CollaborativeRepository, RepositoryParts, RepositoryPartsV1};
 use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
@@ -33,10 +46,10 @@ use crate::ServeError;
 pub const SNAPSHOT_FORMAT: &str = "gdcm-repository-snapshot";
 /// Current snapshot layout version. Bump on any incompatible change to
 /// [`RepositoryParts`] or the envelope.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A versioned, serializable repository snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RepositorySnapshot {
     /// Always [`SNAPSHOT_FORMAT`].
     pub format: String,
@@ -47,6 +60,15 @@ pub struct RepositorySnapshot {
     pub parts: RepositoryParts,
 }
 
+/// A snapshot document as read: `parts` stays a parsed but untyped
+/// JSON value until the envelope says which layout it has.
+#[derive(Deserialize)]
+struct Envelope {
+    format: String,
+    version: u32,
+    parts: serde_json::Value,
+}
+
 impl RepositorySnapshot {
     /// Captures the current state of a repository.
     pub fn capture(repo: &CollaborativeRepository) -> Self {
@@ -55,6 +77,38 @@ impl RepositorySnapshot {
             version: SNAPSHOT_VERSION,
             parts: repo.to_parts(),
         }
+    }
+
+    /// Parses a snapshot document: the envelope first, then `parts` in
+    /// the layout its version names. Version-1 parts are upgraded to
+    /// the current layout, so the result is always a
+    /// [`SNAPSHOT_VERSION`] snapshot.
+    fn from_json(json: &str) -> Result<Self, ServeError> {
+        let json_error = |e: serde_json::Error| ServeError::Json(e.to_string());
+        let envelope: Envelope = serde_json::from_str(json).map_err(json_error)?;
+        if envelope.format != SNAPSHOT_FORMAT {
+            return Err(ServeError::BadSnapshot {
+                reason: format!("format {:?} is not {SNAPSHOT_FORMAT:?}", envelope.format),
+            });
+        }
+        let parts = match envelope.version {
+            SNAPSHOT_VERSION => serde_json::from_value(envelope.parts).map_err(json_error)?,
+            1 => serde_json::from_value::<RepositoryPartsV1>(envelope.parts)
+                .map_err(json_error)?
+                .upgrade()?,
+            other => {
+                return Err(ServeError::BadSnapshot {
+                    reason: format!(
+                        "version {other} is not a supported version (1 or {SNAPSHOT_VERSION})"
+                    ),
+                });
+            }
+        };
+        Ok(Self {
+            format: envelope.format,
+            version: SNAPSHOT_VERSION,
+            parts,
+        })
     }
 
     /// Validates the envelope, rebuilds the repository (replaying the
@@ -100,14 +154,13 @@ fn audit_repository(repo: &CollaborativeRepository) -> Result<(), ServeError> {
         return Ok(());
     };
     let _span = gdcm_obs::span!("serve/snapshot_audit");
-    let (x_rows, y) = repo.training_data();
-    let x = DenseMatrix::from_rows(x_rows);
+    let train = repo.training_set();
     audit_model_artifacts(
         "serve/snapshot",
         model,
         &repo.config().gbdt,
-        &x,
-        y,
+        &train.matrix(),
+        train.labels(),
         repo.frozen_model(),
     )
     .inspect_err(|_| gdcm_obs::counter("serve/snapshots_rejected").incr())
@@ -201,15 +254,17 @@ pub fn save_repository(repo: &CollaborativeRepository, path: &Path) -> Result<()
     Ok(())
 }
 
-/// Loads — and audits — a repository snapshot from `path`.
+/// Loads — and audits — a repository snapshot of any supported
+/// version from `path`.
 ///
 /// # Errors
 ///
-/// See [`RepositorySnapshot::into_repository`], plus I/O and JSON
-/// errors.
+/// [`ServeError::BadSnapshot`] on an unknown format or version, read
+/// before the repository state is parsed; [`ServeError::Json`] when the
+/// document or its state does not parse; [`ServeError::Repository`]
+/// when version-1 rows disagree with their owners; I/O errors; and
+/// everything [`RepositorySnapshot::into_repository`] refuses.
 pub fn load_repository(path: &Path) -> Result<CollaborativeRepository, ServeError> {
     let json = std::fs::read_to_string(path)?;
-    let snapshot: RepositorySnapshot =
-        serde_json::from_str(&json).map_err(|e| ServeError::Json(e.to_string()))?;
-    snapshot.into_repository()
+    RepositorySnapshot::from_json(&json)?.into_repository()
 }

@@ -218,6 +218,23 @@ fn wrong_envelope_is_rejected_before_parsing_state() {
         load_repository(&path),
         Err(ServeError::BadSnapshot { .. })
     ));
+
+    // A future layout whose parts this build cannot even deserialize is
+    // still refused for its envelope, not reported as a JSON error.
+    let future = r#"{"format":"gdcm-repository-snapshot","version":99,"parts":{"future":true}}"#;
+    std::fs::write(&path, future).unwrap();
+    match load_repository(&path) {
+        Err(ServeError::BadSnapshot { reason }) => {
+            assert!(reason.contains("version 99"), "unhelpful reason: {reason}");
+        }
+        other => panic!("future-shaped snapshot not refused by version: {other:?}"),
+    }
+    let foreign = future.replace("gdcm-repository-snapshot", "something-else");
+    std::fs::write(&path, foreign).unwrap();
+    assert!(matches!(
+        load_repository(&path),
+        Err(ServeError::BadSnapshot { .. })
+    ));
     std::fs::remove_file(&path).ok();
 }
 
@@ -225,7 +242,7 @@ fn wrong_envelope_is_rejected_before_parsing_state() {
 fn audit_rejects_snapshot_with_corrupt_model() {
     let (repo, _) = fitted_repository(17);
     let mut parts = repo.to_parts();
-    let width = parts.x_rows[0].len();
+    let width = parts.encoder.len() + parts.signature_size;
     // A split on a feature past the model's width passes structural
     // `from_parts` validation (which checks the feature *count*, not
     // ensemble internals) and survives the JSON round trip, but must be
