@@ -458,7 +458,6 @@ fn main() {
             RefreshConfig {
                 refresh_rows: 1,
                 warm_boost: 0,
-                ..RefreshConfig::default()
             },
         );
         for (i, net) in nets.iter().enumerate() {

@@ -44,6 +44,28 @@
 //! training row as (encoding id, device id) plus its label, in
 //! contribution order. Device ids are given in onboarding order and
 //! never reused.
+//!
+//! ## Bin-grid provenance
+//!
+//! A fitted model is scored on the bin grid it was trained on, and that
+//! grid is a function of the rows it was cut from. Rows are only ever
+//! appended, so the repository records the grid as "the first *g*
+//! rows" ([`CollaborativeRepository::grid_rows`]): [`fit`] cuts it from
+//! every row, and an install of a model trained on an earlier copy of
+//! the rows ([`CollaborativeRepository::install_model_on`]) from that
+//! copy's rows. Rows contributed after the cut do not touch it.
+//!
+//! [`re_enroll`] does: it changes the features of every row the device
+//! owns, inside the prefix too. From a `re_enroll` on a fitted
+//! repository, or an install trained on signatures that have changed
+//! since, until the next fit or install trained on the current
+//! signatures, the grid is *stale*
+//! ([`CollaborativeRepository::grid_is_stale`]): the prefix no longer
+//! rebuilds it, so a snapshot of the state could not pass the load-time
+//! audit.
+//!
+//! [`fit`]: CollaborativeRepository::fit
+//! [`re_enroll`]: CollaborativeRepository::re_enroll
 
 use gdcm_dnn::Network;
 use gdcm_ml::{BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor};
@@ -109,6 +131,10 @@ pub enum RepositoryError {
         /// Human-readable description of the first violated invariant.
         reason: String,
     },
+    /// The model's bin grid was cut on a device signature that has
+    /// changed since ([`CollaborativeRepository::grid_is_stale`]), so a
+    /// snapshot of this state would fail the load-time audit.
+    StaleGrid,
 }
 
 impl fmt::Display for RepositoryError {
@@ -134,6 +160,11 @@ impl fmt::Display for RepositoryError {
             RepositoryError::CorruptParts { reason } => {
                 write!(f, "repository parts are inconsistent: {reason}")
             }
+            RepositoryError::StaleGrid => write!(
+                f,
+                "the model's bin grid was cut on a device signature that has changed since; \
+                 fit again first"
+            ),
         }
     }
 }
@@ -168,7 +199,7 @@ fn row_width(encoding_width: usize, signature_size: usize) -> Result<usize, Repo
 ///
 /// Produced by [`CollaborativeRepository::to_parts`] and validated by
 /// [`CollaborativeRepository::from_parts`]; `gdcm-serve` wraps this in a
-/// versioned snapshot envelope for persistence (layout version 2).
+/// versioned snapshot envelope for persistence (layout version 3).
 /// Devices are stored as a name-sorted vector (not a map) so
 /// serialization is deterministic; a row names its device by position
 /// in that vector.
@@ -192,15 +223,31 @@ pub struct RepositoryParts {
     pub y: Vec<f32>,
     /// The fitted model, when `fit` has succeeded.
     pub model: Option<GbdtRegressor>,
+    /// How many leading rows the model's bin grid was cut from
+    /// ([`CollaborativeRepository::grid_rows`]); present exactly when
+    /// `model` is. Layouts before version 3 did not record it: their
+    /// models were cut from every row
+    /// ([`RepositoryParts::grid_on_all_rows`]).
+    #[serde(default)]
+    pub grid_rows: Option<usize>,
     /// The compiled (frozen SoA) form of `model`. Defaults to `None`
     /// when absent; [`CollaborativeRepository::from_parts`] then
-    /// recompiles it from the training rows.
+    /// recompiles it from the rows its grid was cut from.
     #[serde(default)]
     pub frozen: Option<FrozenGbdt>,
     /// Model epoch at snapshot time (see
     /// [`CollaborativeRepository::model_epoch`]).
     #[serde(default)]
     pub epoch: u64,
+}
+
+impl RepositoryParts {
+    /// Records the model's bin grid as cut from every stored row, as it
+    /// was in the layouts (versions 1 and 2) that did not record it.
+    pub fn grid_on_all_rows(mut self) -> Self {
+        self.grid_rows = self.model.as_ref().map(|_| self.rows.len());
+        self
+    }
 }
 
 /// The version-1 snapshot layout of [`RepositoryParts`]: every training
@@ -236,7 +283,8 @@ pub struct RepositoryPartsV1 {
 impl RepositoryPartsV1 {
     /// Converts to the current layout, storing each distinct encoding
     /// once in first-seen row order. Row order, and so every training
-    /// matrix, is unchanged.
+    /// matrix, is unchanged, and the model's grid is recorded as cut
+    /// from every row.
     ///
     /// # Errors
     ///
@@ -297,9 +345,11 @@ impl RepositoryPartsV1 {
             rows,
             y: self.y,
             model: self.model,
+            grid_rows: None,
             frozen: self.frozen,
             epoch: self.epoch,
-        })
+        }
+        .grid_on_all_rows())
     }
 }
 
@@ -400,13 +450,22 @@ impl TrainingSet {
     /// by its device's current signature, in contribution order. Every
     /// fit, audit and refresh trains on exactly this matrix.
     pub fn matrix(&self) -> DenseMatrix {
+        self.prefix_matrix(self.rows.len())
+    }
+
+    /// The first `rows` rows of [`TrainingSet::matrix`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` exceeds [`TrainingSet::n_rows`].
+    pub fn prefix_matrix(&self, rows: usize) -> DenseMatrix {
         let width = self.encoding_width + self.signature_size;
-        let mut data = Vec::with_capacity(self.rows.len() * width);
-        for &(encoding, device) in &self.rows {
+        let mut data = Vec::with_capacity(rows * width);
+        for &(encoding, device) in &self.rows[..rows] {
             data.extend_from_slice(&self.encodings[encoding as usize]);
             data.extend_from_slice(self.signature(device));
         }
-        DenseMatrix::from_vec(data, self.rows.len(), width)
+        DenseMatrix::from_vec(data, rows, width)
     }
 }
 
@@ -423,6 +482,10 @@ pub struct CollaborativeRepository {
     index: EncodingIndex,
     train: TrainingSet,
     model: Option<GbdtRegressor>,
+    /// Leading rows `model`'s bin grid was cut from; 0 while unfitted.
+    grid_rows: usize,
+    /// Whether a signature the grid was cut on has changed since.
+    grid_stale: bool,
     /// Compiled form of `model`, refreshed by every successful `fit` —
     /// the prediction paths run this; `model` is kept as the reference
     /// for auditing.
@@ -453,6 +516,8 @@ impl CollaborativeRepository {
             index: EncodingIndex::default(),
             train,
             model: None,
+            grid_rows: 0,
+            grid_stale: false,
             frozen: None,
             epoch: 0,
         }
@@ -513,7 +578,9 @@ impl CollaborativeRepository {
     /// contributed rows pick the new signature up in every later
     /// training matrix, so training data stays consistent with the
     /// features [`CollaborativeRepository::predict`] will build. Call
-    /// [`CollaborativeRepository::fit`] afterwards to refresh the model.
+    /// [`CollaborativeRepository::fit`] afterwards to refresh the model:
+    /// until then a fitted model's grid is stale
+    /// ([`CollaborativeRepository::grid_is_stale`]).
     ///
     /// # Errors
     ///
@@ -534,8 +601,9 @@ impl CollaborativeRepository {
         self.train.signatures[start..start + sig.len()].copy_from_slice(&sig);
         // The model is unchanged but predictions for this device now use
         // the new signature, so anything cached against the old one is
-        // stale.
+        // stale, and so is a grid cut on the old one.
         self.epoch += 1;
+        self.grid_stale |= self.model.is_some();
         Ok(())
     }
 
@@ -567,7 +635,8 @@ impl CollaborativeRepository {
         Ok(())
     }
 
-    /// (Re)fits the shared cost model on everything contributed so far.
+    /// (Re)fits the shared cost model on everything contributed so far,
+    /// cutting its bin grid from every row.
     ///
     /// # Errors
     ///
@@ -584,20 +653,17 @@ impl CollaborativeRepository {
         let (model, grid) = GbdtRegressor::fit_with_grid(&x, &self.train.y, &self.config.gbdt);
         // Compile for the prediction paths on the grid the fit trained
         // on, so freezing a fresh model cannot fail.
-        self.frozen = Some(
-            FrozenGbdt::freeze(&model, &grid)
-                .expect("freshly fitted model freezes on its own training grid"),
-        );
-        self.model = Some(model);
-        self.epoch += 1;
+        let frozen = FrozenGbdt::freeze(&model, &grid)
+            .expect("freshly fitted model freezes on its own training grid");
+        self.set_model(model, frozen, self.train.n_rows(), false);
         Ok(())
     }
 
-    /// Installs an externally fitted model pair (e.g. one trained by a
-    /// background refresh off the repository lock) and bumps the model
+    /// Installs an externally fitted model pair trained, and its grid
+    /// cut, on this repository's current rows, and bumps the model
     /// epoch. The caller is responsible for having trained and audited
-    /// the pair on this repository's rows; only structural width parity
-    /// is validated here.
+    /// the pair on those rows; only structural width parity is
+    /// validated here.
     ///
     /// # Errors
     ///
@@ -607,6 +673,70 @@ impl CollaborativeRepository {
         &mut self,
         model: GbdtRegressor,
         frozen: FrozenGbdt,
+    ) -> Result<(), RepositoryError> {
+        self.check_widths(&model, &frozen)?;
+        self.set_model(model, frozen, self.train.n_rows(), false);
+        Ok(())
+    }
+
+    /// [`CollaborativeRepository::install_model`] for a pair trained on
+    /// `trained_on`, an earlier clone of [`training_set`]: a
+    /// background refresh trains off the lock while rows keep arriving.
+    /// The grid is recorded as cut from the clone's rows, and it is
+    /// stale ([`CollaborativeRepository::grid_is_stale`]) when a
+    /// signature changed between the clone and the install.
+    ///
+    /// [`training_set`]: CollaborativeRepository::training_set
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RepositoryError::CorruptParts`] when either artifact's
+    /// feature width disagrees with the repository's rows, or when
+    /// `trained_on`'s rows and labels are not the first rows of this
+    /// repository.
+    pub fn install_model_on(
+        &mut self,
+        model: GbdtRegressor,
+        frozen: FrozenGbdt,
+        trained_on: &TrainingSet,
+    ) -> Result<(), RepositoryError> {
+        self.check_widths(&model, &frozen)?;
+        let rows = trained_on.n_rows();
+        if rows > self.n_rows()
+            || trained_on.rows[..] != self.train.rows[..rows]
+            || trained_on.y[..] != self.train.y[..rows]
+        {
+            return Err(corrupt(
+                "installed model was trained on rows this repository does not hold".into(),
+            ));
+        }
+        let signatures = &trained_on.signatures[..];
+        let stale = self.train.signatures.get(..signatures.len()) != Some(signatures);
+        self.set_model(model, frozen, rows, stale);
+        Ok(())
+    }
+
+    /// Swaps in a model pair whose grid was cut from the first
+    /// `grid_rows` rows, and bumps the epoch.
+    fn set_model(
+        &mut self,
+        model: GbdtRegressor,
+        frozen: FrozenGbdt,
+        grid_rows: usize,
+        grid_stale: bool,
+    ) {
+        self.model = Some(model);
+        self.frozen = Some(frozen);
+        self.grid_rows = grid_rows;
+        self.grid_stale = grid_stale;
+        self.epoch += 1;
+    }
+
+    /// Refuses a model pair whose feature width is not the rows'.
+    fn check_widths(
+        &self,
+        model: &GbdtRegressor,
+        frozen: &FrozenGbdt,
     ) -> Result<(), RepositoryError> {
         let width = self.encoder.len() + self.train.signature_size;
         if model.n_features() != width {
@@ -621,16 +751,30 @@ impl CollaborativeRepository {
                 frozen.n_features()
             )));
         }
-        self.model = Some(model);
-        self.frozen = Some(frozen);
-        self.epoch += 1;
         Ok(())
+    }
+
+    /// How many leading rows the fitted model's bin grid was cut from
+    /// (0 while unfitted): the rows the load-time audit rebuilds the
+    /// grid from. Rows after them are not the grid's concern.
+    pub fn grid_rows(&self) -> usize {
+        self.grid_rows
+    }
+
+    /// Whether a device signature the model's grid was cut on has
+    /// changed since (see the module docs): the first
+    /// [`CollaborativeRepository::grid_rows`] rows no longer rebuild
+    /// the grid, so this state must not be snapshotted until the next
+    /// fit.
+    pub fn grid_is_stale(&self) -> bool {
+        self.grid_stale
     }
 
     /// The monotonic model epoch: 0 at construction, incremented by
     /// every successful [`CollaborativeRepository::fit`],
-    /// [`CollaborativeRepository::re_enroll`], and
-    /// [`CollaborativeRepository::install_model`]. Two calls observing
+    /// [`CollaborativeRepository::re_enroll`],
+    /// [`CollaborativeRepository::install_model`] and
+    /// [`CollaborativeRepository::install_model_on`]. Two calls observing
     /// the same epoch are guaranteed to see bit-identical predictions
     /// for the same inputs.
     pub fn model_epoch(&self) -> u64 {
@@ -804,6 +948,7 @@ impl CollaborativeRepository {
                 .collect(),
             y: self.train.y.clone(),
             model: self.model.clone(),
+            grid_rows: self.model.as_ref().map(|_| self.grid_rows),
             frozen: self.frozen.clone(),
             epoch: self.epoch,
         }
@@ -820,7 +965,9 @@ impl CollaborativeRepository {
     /// invariant is violated — a zero signature size, a duplicate device
     /// name, an encoding of the wrong width, with a non-finite value or
     /// with the same bits as another, a row id out of range, a model of
-    /// the wrong width — and [`RepositoryError::InvalidLatency`] /
+    /// the wrong width, a model without `grid_rows` or `grid_rows`
+    /// without a model, `grid_rows` outside `1..=rows` — and
+    /// [`RepositoryError::InvalidLatency`] /
     /// [`RepositoryError::SignatureLength`] when stored measurements
     /// fail ingestion validation.
     pub fn from_parts(parts: RepositoryParts) -> Result<Self, RepositoryError> {
@@ -885,6 +1032,7 @@ impl CollaborativeRepository {
         for &label in &parts.y {
             validate_latency_ms(f64::from(label))?;
         }
+        let n_rows = parts.rows.len();
         repo.train.rows = parts.rows;
         repo.train.y = parts.y;
         if let Some(model) = &parts.model {
@@ -895,6 +1043,15 @@ impl CollaborativeRepository {
                 )));
             }
         }
+        repo.grid_rows = match (&parts.model, parts.grid_rows) {
+            (None, None) => 0,
+            (Some(_), Some(g)) if (1..=n_rows).contains(&g) => g,
+            (Some(_), Some(g)) => {
+                return Err(corrupt(format!("grid_rows {g} is not in 1..={n_rows}")));
+            }
+            (None, Some(_)) => return Err(corrupt("grid_rows present without a model".into())),
+            (Some(_), None) => return Err(corrupt("model present without grid_rows".into())),
+        };
         repo.frozen = match (&parts.model, parts.frozen) {
             (None, None) => None,
             (None, Some(_)) => {
@@ -902,14 +1059,16 @@ impl CollaborativeRepository {
                     "frozen model present without its source model".into(),
                 ));
             }
-            // Pre-freeze snapshot: recompile from the stored rows, on the
-            // same deterministic grid `fit` would build. Deep equivalence
-            // checking (the flatcheck pass) is the snapshot loader's job;
-            // here a failed freeze means the model cannot have come from
-            // these rows.
+            // Pre-freeze snapshot: recompile from the rows the grid was
+            // cut from, on the same deterministic grid `fit` would build.
+            // Deep equivalence checking (the flatcheck pass) is the
+            // snapshot loader's job; here a failed freeze means the model
+            // cannot have come from these rows.
             (Some(model), None) => {
-                let binned =
-                    BinnedMatrix::from_matrix(&repo.train.matrix(), repo.config.gbdt.max_bins);
+                let binned = BinnedMatrix::from_matrix(
+                    &repo.train.prefix_matrix(repo.grid_rows),
+                    repo.config.gbdt.max_bins,
+                );
                 Some(FrozenGbdt::freeze(model, &binned).map_err(|e| {
                     corrupt(format!("stored model does not recompile on its rows: {e}"))
                 })?)
@@ -1331,11 +1490,138 @@ mod tests {
             let reason = refusal(hostile);
             assert!(reason.contains(expected), "{expected:?} not in {reason:?}");
         }
-        // A model of the wrong width is refused too.
+        // So is a model of the wrong width, and grid rows that are not
+        // a non-empty prefix of the rows or come without a model.
         repo.fit().expect("ten rows clear min_rows");
-        let mut parts = repo.to_parts();
-        parts.signature_size = 3;
-        parts.devices.iter_mut().for_each(|(_, sig)| sig.push(1.0));
-        assert!(refusal(parts).contains("model expects"));
+        let fitted = repo.to_parts();
+        let edits: [(&str, Edit); 5] = [
+            ("model expects", |p| {
+                p.signature_size = 3;
+                p.devices.iter_mut().for_each(|(_, sig)| sig.push(1.0));
+            }),
+            ("is not in 1..=10", |p| p.grid_rows = Some(11)),
+            ("is not in 1..=10", |p| p.grid_rows = Some(0)),
+            ("model present without grid_rows", |p| p.grid_rows = None),
+            ("grid_rows present without a model", |p| {
+                p.model = None;
+                p.frozen = None;
+            }),
+        ];
+        for (expected, edit) in edits {
+            let mut hostile = fitted.clone();
+            edit(&mut hostile);
+            let reason = refusal(hostile);
+            assert!(reason.contains(expected), "{expected:?} not in {reason:?}");
+        }
+    }
+
+    /// A cold fit and freeze on `train`, as a background refresh runs it.
+    fn refit(repo: &CollaborativeRepository, train: &TrainingSet) -> (GbdtRegressor, FrozenGbdt) {
+        let (model, grid) =
+            GbdtRegressor::fit_with_grid(&train.matrix(), train.labels(), &repo.config().gbdt);
+        let frozen = FrozenGbdt::freeze(&model, &grid).expect("fresh model");
+        (model, frozen)
+    }
+
+    #[test]
+    fn grid_rows_and_staleness_follow_the_rows_the_grid_was_cut_from() {
+        let data = CostDataset::tiny(17, 8, 12);
+        let sig = vec![0usize, 1, 2];
+        let mut repo = build_repo(&data, &sig);
+        for d in 0..8 {
+            let lat: Vec<f64> = sig.iter().map(|&n| data.db.latency(d, n)).collect();
+            let name = data.devices[d].model.clone();
+            repo.onboard_device(name.clone(), &lat).expect("valid");
+            for n in 3..data.n_networks() {
+                repo.contribute(&name, &data.suite[n].network, data.db.latency(d, n))
+                    .expect("enrolled");
+            }
+        }
+        let name = data.devices[0].model.clone();
+        let net = &data.suite[3].network;
+        // Unfitted: no grid, and a re-enroll has none to make stale.
+        repo.re_enroll(&name, &[5.0, 6.0, 7.0]).expect("enrolled");
+        assert_eq!((repo.grid_rows(), repo.grid_is_stale()), (0, false));
+        assert_eq!(repo.to_parts().grid_rows, None);
+
+        repo.fit().expect("enough rows");
+        let fitted = repo.n_rows();
+        assert_eq!((repo.grid_rows(), repo.grid_is_stale()), (fitted, false));
+        // Contributions leave the grid where it was cut.
+        let clone = repo.training_set().clone();
+        repo.contribute(&name, net, 9.0).expect("enrolled");
+        assert_eq!(repo.grid_rows(), fitted);
+        assert_eq!(repo.to_parts().grid_rows, Some(fitted));
+
+        // A model trained on the clone is recorded as cut from its rows.
+        let (model, frozen) = refit(&repo, &clone);
+        repo.install_model_on(model, frozen, &clone)
+            .expect("the clone's rows lead the repository's");
+        assert_eq!((repo.grid_rows(), repo.grid_is_stale()), (fitted, false));
+
+        // A re-enroll makes a fitted grid stale, and so does an install
+        // trained on the signatures it replaced.
+        repo.re_enroll(&name, &[6.0, 7.0, 8.0]).expect("enrolled");
+        assert!(repo.grid_is_stale());
+        let (model, frozen) = refit(&repo, &clone);
+        repo.install_model_on(model, frozen, &clone)
+            .expect("the clone's rows lead the repository's");
+        assert!(repo.grid_is_stale());
+        // An install trained after the re-enroll clears it; so does a fit.
+        let current = repo.training_set().clone();
+        let (model, frozen) = refit(&repo, &current);
+        repo.install_model_on(model, frozen, &current)
+            .expect("the clone is the repository's rows");
+        assert_eq!(
+            (repo.grid_rows(), repo.grid_is_stale()),
+            (fitted + 1, false)
+        );
+        repo.re_enroll(&name, &[7.0, 8.0, 9.0]).expect("enrolled");
+        repo.fit().expect("enough rows");
+        assert!(!repo.grid_is_stale());
+
+        // Rows this repository does not hold are refused, without a bump.
+        let mut other = build_repo(&data, &sig);
+        other.onboard_device("d", &[1.0, 2.0, 3.0]).expect("valid");
+        for n in 3..data.n_networks() {
+            other
+                .contribute("d", &data.suite[n].network, 4.0)
+                .expect("enrolled");
+        }
+        let foreign = other.training_set().clone();
+        let (model, frozen) = refit(&other, &foreign);
+        let epoch = repo.model_epoch();
+        assert!(matches!(
+            repo.install_model_on(model, frozen, &foreign),
+            Err(RepositoryError::CorruptParts { .. })
+        ));
+        assert_eq!(repo.model_epoch(), epoch);
+    }
+
+    #[test]
+    fn grid_rows_survive_the_parts_and_recompile_on_the_prefix() {
+        let data = CostDataset::tiny(17, 4, 5);
+        let mut repo = build_repo(&data, &[0, 1]);
+        repo.onboard_device("a", &[10.0, 20.0]).expect("valid");
+        for net in &data.suite[..12] {
+            repo.contribute("a", &net.network, 5.0).expect("enrolled");
+        }
+        repo.fit().expect("twelve rows clear min_rows");
+        // A second device makes the signature columns vary, so the grid
+        // of every row differs from the one the model was cut on.
+        repo.onboard_device("b", &[11.0, 21.0]).expect("valid");
+        repo.contribute("b", &data.suite[0].network, 6.0)
+            .expect("enrolled");
+        let parts = repo.to_parts();
+        assert_eq!(parts.grid_rows, Some(12));
+        let rebuilt = CollaborativeRepository::from_parts(parts.clone()).expect("own parts");
+        assert_eq!(rebuilt.grid_rows(), 12);
+        // A pre-freeze snapshot recompiles on the prefix.
+        let mut unfrozen = parts.clone();
+        unfrozen.frozen = None;
+        let recompiled = CollaborativeRepository::from_parts(unfrozen).expect("own model");
+        assert_eq!(recompiled.frozen_model(), repo.frozen_model());
+        // Layouts that did not record the grid cut it from every row.
+        assert_eq!(parts.grid_on_all_rows().grid_rows, Some(13));
     }
 }

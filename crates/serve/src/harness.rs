@@ -79,18 +79,6 @@ impl ScriptedTransport {
     pub fn take_captured(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.captured)
     }
-
-    /// Bytes written by the server and not yet taken.
-    #[must_use]
-    pub fn captured_len(&self) -> usize {
-        self.captured.len()
-    }
-
-    /// Whether undelivered input chunks remain queued.
-    #[must_use]
-    pub fn has_pending_input(&self) -> bool {
-        !self.incoming.is_empty()
-    }
 }
 
 impl Transport for ScriptedTransport {

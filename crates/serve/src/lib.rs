@@ -17,9 +17,11 @@
 //!   work, never change it.
 //! * [`snapshot`] — versioned serde persistence of the full repository
 //!   state (encoder config, devices, training rows, fitted
-//!   [`gdcm_ml::GbdtRegressor`]). Loading replays `gdcm-core` ingestion
-//!   validation **and** the `gdcm-audit` ensemble + dataset passes, so a
-//!   corrupted or poisoned snapshot is rejected before it can serve.
+//!   [`gdcm_ml::GbdtRegressor`] and the number of leading rows its bin
+//!   grid was cut from). Loading replays `gdcm-core` ingestion
+//!   validation **and** the `gdcm-audit` ensemble + dataset passes on
+//!   those rows, so a corrupted or poisoned snapshot is rejected before
+//!   it can serve.
 //! * [`server`] — a TCP server (`std::net::TcpListener`, safe Rust
 //!   only): one thread per connection, which spins briefly when idle
 //!   and then blocks until its peer sends, serves the length-prefixed,
@@ -33,14 +35,13 @@
 //!   contributions (warm-starting from the previous model's trees),
 //!   gates the result through the audit + flatcheck passes, atomically
 //!   swaps it in without blocking readers, and compacts the log into a
-//!   fresh snapshot.
+//!   fresh snapshot — as does a fit, and the mutation that fills the
+//!   log to [`refresh::WAL_COMPACT_RECORDS`] records.
 //!
 //! Environment knobs: `GDCM_SERVE_ENC_CACHE` / `GDCM_SERVE_PRED_CACHE`
 //! (cache capacities in entries, 0 disables),
 //! `GDCM_SERVE_REFRESH_ROWS` / `GDCM_SERVE_REFRESH_BOOST` (background
-//! refresh threshold and warm residual rounds),
-//! `GDCM_SERVE_WAL_COMPACT_RECORDS` (WAL records that force a
-//! compaction cycle, 0 disables), `GDCM_THREADS` (worker
+//! refresh threshold and warm residual rounds), `GDCM_THREADS` (worker
 //! budget, via `gdcm-par`), `GDCM_OBS` (event sinks, via `gdcm-obs`).
 //! Unparsable `GDCM_SERVE_*` values fall back to their defaults with a
 //! structured `config_warning` event.

@@ -23,8 +23,9 @@
 //!   readers, with or without `--wal`. With `--wal` mutating requests are also
 //!   write-ahead logged (fsync before ack) at the given path; any
 //!   records already in the log are replayed over the snapshot before
-//!   serving starts (`WAL REPLAY ...` is printed), and each refresh
-//!   compacts the log back into the snapshot file.
+//!   serving starts (`WAL REPLAY ...` is printed), and each accepted
+//!   refresh, each `Fit`, and the mutation that fills the log to its
+//!   record cap compact the log back into the snapshot file.
 //! * `--probe` is the scripted client the CI smoke job runs: it loads
 //!   the same snapshot locally, queries the server over binary-v1
 //!   (ping / predict / error code / cached re-predict / stats /
@@ -71,7 +72,8 @@ const USAGE: &str = "usage:
   --addr HOST:PORT  listen address for serving
   --ops-addr ADDR   also serve the ops endpoint (health/metrics/slowlog/quiesce)
   --wal PATH        write-ahead log mutating requests here (replayed on start,
-                    compacted into the snapshot after each background refresh)
+                    compacted into the snapshot after each background refresh,
+                    each fit, and at 1024 records)
   --probe ADDR      act as the scripted smoke client against ADDR
   --ops ADDR        probe the server's ops endpoint at ADDR too
   --ops-out PATH    where the probe writes the metrics snapshot

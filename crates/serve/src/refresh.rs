@@ -24,17 +24,22 @@
 //!    ([`gdcm_ml::GbdtRegressor::warm_fit`]) — runs the same audit +
 //!    flatcheck gate the snapshot loader applies, and only then
 //!    atomically installs the new model
-//!    ([`ServingRepository::install_refit`]). Readers never wait on a
-//!    fit: the write guard is held for the pointer swap only.
-//! 3. **Compaction.** After a successful swap the repository is
-//!    re-snapshotted (atomically — [`crate::snapshot::save_repository`])
-//!    and the WAL truncated, bounding replay work at the next startup.
-//!    Two paths keep the log bounded even without the contribution
-//!    threshold: records recovered at open seed the refresh backlog,
-//!    and once `wal_compact_records` accumulate the refresher runs a
-//!    backstop cycle (compaction always rides a refit, because a
-//!    snapshot whose model was fitted on fewer rows than it stores is
-//!    rejected by the load-time flatcheck gate).
+//!    ([`ServingRepository::install_refit_on`], which records the grid as
+//!    cut from the rows it copied). Readers never wait on a fit: the
+//!    write guard is held for the pointer swap only.
+//! 3. **Compaction.** Saving the repository as a snapshot (atomically —
+//!    [`crate::snapshot::save_repository`]) and truncating the WAL
+//!    bounds replay work at the next startup. It runs under the WAL lock
+//!    after an accepted refresh, after an on-demand
+//!    [`IngestPipeline::fit`], and inside the mutation that brings the
+//!    log to [`WAL_COMPACT_RECORDS`] records. It needs no refit: a
+//!    snapshot records how many leading rows its model's bin grid was
+//!    cut from, and rows contributed after them load as they are. The
+//!    one thing that holds it back is a stale grid (a device re-enrolled
+//!    since the cut — [`gdcm_core::CollaborativeRepository::grid_is_stale`]):
+//!    the save is refused, the skip is counted
+//!    (`serve/compactions_deferred`) and the log keeps its records until
+//!    the next refresh, which is cold, or the next fit.
 //!
 //! The epoch guard in [`ServingRepository`] is what makes the swap safe
 //! for in-flight readers: any prediction computed against the old model
@@ -48,6 +53,7 @@ use std::time::{Duration, Instant};
 use crate::serving::env_usize;
 use crate::wal::{WalRecord, WriteAheadLog};
 use crate::{snapshot, ServeError, ServingRepository};
+use gdcm_core::RepositoryError;
 use gdcm_dnn::Network;
 use gdcm_ml::{FrozenGbdt, GbdtRegressor};
 
@@ -62,44 +68,33 @@ pub struct RefreshConfig {
     /// reused and only `warm_boost` residual rounds are fitted. 0 means
     /// every refresh is a cold fit.
     pub warm_boost: usize,
-    /// WAL records that force a backstop refresh cycle (refit + swap +
-    /// compact — a compacted snapshot's model must match its rows, so
-    /// compaction always rides a refit) even when the contribution
-    /// threshold is disabled or far away, bounding the log's replay
-    /// cost. 0 disables the backstop.
-    pub wal_compact_records: usize,
 }
 
 /// Default residual rounds per warm refresh.
 pub const DEFAULT_WARM_BOOST: usize = 8;
 
-/// Default WAL-record cap before an inline compaction.
-pub const DEFAULT_WAL_COMPACT_RECORDS: usize = 1024;
+/// WAL records at which a mutation compacts the log after applying,
+/// bounding replay work whether or not refresh is enabled.
+pub const WAL_COMPACT_RECORDS: u64 = 1024;
 
 impl Default for RefreshConfig {
     fn default() -> Self {
         Self {
             refresh_rows: 0,
             warm_boost: DEFAULT_WARM_BOOST,
-            wal_compact_records: DEFAULT_WAL_COMPACT_RECORDS,
         }
     }
 }
 
 impl RefreshConfig {
     /// Reads `GDCM_SERVE_REFRESH_ROWS` (contribution threshold, 0 or
-    /// unset disables), `GDCM_SERVE_REFRESH_BOOST` (warm residual
-    /// rounds), and `GDCM_SERVE_WAL_COMPACT_RECORDS` (inline-compaction
-    /// backstop, 0 disables). Unparsable values fall back with a
-    /// structured warning, like every other `GDCM_SERVE_*` knob.
+    /// unset disables) and `GDCM_SERVE_REFRESH_BOOST` (warm residual
+    /// rounds). Unparsable values fall back with a structured warning,
+    /// like every other `GDCM_SERVE_*` knob.
     pub fn from_env() -> Self {
         Self {
             refresh_rows: env_usize("GDCM_SERVE_REFRESH_ROWS", 0),
             warm_boost: env_usize("GDCM_SERVE_REFRESH_BOOST", DEFAULT_WARM_BOOST),
-            wal_compact_records: env_usize(
-                "GDCM_SERVE_WAL_COMPACT_RECORDS",
-                DEFAULT_WAL_COMPACT_RECORDS,
-            ),
         }
     }
 }
@@ -112,21 +107,11 @@ pub struct IngestPipeline<'a> {
     /// The durability layer; `None` runs the pipeline in-memory (still
     /// counting toward the refresh threshold).
     wal: Option<Mutex<WriteAheadLog>>,
-    /// Where compaction writes the post-refresh snapshot.
+    /// Where compaction writes the snapshot.
     snapshot_path: Option<PathBuf>,
     config: RefreshConfig,
     /// Contributions since the last completed refresh.
     pending_rows: Mutex<u64>,
-    /// WAL record count at the last backstop-triggered cycle that did
-    /// not compact (rejected or data-starved); the backstop re-arms
-    /// only once the log grows past it, so a persistently failing
-    /// refit cannot hot-loop.
-    wal_backstop_mark: AtomicU64,
-    /// Set when a refresh swapped but compaction was deferred because a
-    /// mutation raced the swap; the refresher follows up with another
-    /// cycle (which refits over the new state) instead of leaving the
-    /// log to the record-cap backstop.
-    compact_pending: AtomicBool,
     stop: AtomicBool,
     refreshes: AtomicU64,
     refreshes_rejected: AtomicU64,
@@ -142,8 +127,6 @@ impl<'a> IngestPipeline<'a> {
             snapshot_path: None,
             config,
             pending_rows: Mutex::new(0),
-            wal_backstop_mark: AtomicU64::new(0),
-            compact_pending: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             refreshes: AtomicU64::new(0),
             refreshes_rejected: AtomicU64::new(0),
@@ -151,8 +134,8 @@ impl<'a> IngestPipeline<'a> {
     }
 
     /// A durable pipeline: mutations are WAL-logged before they are
-    /// applied, and each completed refresh compacts the log into a
-    /// fresh snapshot at `snapshot_path`. The log should already have
+    /// applied, and compaction folds the log into a fresh snapshot at
+    /// `snapshot_path`. The log should already have
     /// been opened (and its records replayed into `serving`'s
     /// repository) by the caller — see [`WriteAheadLog::open`].
     ///
@@ -183,31 +166,10 @@ impl<'a> IngestPipeline<'a> {
         self.config.refresh_rows > 0
     }
 
-    /// Whether the server must spawn the refresher thread: either the
-    /// contribution threshold is active, or a WAL with a record-cap
-    /// backstop needs the thread to bound the log.
-    pub fn refresher_needed(&self) -> bool {
-        self.refresh_enabled() || (self.wal.is_some() && self.config.wal_compact_records > 0)
-    }
-
-    /// Whether a refresh cycle is due right now: the contribution
-    /// threshold is crossed, the WAL has grown past its record-cap
-    /// backstop, or a deferred compaction needs a follow-up cycle. The
-    /// latter two are gated on the log having grown past the mark of
-    /// the last cycle that failed to compact, so failures re-arm on
-    /// growth instead of hot-looping.
+    /// Whether a refresh cycle is due right now: refresh is enabled and
+    /// the contribution threshold is crossed.
     pub fn refresh_due(&self) -> bool {
-        if self.refresh_enabled() && *self.pending_rows.lock() >= self.config.refresh_rows as u64 {
-            return true;
-        }
-        let records = self.wal_records();
-        if records == 0 {
-            return false;
-        }
-        let cap = self.config.wal_compact_records as u64;
-        let over_cap = cap > 0 && records >= cap;
-        (over_cap || self.compact_pending.load(Ordering::Acquire))
-            && records > self.wal_backstop_mark.load(Ordering::Acquire)
+        self.refresh_enabled() && *self.pending_rows.lock() >= self.config.refresh_rows as u64
     }
 
     /// Completed background refreshes.
@@ -289,7 +251,9 @@ impl<'a> IngestPipeline<'a> {
     /// Appends the record (when a WAL is attached) and applies the
     /// mutation, holding the WAL lock across both so the log order is
     /// the apply order — compaction must never snapshot a mutation the
-    /// log believes is still pending.
+    /// log believes is still pending. A mutation that brings the log to
+    /// [`WAL_COMPACT_RECORDS`] records then compacts it, still under
+    /// the lock.
     ///
     /// A mutation the repository rejects is rolled back out of the log
     /// while the lock is still held: nothing was acknowledged, and a
@@ -318,6 +282,9 @@ impl<'a> IngestPipeline<'a> {
                     }
                     return Err(e);
                 }
+                if wal.pending() >= WAL_COMPACT_RECORDS {
+                    self.compact_locked(&mut wal);
+                }
                 Ok(())
             }
         }
@@ -338,12 +305,11 @@ impl<'a> IngestPipeline<'a> {
         self.stop.store(true, Ordering::Release);
     }
 
-    /// The background refresher loop: polls [`Self::refresh_due`] (the
-    /// contribution threshold or the WAL record-cap backstop), then
+    /// The background refresher loop: polls [`Self::refresh_due`], then
     /// refits and swaps. Run on a dedicated thread by
-    /// [`crate::server::serve`]. A gate-rejected refresh is
-    /// logged and the loop keeps serving the old model. The poll
-    /// interval (25 ms against an uncontended mutex) bounds refresh
+    /// [`crate::server::serve`] when refresh is enabled. A gate-rejected
+    /// refresh is logged and the loop keeps serving the old model. The
+    /// poll interval (25 ms against an uncontended mutex) bounds refresh
     /// latency. A `Condvar` could wake the loop sooner (the vendored
     /// `parking_lot` shim hands out std guards, and `gdcm-par` already
     /// waits on a std `Condvar` with them), but a refit takes orders of
@@ -354,56 +320,40 @@ impl<'a> IngestPipeline<'a> {
                 std::thread::park_timeout(Duration::from_millis(25));
                 continue;
             }
-            let outcome = self.refresh_once();
-            match &outcome {
-                Ok(true) => {}
-                Ok(false) => {
-                    // Not enough rows to fit yet. An *unfitted*
-                    // repository can still compact (a model-less
-                    // snapshot loads without an audit gate), so a
-                    // backstop-sized backlog of onboards does not sit
-                    // in the log forever.
-                    self.compact_unfitted_backlog();
-                }
-                Err(e) => gdcm_obs::event(
+            if let Err(e) = self.refresh_once() {
+                gdcm_obs::event(
                     "refresh_rejected",
                     "serve",
                     &[("error", gdcm_obs::FieldValue::Str(e.to_string()))],
-                ),
+                );
             }
-            // A completed cycle resets the backstop; a failed one
-            // re-arms it only once the log grows past where it stands
-            // now, so a persistently failing refit cannot hot-loop.
-            let mark = match outcome {
-                Ok(true) => 0,
-                _ => self.wal_records(),
-            };
-            self.wal_backstop_mark.store(mark, Ordering::Release);
         }
     }
 
     /// One refresh cycle: copy the training set under a brief read
     /// lock, build its matrix and (warm-)fit off-lock, audit, swap,
-    /// compact. Returns
-    /// `Ok(false)` when there is not yet enough data to fit.
+    /// compact. Returns `Ok(false)` when there is not yet enough data
+    /// to fit. A stale grid makes the cycle cold.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::AuditRejected`] when the refreshed model
-    /// fails the audit + flatcheck gate (the old model keeps serving),
-    /// and I/O errors from compaction.
+    /// fails the audit + flatcheck gate (the old model keeps serving).
+    /// A failed compaction is logged, not returned: the swap stands and
+    /// the log keeps its records.
     pub fn refresh_once(&self) -> Result<bool, ServeError> {
         let _span = gdcm_obs::span!("serve/refresh");
         let take = *self.pending_rows.lock();
         // Copy what training needs under the read lock — shared
         // encodings, ids, labels and signatures, not the matrix — and
         // build the matrix and fit off-lock.
-        let (train, gbdt, min_rows, prev) = self.serving.with_repository(|repo| {
+        let (train, gbdt, min_rows, prev, stale) = self.serving.with_repository(|repo| {
             (
                 repo.training_set().clone(),
                 repo.config().gbdt,
                 repo.config().min_rows,
                 repo.model().cloned(),
+                repo.grid_is_stale(),
             )
         });
         if train.n_rows() < min_rows {
@@ -413,11 +363,14 @@ impl<'a> IngestPipeline<'a> {
         let x = train.matrix();
         let y = train.labels();
         // Warm-start only when the previous model is shaped like the
-        // configured fit; any mismatch (hyper-parameter change, feature
-        // width change after a signature-set change) falls back cold.
+        // configured fit and its grid is not stale; any mismatch
+        // (hyper-parameter change, feature width change after a
+        // signature-set change, a re-enroll since the last fit) falls
+        // back cold.
         let reuse = match &prev {
             Some(prev)
-                if self.config.warm_boost > 0
+                if !stale
+                    && self.config.warm_boost > 0
                     && self.config.warm_boost < gbdt.n_estimators
                     && prev.n_trees() == gbdt.n_estimators
                     && prev.n_features() == x.n_cols() =>
@@ -452,7 +405,10 @@ impl<'a> IngestPipeline<'a> {
         {
             return Err(self.reject_refresh(take, e));
         }
-        let epoch = self.serving.install_refit(model, frozen)?;
+        // Free the refit's working set first, so the compaction's
+        // snapshot save does not stack on it.
+        drop((x, grid));
+        let epoch = self.serving.install_refit_on(model, frozen, &train)?;
         let fit_ms = started.elapsed().as_secs_f64() * 1e3;
         {
             let mut pending = self.pending_rows.lock();
@@ -462,7 +418,6 @@ impl<'a> IngestPipeline<'a> {
         self.refreshes.fetch_add(1, Ordering::Relaxed);
         gdcm_obs::counter("serve/refreshes").incr();
         gdcm_obs::histogram("serve/refresh_fit_ms").record(fit_ms);
-        self.compact_consistent(y.len(), epoch)?;
         gdcm_obs::event(
             "refresh_swapped",
             "serve",
@@ -473,6 +428,9 @@ impl<'a> IngestPipeline<'a> {
                 ("fit_ms", gdcm_obs::FieldValue::F64(fit_ms)),
             ],
         );
+        if let Some(wal) = &self.wal {
+            self.compact_locked(&mut wal.lock());
+        }
         Ok(true)
     }
 
@@ -509,83 +467,35 @@ impl<'a> IngestPipeline<'a> {
         };
         let mut wal = wal.lock();
         self.serving.fit()?;
-        if let Err(e) = self.compact_locked(&mut wal) {
-            gdcm_obs::event(
-                "fit_snapshot_failed",
-                "serve",
-                &[("error", gdcm_obs::FieldValue::Str(e.to_string()))],
-            );
-        }
+        self.compact_locked(&mut wal);
         Ok(())
     }
 
     /// Folds the WAL into a fresh snapshot — save (atomic) then
-    /// truncate, under the WAL lock so no concurrent mutation lands
-    /// between the snapshot capture and the truncation — but only if
-    /// the repository still matches the state the refreshed model was
-    /// trained on (`rows` rows, model epoch `epoch`). A mutation that
-    /// landed between the model install and this lock acquisition would
-    /// make the snapshot's model stale against its rows — exactly the
-    /// mismatch the load-time flatcheck gate rejects — so compaction is
-    /// deferred to the next cycle instead, which refits over the new
-    /// state. (Device onboards don't invalidate the model, but they
-    /// also apply under the WAL lock, so deferring on any drift is
-    /// simplest and costs one extra cycle at worst.)
-    fn compact_consistent(&self, rows: usize, epoch: u64) -> Result<(), ServeError> {
-        let Some(wal) = &self.wal else {
-            return Ok(());
+    /// truncate — with the WAL lock already held, so no mutation lands
+    /// between the snapshot capture and the truncation. A stale grid's
+    /// refused save skips the compaction (counted in
+    /// `serve/compactions_deferred`); any other failure is logged as a
+    /// `compaction_failed` event. Either way the log keeps every record
+    /// the snapshot would have folded in.
+    fn compact_locked(&self, wal: &mut WriteAheadLog) {
+        let Some(path) = &self.snapshot_path else {
+            return;
         };
-        let mut wal = wal.lock();
-        let current = self
+        match self
             .serving
-            .with_repository(|repo| (repo.n_rows(), repo.model_epoch()));
-        if current != (rows, epoch) {
-            self.compact_pending.store(true, Ordering::Release);
-            gdcm_obs::counter("serve/compactions_deferred").incr();
-            gdcm_obs::event(
-                "compaction_deferred",
-                "serve",
-                &[
-                    ("trained_rows", gdcm_obs::FieldValue::U64(rows as u64)),
-                    ("rows", gdcm_obs::FieldValue::U64(current.0 as u64)),
-                ],
-            );
-            return Ok(());
-        }
-        self.compact_locked(&mut wal)
-    }
-
-    /// An unfitted repository has no model for a snapshot to disagree
-    /// with, so a backstop-sized backlog (e.g. onboards before the row
-    /// minimum is met) can compact without a refit. No-op when the
-    /// repository is fitted or the backlog is under the cap.
-    fn compact_unfitted_backlog(&self) {
-        let Some(wal) = &self.wal else { return };
-        let cap = self.config.wal_compact_records as u64;
-        if cap == 0 {
-            return;
-        }
-        let mut wal = wal.lock();
-        if wal.pending() < cap || self.serving.with_repository(|repo| repo.is_fitted()) {
-            return;
-        }
-        if let Err(e) = self.compact_locked(&mut wal) {
-            gdcm_obs::event(
-                "backstop_compact_failed",
+            .save_snapshot(path)
+            .and_then(|()| wal.compact())
+        {
+            Ok(()) => {}
+            Err(ServeError::Repository(RepositoryError::StaleGrid)) => {
+                gdcm_obs::counter("serve/compactions_deferred").incr();
+            }
+            Err(e) => gdcm_obs::event(
+                "compaction_failed",
                 "serve",
                 &[("error", gdcm_obs::FieldValue::Str(e.to_string()))],
-            );
+            ),
         }
-    }
-
-    /// Snapshot + truncate with the WAL lock already held.
-    fn compact_locked(&self, wal: &mut WriteAheadLog) -> Result<(), ServeError> {
-        let Some(path) = &self.snapshot_path else {
-            return Ok(());
-        };
-        self.serving.save_snapshot(path)?;
-        wal.compact()?;
-        self.compact_pending.store(false, Ordering::Release);
-        Ok(())
     }
 }

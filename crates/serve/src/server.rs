@@ -253,7 +253,7 @@ pub fn serve(
             ops_listener.map(|ops| outer.spawn(move || crate::ops::run_ops(ops, shared)));
         let refresher = shared
             .ingest
-            .refresher_needed()
+            .refresh_enabled()
             .then(|| outer.spawn(|| shared.ingest.run()));
 
         // The inner scope joins every connection thread, so request

@@ -26,7 +26,8 @@
 //! 8-byte words, the step [`wire_hash`] uses. Predictions are keyed by
 //! `(device name, network hash)` and invalidated whenever the model or
 //! a device signature changes ([`ServingRepository::fit`],
-//! [`ServingRepository::re_enroll`], [`ServingRepository::install_refit`]).
+//! [`ServingRepository::re_enroll`], [`ServingRepository::install_refit`],
+//! [`ServingRepository::install_refit_on`]).
 //!
 //! [`wire_hash`]: crate::protocol::wire::fast::wire_hash
 //!
@@ -42,7 +43,7 @@
 //! `serve/pred_cache_stale_discard`) unless the epoch still matches the
 //! cache's own epoch mirror at publish time.
 
-use gdcm_core::{CollaborativeRepository, RepositoryError};
+use gdcm_core::{CollaborativeRepository, RepositoryError, TrainingSet};
 use gdcm_dnn::Network;
 use gdcm_ml::{FrozenGbdt, GbdtRegressor};
 use parking_lot::{Mutex, RwLock};
@@ -440,12 +441,7 @@ impl ServingRepository {
     ///
     /// Propagates the repository's validation errors.
     pub fn re_enroll(&self, name: &str, signature_latencies_ms: &[f64]) -> Result<(), ServeError> {
-        let epoch = {
-            let mut repo = self.repo.write();
-            repo.re_enroll(name, signature_latencies_ms)?;
-            repo.model_epoch()
-        };
-        self.invalidate_predictions(epoch);
+        self.change_model(|repo| repo.re_enroll(name, signature_latencies_ms))?;
         Ok(())
     }
 
@@ -473,20 +469,15 @@ impl ServingRepository {
     ///
     /// See [`CollaborativeRepository::fit`].
     pub fn fit(&self) -> Result<(), ServeError> {
-        let epoch = {
-            let mut repo = self.repo.write();
-            repo.fit()?;
-            repo.model_epoch()
-        };
-        self.invalidate_predictions(epoch);
+        self.change_model(CollaborativeRepository::fit)?;
         Ok(())
     }
 
-    /// Installs an externally fitted model pair — the background
-    /// refresh's atomic swap. The expensive training happened off-lock;
-    /// this only takes the write guard for the pointer swap plus the
-    /// cache invalidation, so concurrent readers never block behind a
-    /// refit. Returns the new model epoch.
+    /// Installs an externally fitted model pair trained on the current
+    /// rows. The expensive training happened off-lock; this only takes
+    /// the write guard for the pointer swap plus the cache
+    /// invalidation, so concurrent readers never block behind a refit.
+    /// Returns the new model epoch.
     ///
     /// # Errors
     ///
@@ -496,9 +487,36 @@ impl ServingRepository {
         model: GbdtRegressor,
         frozen: FrozenGbdt,
     ) -> Result<u64, ServeError> {
+        self.change_model(|repo| repo.install_model(model, frozen))
+    }
+
+    /// [`ServingRepository::install_refit`] for a pair trained on
+    /// `trained_on`, a clone of the training set taken earlier — the
+    /// background refresh's atomic swap (see
+    /// [`CollaborativeRepository::install_model_on`]).
+    ///
+    /// # Errors
+    ///
+    /// See [`CollaborativeRepository::install_model_on`].
+    pub fn install_refit_on(
+        &self,
+        model: GbdtRegressor,
+        frozen: FrozenGbdt,
+        trained_on: &TrainingSet,
+    ) -> Result<u64, ServeError> {
+        self.change_model(|repo| repo.install_model_on(model, frozen, trained_on))
+    }
+
+    /// Applies a mutation that can change what `predict` answers under
+    /// the write guard, then drops the now-stale prediction cache.
+    /// Returns the new model epoch.
+    fn change_model(
+        &self,
+        mutate: impl FnOnce(&mut CollaborativeRepository) -> Result<(), RepositoryError>,
+    ) -> Result<u64, ServeError> {
         let epoch = {
             let mut repo = self.repo.write();
-            repo.install_model(model, frozen)?;
+            mutate(&mut repo)?;
             repo.model_epoch()
         };
         self.invalidate_predictions(epoch);

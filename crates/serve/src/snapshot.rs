@@ -6,35 +6,45 @@
 //! envelope is read first; `parts` is then deserialized, from the same
 //! parsed document, in the layout its version names.
 //!
-//! - **Version 2** (written by this build) stores each distinct network
+//! - **Version 3** (written by this build) stores each distinct network
 //!   encoding once. It holds the encoder and config, the enrolled
 //!   devices (name-sorted, with their signatures), the distinct
 //!   encodings in first-seen row order, every training row as an
 //!   (encoding index, device index) pair, the labels, and the model,
-//!   frozen model and epoch.
+//!   the number of leading rows its bin grid was cut from (*g*,
+//!   `grid_rows`), the frozen model and the epoch.
+//! - **Version 2** is version 3 without *g*. Its model was cut from
+//!   every row, so it loads with *g* = all rows.
 //! - **Version 1** stored every row in full (encoding followed by its
 //!   owner's signature) with its owner's name. It still loads: its rows
 //!   are interned on load ([`gdcm_core::RepositoryPartsV1::upgrade`]),
 //!   which refuses a row whose hardware tail disagrees with its owner's
-//!   signature or whose owner is not enrolled. Saving it again writes
-//!   version 2.
+//!   signature or whose owner is not enrolled, and *g* is all rows.
+//!
+//! Saving any of them again writes version 3. A repository whose grid is
+//! stale ([`CollaborativeRepository::grid_is_stale`]: a device
+//! re-enrolled since the cut) is not saved at all
+//! ([`gdcm_core::RepositoryError::StaleGrid`]): no prefix of its rows
+//! rebuilds the grid, so the file could not load.
 //!
 //! Loading is defensive twice over, because a snapshot file is exactly
 //! the kind of input the ingestion-validation policy exists for:
 //!
 //! 1. [`gdcm_core::CollaborativeRepository::from_parts`] replays every
 //!    structural invariant (encoding widths and finiteness, distinct
-//!    encodings, ids in range, latency validity).
+//!    encodings, ids in range, latency validity, *g* within the rows).
 //! 2. When the snapshot carries a fitted model, the `gdcm-audit`
-//!    ensemble + dataset passes run against the stored training data,
-//!    and the flatcheck pass translation-validates the compiled
-//!    (frozen) model the prediction paths will actually run; any
-//!    *error*-severity diagnostic rejects the snapshot
+//!    ensemble + dataset passes run against the first *g* stored rows
+//!    and labels, rebuilding the bin grid from them rather than reading
+//!    it from the model, and the flatcheck pass translation-validates
+//!    the compiled (frozen) model the prediction paths will actually
+//!    run; any *error*-severity diagnostic rejects the snapshot
 //!    ([`crate::ServeError::AuditRejected`]). Warnings are logged
-//!    through `gdcm-obs` but do not block serving.
+//!    through `gdcm-obs` but do not block serving. Rows after *g* get
+//!    the structural checks of step 1 only.
 
 use gdcm_audit::DatasetLints;
-use gdcm_core::{CollaborativeRepository, RepositoryParts, RepositoryPartsV1};
+use gdcm_core::{CollaborativeRepository, RepositoryError, RepositoryParts, RepositoryPartsV1};
 use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
@@ -46,7 +56,7 @@ use crate::ServeError;
 pub const SNAPSHOT_FORMAT: &str = "gdcm-repository-snapshot";
 /// Current snapshot layout version. Bump on any incompatible change to
 /// [`RepositoryParts`] or the envelope.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A versioned, serializable repository snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -80,8 +90,8 @@ impl RepositorySnapshot {
     }
 
     /// Parses a snapshot document: the envelope first, then `parts` in
-    /// the layout its version names. Version-1 parts are upgraded to
-    /// the current layout, so the result is always a
+    /// the layout its version names. Version-1 and version-2 parts are
+    /// upgraded to the current layout, so the result is always a
     /// [`SNAPSHOT_VERSION`] snapshot.
     fn from_json(json: &str) -> Result<Self, ServeError> {
         let json_error = |e: serde_json::Error| ServeError::Json(e.to_string());
@@ -93,13 +103,16 @@ impl RepositorySnapshot {
         }
         let parts = match envelope.version {
             SNAPSHOT_VERSION => serde_json::from_value(envelope.parts).map_err(json_error)?,
+            2 => serde_json::from_value::<RepositoryParts>(envelope.parts)
+                .map_err(json_error)?
+                .grid_on_all_rows(),
             1 => serde_json::from_value::<RepositoryPartsV1>(envelope.parts)
                 .map_err(json_error)?
                 .upgrade()?,
             other => {
                 return Err(ServeError::BadSnapshot {
                     reason: format!(
-                        "version {other} is not a supported version (1 or {SNAPSHOT_VERSION})"
+                        "version {other} is not a supported version (1 to {SNAPSHOT_VERSION})"
                     ),
                 });
             }
@@ -143,8 +156,9 @@ impl RepositorySnapshot {
 }
 
 /// Runs the `gdcm-audit` ensemble + dataset passes over a repository's
-/// fitted model and training data, then the flatcheck pass over its
-/// compiled (frozen) model. Error-severity findings reject the
+/// fitted model and the rows its grid was cut from
+/// ([`CollaborativeRepository::grid_rows`]), then the flatcheck pass
+/// over its compiled (frozen) model. Error-severity findings reject the
 /// repository; warnings are re-emitted as `gdcm-obs` events.
 ///
 /// An unfitted repository (no model yet) has no ensemble to audit and
@@ -155,12 +169,13 @@ fn audit_repository(repo: &CollaborativeRepository) -> Result<(), ServeError> {
     };
     let _span = gdcm_obs::span!("serve/snapshot_audit");
     let train = repo.training_set();
+    let rows = repo.grid_rows();
     audit_model_artifacts(
         "serve/snapshot",
         model,
         &repo.config().gbdt,
-        &train.matrix(),
-        train.labels(),
+        &train.prefix_matrix(rows),
+        &train.labels()[..rows],
         repo.frozen_model(),
     )
     .inspect_err(|_| gdcm_obs::counter("serve/snapshots_rejected").incr())
@@ -221,9 +236,13 @@ pub(crate) fn audit_model_artifacts(
 ///
 /// # Errors
 ///
-/// Fails on serialization or filesystem errors.
+/// Refuses a stale grid with [`RepositoryError::StaleGrid`], writing
+/// nothing, and fails on serialization or filesystem errors.
 pub fn save_repository(repo: &CollaborativeRepository, path: &Path) -> Result<(), ServeError> {
     let _span = gdcm_obs::span!("serve/snapshot_save");
+    if repo.grid_is_stale() {
+        return Err(RepositoryError::StaleGrid.into());
+    }
     let snapshot = RepositorySnapshot::capture(repo);
     let json = serde_json::to_string(&snapshot).map_err(|e| ServeError::Json(e.to_string()))?;
     let mut tmp = path.as_os_str().to_owned();

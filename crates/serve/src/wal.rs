@@ -5,9 +5,12 @@
 //! throughput by the snapshot size. The classic fix is a write-ahead
 //! log: every mutating request is framed, checksummed, and fsynced to
 //! an append-only file *before* it is applied and acknowledged. On
-//! startup the log is replayed on top of the latest snapshot; after a
-//! successful background refit the state is re-snapshotted and the log
-//! truncated ([`WriteAheadLog::compact`]).
+//! startup the log is replayed on top of the latest snapshot. Compaction
+//! re-snapshots the state and truncates the log
+//! ([`WriteAheadLog::compact`]): after an accepted background refresh,
+//! after an on-demand fit, and once the log holds
+//! [`crate::refresh::WAL_COMPACT_RECORDS`] records
+//! ([`crate::refresh`], step 3).
 //!
 //! ## Record framing
 //!
@@ -42,7 +45,7 @@
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::protocol::wire;
 use crate::ServeError;
@@ -92,7 +95,6 @@ pub struct WalRecovery {
 #[derive(Debug)]
 pub struct WriteAheadLog {
     file: File,
-    path: PathBuf,
     /// Records appended since the last [`WriteAheadLog::compact`]
     /// (including recovered ones).
     pending: u64,
@@ -151,7 +153,6 @@ impl WriteAheadLog {
         };
         let wal = Self {
             file,
-            path: path.to_path_buf(),
             pending: records.len() as u64,
             len: valid_len,
         };
@@ -232,11 +233,6 @@ impl WriteAheadLog {
     /// Records appended (or recovered) since the last compaction.
     pub fn pending(&self) -> u64 {
         self.pending
-    }
-
-    /// The log's path on disk.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -320,6 +316,7 @@ pub fn replay_record(repo: &mut gdcm_core::CollaborativeRepository, record: &Wal
 mod tests {
     use super::*;
     use gdcm_core::CostDataset;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("gdcm-wal-tests");

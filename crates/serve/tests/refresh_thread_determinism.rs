@@ -31,7 +31,6 @@ fn refresh_swapped_predictions_equal_a_cold_fit_at_any_thread_count() {
             RefreshConfig {
                 refresh_rows: 4,
                 warm_boost: 0,
-                ..RefreshConfig::default()
             },
         );
         for (i, net) in nets.iter().take(4).enumerate() {

@@ -7,6 +7,7 @@
 mod common;
 
 use common::fitted_repository;
+use gdcm_serve::refresh::WAL_COMPACT_RECORDS;
 use gdcm_serve::{
     load_repository, save_repository, IngestPipeline, RefreshConfig, ServeConfig, ServeError,
     ServingRepository, WriteAheadLog,
@@ -373,9 +374,10 @@ fn recovered_wal_records_seed_the_refresh_backlog() {
 }
 
 /// With the contribution threshold disabled, the WAL must still be
-/// bounded: crossing `wal_compact_records` makes the refresher run a
-/// backstop cycle — refit + swap + compact, since a compacted
-/// snapshot's model must match its rows to pass the load-time gate.
+/// bounded: the mutation that brings the log to the record cap (the
+/// backstop) compacts it in place — no refresher thread and no refit,
+/// because a snapshot records the rows its model's grid was cut from and
+/// loads with rows contributed after them.
 #[test]
 fn wal_compacts_via_backstop_without_contribution_threshold() {
     let (repo, nets) = fitted_repository(39);
@@ -394,41 +396,43 @@ fn wal_compacts_via_backstop_without_contribution_threshold() {
         &snapshot_path,
         RefreshConfig {
             refresh_rows: 0, // contribution threshold disabled
-            wal_compact_records: 2,
             ..RefreshConfig::default()
         },
     );
-    assert!(
-        pipeline.refresher_needed(),
-        "a WAL with a record cap needs the refresher thread"
-    );
-    assert!(!pipeline.refresh_due());
+    assert!(!pipeline.refresh_enabled() && !pipeline.refresh_due());
+    let served: Vec<u64> = nets
+        .iter()
+        .map(|net| serving.predict(&device, net).unwrap().to_bits())
+        .collect();
 
-    std::thread::scope(|scope| {
-        let refresher = scope.spawn(|| pipeline.run());
-        pipeline.contribute(&device, &nets[0], 21.0).unwrap();
-        pipeline.contribute(&device, &nets[1], 22.0).unwrap();
-        // The backstop cycle runs on the refresher thread; give it a
-        // generous-but-bounded window to refit and compact.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while pipeline.wal_records() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        pipeline.stop();
-        refresher.join().unwrap();
-    });
+    let cap = WAL_COMPACT_RECORDS as usize;
+    let mut contribute = |i: usize| {
+        let net = &nets[i % nets.len()];
+        pipeline.contribute(&device, net, 20.0 + i as f64).unwrap();
+    };
+    (0..cap - 1).for_each(&mut contribute);
+    assert_eq!(pipeline.wal_records(), WAL_COMPACT_RECORDS - 1);
+    contribute(cap - 1);
     assert_eq!(
         pipeline.wal_records(),
         0,
-        "crossing the record cap must trigger a backstop compaction"
+        "reaching the record cap must compact the log"
     );
-    assert_eq!(pipeline.refreshes(), 1, "the backstop rides one refit");
+    assert_eq!(
+        (pipeline.refreshes(), pipeline.refreshes_rejected()),
+        (0, 0),
+        "the cap compacts without a refit"
+    );
     assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), 0);
-    // The compaction snapshot carries the contributed rows (and a model
-    // consistent with them — it reloads through the audit gate), so a
+    // The compaction snapshot carries every contributed row and loads
+    // through the audit gate with the model that was serving, so a
     // restart needs no replay at all.
     let reloaded = load_repository(&snapshot_path).unwrap();
-    assert_eq!(reloaded.n_rows(), rows_before + 2);
+    assert_eq!(reloaded.n_rows(), rows_before + cap);
+    assert_eq!(reloaded.grid_rows(), rows_before);
+    for (net, served) in nets.iter().zip(served) {
+        assert_eq!(reloaded.predict(&device, net).unwrap().to_bits(), served);
+    }
     std::fs::remove_file(&wal_path).ok();
     std::fs::remove_file(&snapshot_path).ok();
 }
@@ -498,7 +502,6 @@ fn refresh_swaps_a_new_model_and_compacts_the_wal() {
         RefreshConfig {
             refresh_rows: 4,
             warm_boost: 8,
-            ..RefreshConfig::default()
         },
     );
     let epoch_before = serving.model_epoch();

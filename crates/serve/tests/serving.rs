@@ -146,6 +146,7 @@ fn unfitted_snapshot_round_trips_too() {
     let (repo, _) = fitted_repository(15);
     let mut parts = repo.to_parts();
     parts.model = None;
+    parts.grid_rows = None;
     parts.frozen = None;
     let unfitted = CollaborativeRepository::from_parts(parts).unwrap();
     let path = scratch_path("unfitted.json");
