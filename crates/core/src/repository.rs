@@ -565,13 +565,30 @@ impl CollaborativeRepository {
         name: impl Into<String>,
         signature_latencies_ms: &[f64],
     ) -> Result<(), RepositoryError> {
-        let sig = self.validate_signature(signature_latencies_ms)?;
         let name = name.into();
-        if self.device_ids.contains_key(&name) {
-            return Err(RepositoryError::AlreadyEnrolled(name));
-        }
+        let sig = self.check_onboarding(&name, signature_latencies_ms)?;
         self.enroll(name, &sig);
         Ok(())
+    }
+
+    /// Checks an onboarding without making it, and returns the
+    /// signature as it would be stored.
+    /// [`CollaborativeRepository::onboard_device`] runs this check
+    /// first, so it accepts exactly what the check accepts.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`CollaborativeRepository::onboard_device`].
+    pub fn check_onboarding(
+        &self,
+        name: &str,
+        signature_latencies_ms: &[f64],
+    ) -> Result<Vec<f32>, RepositoryError> {
+        let sig = self.validate_signature(signature_latencies_ms)?;
+        if self.device_ids.contains_key(name) {
+            return Err(RepositoryError::AlreadyEnrolled(name.to_string()));
+        }
+        Ok(sig)
     }
 
     /// Replaces the signature of an *already enrolled* device. Its
@@ -592,12 +609,8 @@ impl CollaborativeRepository {
         name: &str,
         signature_latencies_ms: &[f64],
     ) -> Result<(), RepositoryError> {
-        let sig = self.validate_signature(signature_latencies_ms)?;
-        let id = *self
-            .device_ids
-            .get(name)
-            .ok_or_else(|| RepositoryError::UnknownDevice(name.to_string()))?;
-        let start = id as usize * self.train.signature_size;
+        let sig = self.check_re_enrollment(name, signature_latencies_ms)?;
+        let start = self.device_ids[name] as usize * self.train.signature_size;
         self.train.signatures[start..start + sig.len()].copy_from_slice(&sig);
         // The model is unchanged but predictions for this device now use
         // the new signature, so anything cached against the old one is
@@ -605,6 +618,26 @@ impl CollaborativeRepository {
         self.epoch += 1;
         self.grid_stale |= self.model.is_some();
         Ok(())
+    }
+
+    /// Checks a re-enrollment without making it, and returns the
+    /// signature as it would be stored.
+    /// [`CollaborativeRepository::re_enroll`] runs this check first, so
+    /// it accepts exactly what the check accepts.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`CollaborativeRepository::re_enroll`].
+    pub fn check_re_enrollment(
+        &self,
+        name: &str,
+        signature_latencies_ms: &[f64],
+    ) -> Result<Vec<f32>, RepositoryError> {
+        let sig = self.validate_signature(signature_latencies_ms)?;
+        if !self.device_ids.contains_key(name) {
+            return Err(RepositoryError::UnknownDevice(name.to_string()));
+        }
+        Ok(sig)
     }
 
     /// Contributes one measured latency for an enrolled device.
@@ -620,11 +653,8 @@ impl CollaborativeRepository {
         network: &Network,
         latency_ms: f64,
     ) -> Result<(), RepositoryError> {
-        let label = validate_latency_ms(latency_ms)?;
-        let device = *self
-            .device_ids
-            .get(device)
-            .ok_or_else(|| RepositoryError::UnknownDevice(device.to_string()))?;
+        let label = self.check_contribution(device, latency_ms)?;
+        let device = self.device_ids[device];
         // Look the encoding up while it is still in cache.
         let encoding = self.encoder.encode(network);
         let (id, _) = self
@@ -633,6 +663,26 @@ impl CollaborativeRepository {
         self.train.rows.push((id, device));
         self.train.y.push(label);
         Ok(())
+    }
+
+    /// Checks a contribution without making it, and returns the latency
+    /// as it would be stored. [`CollaborativeRepository::contribute`]
+    /// runs this check first, so it accepts exactly what the check
+    /// accepts.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`CollaborativeRepository::contribute`].
+    pub fn check_contribution(
+        &self,
+        device: &str,
+        latency_ms: f64,
+    ) -> Result<f32, RepositoryError> {
+        let label = validate_latency_ms(latency_ms)?;
+        if !self.device_ids.contains_key(device) {
+            return Err(RepositoryError::UnknownDevice(device.to_string()));
+        }
+        Ok(label)
     }
 
     /// (Re)fits the shared cost model on everything contributed so far,

@@ -28,10 +28,13 @@
 //!   pipelined `binary-v1` protocol ([`protocol::wire`]), with
 //!   per-request latency histograms, an open-connection gauge, and
 //!   graceful drain-then-exit shutdown.
-//! * [`wal`] + [`refresh`] — streaming ingestion: a checksummed,
-//!   fsync-before-ack write-ahead log for mutating requests, replayed
-//!   over the latest snapshot on startup, and a background refresh
-//!   controller that refits after `GDCM_SERVE_REFRESH_ROWS` new
+//! * [`wal`] + [`refresh`] — streaming ingestion: every mutating
+//!   request goes forward only through [`IngestPipeline`] — checked
+//!   against the repository, appended to a checksummed write-ahead log
+//!   and fsynced, then applied and acked, so a refused request never
+//!   reaches the log. The log is replayed over the latest snapshot on
+//!   startup through the same apply function. A background refresh
+//!   controller refits after `GDCM_SERVE_REFRESH_ROWS` new
 //!   contributions (warm-starting from the previous model's trees),
 //!   gates the result through the audit + flatcheck passes, atomically
 //!   swaps it in without blocking readers, and compacts the log into a
@@ -70,7 +73,7 @@ pub use serving::{network_hash, CacheStats, ServeConfig, ServingRepository};
 pub use snapshot::{
     load_repository, save_repository, RepositorySnapshot, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
-pub use wal::{replay_record, WalMark, WalRecord, WalRecovery, WriteAheadLog};
+pub use wal::{replay_record, WalRecord, WalRecovery, WriteAheadLog};
 
 use gdcm_core::RepositoryError;
 use std::fmt;

@@ -40,7 +40,8 @@
 //!   (requires `--ops`) it additionally streams `N` contributions at
 //!   the server and polls `health` until the model epoch advances and
 //!   the write-ahead log compacts to empty — proving a live refresh
-//!   swapped a new model in while the connection kept answering. Exits
+//!   swapped a new model in while the connection kept answering, and
+//!   that two refused mutations then leave the log empty. Exits
 //!   non-zero on any mismatch.
 
 #![forbid(unsafe_code)]
@@ -371,7 +372,9 @@ fn probe_mode(args: &Args, addr: &str, snapshot: &Path) -> Result<(), String> {
 /// Streams `n` contributions at the server, then polls ops `health`
 /// until the model epoch advances past its pre-contribution value *and*
 /// the write-ahead log drains to empty — i.e. the background refresher
-/// fitted, audited, swapped, and compacted — and finally asserts the
+/// fitted, audited, swapped, and compacted. Then sends two mutations
+/// the repository refuses and asserts their codes and that the log is
+/// still empty (a refusal never reaches it), and finally asserts the
 /// just-swapped model still answers predictions.
 fn probe_refresh(
     client: &mut BinClient,
@@ -422,6 +425,23 @@ fn probe_refresh(
             ));
         }
         std::thread::sleep(Duration::from_millis(100));
+    }
+
+    let ghost = Request::Contribute {
+        device: "no-such-device".to_string(),
+        network: probe_nets[0].clone(),
+        latency_ms: 5.0,
+    };
+    let unsigned = Request::OnboardDevice {
+        device: "probe-newcomer".to_string(),
+        signature_ms: Vec::new(),
+    };
+    let answer = client.request(&ghost).map_err(|e| e.to_string())?;
+    expect_code(answer, codes::UNKNOWN_DEVICE, "unknown-device contribute")?;
+    let answer = client.request(&unsigned).map_err(|e| e.to_string())?;
+    expect_code(answer, codes::SIGNATURE_LENGTH, "unsigned onboard")?;
+    if json_u64(&ops_query(&mut ops, "health")?, "wal_records")? != 0 {
+        return Err("a refused mutation reached the empty WAL".into());
     }
 
     // The swapped-in model must keep answering on the same connection.

@@ -5,13 +5,16 @@
 //! [`ServingRepository`] for the three mutating requests (`contribute`,
 //! `onboard_device`, `re_enroll`):
 //!
-//! 1. **Durability first.** When a write-ahead log is attached
-//!    ([`IngestPipeline::with_wal`]), the mutation is appended and
-//!    fsynced ([`crate::wal`]) *before* it is applied — an acknowledged
-//!    mutation survives a crash and is replayed on the next startup. A
-//!    mutation the repository *rejects* is rolled back out of the log
-//!    before the error returns, so rejected requests never accumulate
-//!    as replay noise.
+//! 1. **Check, log, apply.** When a write-ahead log is attached
+//!    ([`IngestPipeline::with_wal`]), each mutation runs forward only
+//!    under the log lock: it is checked against the repository, then
+//!    appended and fsynced ([`crate::wal`]), then applied — an
+//!    acknowledged mutation survives a crash and is replayed on the
+//!    next startup. A mutation the repository refuses returns its error
+//!    at the check, before any disk I/O, so it never reaches the log.
+//!    Once the check passes the apply cannot fail: the check reads only
+//!    the device table, and only a logged onboarding, which also holds
+//!    the log lock, changes it.
 //! 2. **Threshold-triggered refresh.** Contributions are counted; once
 //!    `GDCM_SERVE_REFRESH_ROWS` new rows accumulate, the background
 //!    refresher (spawned by the server when refresh is enabled) copies
@@ -51,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::serving::env_usize;
-use crate::wal::{WalRecord, WriteAheadLog};
+use crate::wal::{self, WalRecord, WriteAheadLog};
 use crate::{snapshot, ServeError, ServingRepository};
 use gdcm_core::RepositoryError;
 use gdcm_dnn::Network;
@@ -104,11 +107,10 @@ impl RefreshConfig {
 #[derive(Debug)]
 pub struct IngestPipeline<'a> {
     pub(crate) serving: &'a ServingRepository,
-    /// The durability layer; `None` runs the pipeline in-memory (still
-    /// counting toward the refresh threshold).
-    wal: Option<Mutex<WriteAheadLog>>,
-    /// Where compaction writes the snapshot.
-    snapshot_path: Option<PathBuf>,
+    /// The durability layer and the path compaction writes its snapshot
+    /// to; `None` runs the pipeline in-memory (still counting toward
+    /// the refresh threshold).
+    wal: Option<(Mutex<WriteAheadLog>, PathBuf)>,
     config: RefreshConfig,
     /// Contributions since the last completed refresh.
     pending_rows: Mutex<u64>,
@@ -124,7 +126,6 @@ impl<'a> IngestPipeline<'a> {
         Self {
             serving,
             wal: None,
-            snapshot_path: None,
             config,
             pending_rows: Mutex::new(0),
             stop: AtomicBool::new(false),
@@ -151,8 +152,7 @@ impl<'a> IngestPipeline<'a> {
     ) -> Self {
         let mut pipeline = Self::new(serving, config);
         let recovered = wal.pending();
-        pipeline.wal = Some(Mutex::new(wal));
-        pipeline.snapshot_path = Some(snapshot_path.to_path_buf());
+        pipeline.wal = Some((Mutex::new(wal), snapshot_path.to_path_buf()));
         if pipeline.refresh_enabled() && recovered > 0 {
             let mut pending = pipeline.pending_rows.lock();
             *pending = recovered;
@@ -189,115 +189,86 @@ impl<'a> IngestPipeline<'a> {
 
     /// WAL records awaiting compaction (0 when no WAL is attached).
     pub fn wal_records(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |wal| wal.lock().pending())
+        self.wal.as_ref().map_or(0, |(wal, _)| wal.lock().pending())
     }
 
-    /// Contributes one measurement durably: WAL append + fsync first,
-    /// then apply, then count toward the refresh threshold.
+    /// Contributes one measurement durably (see [`Self::onboard_device`]
+    /// for the order), then counts it toward the refresh threshold.
     ///
     /// # Errors
     ///
-    /// Propagates WAL I/O and repository validation errors. On an apply
-    /// error the just-appended record is rolled back out of the log.
+    /// Propagates repository validation and WAL I/O errors.
     pub fn contribute(
         &self,
         device: &str,
         network: &Network,
         latency_ms: f64,
     ) -> Result<(), ServeError> {
-        self.logged_apply(
-            || WalRecord::Contribute {
-                device: device.to_string(),
-                network: network.clone(),
-                latency_ms,
-            },
-            || self.serving.contribute(device, network, latency_ms),
-        )?;
-        self.note_contribution();
-        Ok(())
+        self.ingest(WalRecord::Contribute {
+            device: device.to_string(),
+            network: network.clone(),
+            latency_ms,
+        })
     }
 
-    /// Enrolls a device durably (see [`ServingRepository::onboard_device`]).
+    /// Enrolls a device durably: checked, then logged and fsynced, then
+    /// applied (see [`gdcm_core::CollaborativeRepository::onboard_device`]).
     ///
     /// # Errors
     ///
-    /// Propagates WAL I/O and repository validation errors.
+    /// Propagates repository validation and WAL I/O errors.
     pub fn onboard_device(&self, device: &str, signature_ms: &[f64]) -> Result<(), ServeError> {
-        self.logged_apply(
-            || WalRecord::Onboard {
-                device: device.to_string(),
-                signature_ms: signature_ms.to_vec(),
-            },
-            || self.serving.onboard_device(device, signature_ms),
-        )
+        self.ingest(WalRecord::Onboard {
+            device: device.to_string(),
+            signature_ms: signature_ms.to_vec(),
+        })
     }
 
-    /// Updates a device signature durably (see
-    /// [`ServingRepository::re_enroll`]).
+    /// Updates a device signature durably (see [`Self::onboard_device`]
+    /// for the order, and
+    /// [`gdcm_core::CollaborativeRepository::re_enroll`]). Drops every
+    /// cached prediction.
     ///
     /// # Errors
     ///
-    /// Propagates WAL I/O and repository validation errors.
+    /// Propagates repository validation and WAL I/O errors.
     pub fn re_enroll(&self, device: &str, signature_ms: &[f64]) -> Result<(), ServeError> {
-        self.logged_apply(
-            || WalRecord::ReEnroll {
-                device: device.to_string(),
-                signature_ms: signature_ms.to_vec(),
-            },
-            || self.serving.re_enroll(device, signature_ms),
-        )
+        self.ingest(WalRecord::ReEnroll {
+            device: device.to_string(),
+            signature_ms: signature_ms.to_vec(),
+        })
     }
 
-    /// Appends the record (when a WAL is attached) and applies the
-    /// mutation, holding the WAL lock across both so the log order is
-    /// the apply order — compaction must never snapshot a mutation the
-    /// log believes is still pending. A mutation that brings the log to
-    /// [`WAL_COMPACT_RECORDS`] records then compacts it, still under
-    /// the lock.
-    ///
-    /// A mutation the repository rejects is rolled back out of the log
-    /// while the lock is still held: nothing was acknowledged, and a
-    /// rejected record left durable would be replayed (and re-rejected,
-    /// then skipped) on every subsequent startup. If the rollback
-    /// itself fails the record stays put — replay's skip-and-warn path
-    /// ([`crate::wal::replay_record`]) makes that harmless.
-    fn logged_apply(
-        &self,
-        record: impl FnOnce() -> WalRecord,
-        apply: impl FnOnce() -> Result<(), ServeError>,
-    ) -> Result<(), ServeError> {
+    /// Makes one mutation, then counts a contribution toward the refresh
+    /// threshold. With a WAL it runs forward only under the log lock:
+    /// check, append and fsync, apply, and compact once the log holds
+    /// [`WAL_COMPACT_RECORDS`] records. The lock keeps the log order the
+    /// apply order — compaction must never snapshot a mutation the log
+    /// believes is still pending — and the device table the check read
+    /// unchanged until the apply. Should an apply fail all the same, the
+    /// record stays logged and replay skips it with a warning.
+    pub(crate) fn ingest(&self, record: WalRecord) -> Result<(), ServeError> {
         match &self.wal {
-            None => apply(),
-            Some(wal) => {
+            None => self.serving.apply(&record)?,
+            Some((wal, snapshot_path)) => {
                 let mut wal = wal.lock();
-                let mark = wal.mark();
-                wal.append(&record())?;
-                if let Err(e) = apply() {
-                    if let Err(rollback) = wal.rollback_to(mark) {
-                        gdcm_obs::event(
-                            "wal_rollback_failed",
-                            "serve",
-                            &[("error", gdcm_obs::FieldValue::Str(rollback.to_string()))],
-                        );
-                    }
-                    return Err(e);
-                }
+                self.serving
+                    .with_repository(|repo| wal::check_record(repo, &record))?;
+                wal.append(&record)?;
+                let applied = self.serving.apply(&record);
+                debug_assert!(applied.is_ok(), "a checked record applies: {applied:?}");
+                applied?;
                 if wal.pending() >= WAL_COMPACT_RECORDS {
-                    self.compact_locked(&mut wal);
+                    self.compact_locked(&mut wal, snapshot_path);
                 }
-                Ok(())
             }
         }
-    }
-
-    /// Counts one contribution toward the refresh threshold.
-    fn note_contribution(&self) {
-        if !self.refresh_enabled() {
-            return;
+        if self.refresh_enabled() && matches!(record, WalRecord::Contribute { .. }) {
+            let mut pending = self.pending_rows.lock();
+            *pending += 1;
+            gdcm_obs::gauge("serve/refresh_pending_rows").set(*pending as f64);
         }
-        let mut pending = self.pending_rows.lock();
-        *pending += 1;
-        gdcm_obs::gauge("serve/refresh_pending_rows").set(*pending as f64);
+        Ok(())
     }
 
     /// Asks the refresher loop to exit after its current cycle.
@@ -428,8 +399,8 @@ impl<'a> IngestPipeline<'a> {
                 ("fit_ms", gdcm_obs::FieldValue::F64(fit_ms)),
             ],
         );
-        if let Some(wal) = &self.wal {
-            self.compact_locked(&mut wal.lock());
+        if let Some((wal, snapshot_path)) = &self.wal {
+            self.compact_locked(&mut wal.lock(), snapshot_path);
         }
         Ok(true)
     }
@@ -462,29 +433,26 @@ impl<'a> IngestPipeline<'a> {
     ///
     /// Propagates repository fit errors (e.g. not enough data).
     pub fn fit(&self) -> Result<(), ServeError> {
-        let Some(wal) = &self.wal else {
+        let Some((wal, snapshot_path)) = &self.wal else {
             return self.serving.fit();
         };
         let mut wal = wal.lock();
         self.serving.fit()?;
-        self.compact_locked(&mut wal);
+        self.compact_locked(&mut wal, snapshot_path);
         Ok(())
     }
 
-    /// Folds the WAL into a fresh snapshot — save (atomic) then
-    /// truncate — with the WAL lock already held, so no mutation lands
-    /// between the snapshot capture and the truncation. A stale grid's
-    /// refused save skips the compaction (counted in
+    /// Folds the WAL into a fresh snapshot at `snapshot_path` — save
+    /// (atomic) then truncate — with the WAL lock already held, so no
+    /// mutation lands between the snapshot capture and the truncation.
+    /// A stale grid's refused save skips the compaction (counted in
     /// `serve/compactions_deferred`); any other failure is logged as a
     /// `compaction_failed` event. Either way the log keeps every record
     /// the snapshot would have folded in.
-    fn compact_locked(&self, wal: &mut WriteAheadLog) {
-        let Some(path) = &self.snapshot_path else {
-            return;
-        };
+    fn compact_locked(&self, wal: &mut WriteAheadLog, snapshot_path: &Path) {
         match self
             .serving
-            .save_snapshot(path)
+            .save_snapshot(snapshot_path)
             .and_then(|()| wal.compact())
         {
             Ok(()) => {}

@@ -90,6 +90,7 @@ use crate::protocol::wire;
 use crate::protocol::{codes, request_label, Request, Response};
 use crate::refresh::IngestPipeline;
 use crate::serving::{network_hash, CacheStats, ServingRepository};
+use crate::wal::WalRecord;
 
 /// What the server did before it stopped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -865,6 +866,7 @@ fn dispatch(
 ) -> Response {
     let ingest = &shared.ingest;
     let serving = ingest.serving;
+    let mutate = |record| ingest.ingest(record).map(|()| Response::Ok);
     let answered = match request {
         Request::Ping => Ok(Response::Pong),
         Request::Stats => {
@@ -899,22 +901,26 @@ fn dispatch(
         Request::OnboardDevice {
             device,
             signature_ms,
-        } => ingest
-            .onboard_device(&device, &signature_ms)
-            .map(|()| Response::Ok),
+        } => mutate(WalRecord::Onboard {
+            device,
+            signature_ms,
+        }),
         Request::ReEnroll {
             device,
             signature_ms,
-        } => ingest
-            .re_enroll(&device, &signature_ms)
-            .map(|()| Response::Ok),
+        } => mutate(WalRecord::ReEnroll {
+            device,
+            signature_ms,
+        }),
         Request::Contribute {
             device,
             network,
             latency_ms,
-        } => ingest
-            .contribute(&device, &network, latency_ms)
-            .map(|()| Response::Ok),
+        } => mutate(WalRecord::Contribute {
+            device,
+            network,
+            latency_ms,
+        }),
         Request::Fit => ingest.fit().map(|()| Response::Ok),
         Request::Shutdown => Ok(Response::ShuttingDown),
     };

@@ -26,8 +26,9 @@
 //! 8-byte words, the step [`wire_hash`] uses. Predictions are keyed by
 //! `(device name, network hash)` and invalidated whenever the model or
 //! a device signature changes ([`ServingRepository::fit`],
-//! [`ServingRepository::re_enroll`], [`ServingRepository::install_refit`],
-//! [`ServingRepository::install_refit_on`]).
+//! [`ServingRepository::install_refit`],
+//! [`ServingRepository::install_refit_on`], and a re-enrollment applied
+//! through the [`IngestPipeline`](crate::IngestPipeline)).
 //!
 //! [`wire_hash`]: crate::protocol::wire::fast::wire_hash
 //!
@@ -53,6 +54,7 @@ use std::sync::Arc;
 
 use crate::lru::LruCache;
 use crate::protocol::wire::fast::{fnv_word, fnv_words, FNV_OFFSET};
+use crate::wal::{self, WalRecord};
 use crate::{snapshot, ServeError};
 
 /// Default encoding-cache capacity (entries).
@@ -193,8 +195,10 @@ pub fn network_hash(network: &Network) -> u64 {
 /// A thread-safe, caching wrapper around [`CollaborativeRepository`].
 ///
 /// All methods take `&self`; reads share an `RwLock` read guard, writes
-/// ([`ServingRepository::onboard_device`] …) take the write guard, so a
-/// single instance can back every server worker thread.
+/// ([`ServingRepository::fit`] …) take the write guard, so a single
+/// instance can back every server worker thread. Devices and rows are
+/// added only through an [`IngestPipeline`](crate::IngestPipeline),
+/// which logs each mutation before it applies it.
 #[derive(Debug)]
 pub struct ServingRepository {
     repo: RwLock<CollaborativeRepository>,
@@ -414,52 +418,18 @@ impl ServingRepository {
             .predict_for_new_device(signature_latencies_ms, network)?)
     }
 
-    /// Enrolls a new device (see
-    /// [`CollaborativeRepository::onboard_device`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the repository's validation errors.
-    pub fn onboard_device(
-        &self,
-        name: &str,
-        signature_latencies_ms: &[f64],
-    ) -> Result<(), ServeError> {
-        Ok(self
-            .repo
-            .write()
-            .onboard_device(name, signature_latencies_ms)?)
-    }
-
-    /// Replaces an enrolled device's signature; its contributed rows
-    /// train on the new one from the next fit on (see
-    /// [`CollaborativeRepository::re_enroll`]).
-    /// Drops every cached prediction: the device's feature vector — and
-    /// after the next fit, potentially every prediction — changes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the repository's validation errors.
-    pub fn re_enroll(&self, name: &str, signature_latencies_ms: &[f64]) -> Result<(), ServeError> {
-        self.change_model(|repo| repo.re_enroll(name, signature_latencies_ms))?;
+    /// Applies a logged mutation under the write guard (see
+    /// `wal::apply_record`). A re-enrollment also drops every cached
+    /// prediction: the device's feature vector — and after the next fit,
+    /// potentially every prediction — changes. Onboardings and
+    /// contributions leave the model, and so the cache, as it is.
+    pub(crate) fn apply(&self, record: &WalRecord) -> Result<(), ServeError> {
+        if let WalRecord::ReEnroll { .. } = record {
+            self.change_model(|repo| wal::apply_record(repo, record))?;
+        } else {
+            wal::apply_record(&mut self.repo.write(), record)?;
+        }
         Ok(())
-    }
-
-    /// Contributes one measurement (see
-    /// [`CollaborativeRepository::contribute`]). The model — and thus
-    /// the prediction cache — only changes at the next
-    /// [`ServingRepository::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the repository's validation errors.
-    pub fn contribute(
-        &self,
-        device: &str,
-        network: &Network,
-        latency_ms: f64,
-    ) -> Result<(), ServeError> {
-        Ok(self.repo.write().contribute(device, network, latency_ms)?)
     }
 
     /// Refits the model on everything contributed so far and drops the

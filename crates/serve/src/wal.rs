@@ -3,8 +3,9 @@
 //! Streaming ingestion must not lose an acknowledged contribution to a
 //! crash, but fsyncing a full snapshot per mutation would bound write
 //! throughput by the snapshot size. The classic fix is a write-ahead
-//! log: every mutating request is framed, checksummed, and fsynced to
-//! an append-only file *before* it is applied and acknowledged. On
+//! log: every mutating request is checked against the repository, then
+//! framed, checksummed, and fsynced to an append-only file, and only
+//! then applied and acknowledged. On
 //! startup the log is replayed on top of the latest snapshot. Compaction
 //! re-snapshots the state and truncates the log
 //! ([`WriteAheadLog::compact`]): after an accepted background refresh,
@@ -38,9 +39,10 @@
 //! Replay never *fails* on a rejection: any record the repository
 //! refuses ([`replay_record`]) is skipped with a structured warning, so
 //! a stray durable record can never prevent the server from starting.
-//! (Rejections are rare by construction — a record whose apply is
-//! rejected at ingest time is rolled back out of the log before the
-//! error is returned, see [`WriteAheadLog::rollback_to`].)
+//! (Rejections are rare by construction: live ingest checks a mutation
+//! before it appends it, so a refused request never reaches the log,
+//! and live ingest and replay apply a record through the same
+//! function.)
 
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
@@ -49,6 +51,7 @@ use std::path::Path;
 
 use crate::protocol::wire;
 use crate::ServeError;
+use gdcm_core::{CollaborativeRepository, RepositoryError};
 use gdcm_dnn::Network;
 
 /// Bytes before the payload: `u32` length + `u64` checksum.
@@ -98,17 +101,6 @@ pub struct WriteAheadLog {
     /// Records appended since the last [`WriteAheadLog::compact`]
     /// (including recovered ones).
     pending: u64,
-    /// Byte length of the valid record prefix — the file length, except
-    /// transiently inside a failed append.
-    len: u64,
-}
-
-/// A position in the log captured before an append, so a record whose
-/// apply was rejected can be rolled back ([`WriteAheadLog::rollback_to`]).
-#[derive(Debug, Clone, Copy)]
-pub struct WalMark {
-    len: u64,
-    pending: u64,
 }
 
 impl WriteAheadLog {
@@ -154,7 +146,6 @@ impl WriteAheadLog {
         let wal = Self {
             file,
             pending: records.len() as u64,
-            len: valid_len,
         };
         Ok((wal, records, recovery))
     }
@@ -164,52 +155,28 @@ impl WriteAheadLog {
     ///
     /// # Errors
     ///
-    /// Fails on encoding or filesystem errors; on failure nothing was
-    /// acknowledged, and any partial frame is a torn tail the next
-    /// [`WriteAheadLog::open`] discards.
+    /// Fails on encoding or filesystem errors, and with
+    /// [`wire::WireError::FrameTooLarge`] before writing anything when
+    /// the encoded record exceeds [`wire::MAX_PAYLOAD`] — recovery would
+    /// read a longer frame as a torn tail and drop every record after
+    /// it. On failure nothing was acknowledged, and any partial frame
+    /// is a torn tail the next [`WriteAheadLog::open`] discards.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), ServeError> {
         let mut payload = Vec::new();
-        wire::append_value(&mut payload, record).map_err(|e| ServeError::Wire(e.to_string()))?;
-        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wire::append_value(&mut payload, record)?;
+        let len = payload.len();
+        if len > wire::MAX_PAYLOAD {
+            return Err(wire::WireError::FrameTooLarge { declared: len }.into());
+        }
+        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + len);
+        // The MAX_PAYLOAD check above keeps this cast exact.
+        frame.extend_from_slice(&(len as u32).to_le_bytes());
         frame.extend_from_slice(&wire::fast::wire_hash(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
         self.pending += 1;
-        self.len += frame.len() as u64;
         gdcm_obs::counter("serve/wal_appends").incr();
-        Ok(())
-    }
-
-    /// Captures the current log position; pair with
-    /// [`WriteAheadLog::rollback_to`] around an append whose apply may
-    /// be rejected.
-    pub fn mark(&self) -> WalMark {
-        WalMark {
-            len: self.len,
-            pending: self.pending,
-        }
-    }
-
-    /// Truncates the log back to `mark`, undoing every append since it
-    /// was captured. Used when the repository rejects a mutation whose
-    /// record is already durable: replaying the rejected record on the
-    /// next startup would be skipped anyway, but leaving it in the log
-    /// wastes replay work forever, so it is cut out here while the
-    /// caller still holds the log lock.
-    ///
-    /// # Errors
-    ///
-    /// Fails on filesystem errors, in which case the record stays in
-    /// the log and replay's skip-and-warn path handles it.
-    pub fn rollback_to(&mut self, mark: WalMark) -> Result<(), ServeError> {
-        self.file.set_len(mark.len)?;
-        self.file.seek(SeekFrom::Start(mark.len))?;
-        self.file.sync_all()?;
-        self.len = mark.len;
-        self.pending = mark.pending;
-        gdcm_obs::counter("serve/wal_rollbacks").incr();
         Ok(())
     }
 
@@ -225,7 +192,6 @@ impl WriteAheadLog {
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_all()?;
         self.pending = 0;
-        self.len = 0;
         gdcm_obs::counter("serve/wal_compactions").incr();
         Ok(())
     }
@@ -270,6 +236,54 @@ fn scan(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
     (records, offset as u64)
 }
 
+/// Checks `record` against `repo` without applying it: `Ok` exactly
+/// when [`apply_record`] would accept it on the same repository state,
+/// with the same error otherwise. Each arm is the repository's own
+/// check, which its mutator runs first.
+pub(crate) fn check_record(
+    repo: &CollaborativeRepository,
+    record: &WalRecord,
+) -> Result<(), RepositoryError> {
+    match record {
+        WalRecord::Contribute {
+            device, latency_ms, ..
+        } => repo.check_contribution(device, *latency_ms).map(drop),
+        WalRecord::Onboard {
+            device,
+            signature_ms,
+        } => repo.check_onboarding(device, signature_ms).map(drop),
+        WalRecord::ReEnroll {
+            device,
+            signature_ms,
+        } => repo.check_re_enrollment(device, signature_ms).map(drop),
+    }
+}
+
+/// Applies one record to a repository: the one mapping from a logged
+/// mutation to the repository, which live ingest
+/// ([`crate::ServingRepository`]) and startup replay
+/// ([`replay_record`]) both call.
+pub(crate) fn apply_record(
+    repo: &mut CollaborativeRepository,
+    record: &WalRecord,
+) -> Result<(), RepositoryError> {
+    match record {
+        WalRecord::Contribute {
+            device,
+            network,
+            latency_ms,
+        } => repo.contribute(device, network, *latency_ms),
+        WalRecord::Onboard {
+            device,
+            signature_ms,
+        } => repo.onboard_device(device.as_str(), signature_ms),
+        WalRecord::ReEnroll {
+            device,
+            signature_ms,
+        } => repo.re_enroll(device, signature_ms),
+    }
+}
+
 /// Applies one recovered record to a repository, mapping *every*
 /// rejection to a skip — replay is at-least-once, and a record the
 /// repository refuses (e.g. an `Onboard` for a device the snapshot
@@ -279,37 +293,25 @@ fn scan(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
 /// disagrees with its snapshot is visible, not silent.
 ///
 /// Returns `true` when the record mutated the repository.
-pub fn replay_record(repo: &mut gdcm_core::CollaborativeRepository, record: &WalRecord) -> bool {
-    let (kind, result) = match record {
-        WalRecord::Contribute {
-            device,
-            network,
-            latency_ms,
-        } => ("contribute", repo.contribute(device, network, *latency_ms)),
-        WalRecord::Onboard {
-            device,
-            signature_ms,
-        } => ("onboard", repo.onboard_device(device.clone(), signature_ms)),
-        WalRecord::ReEnroll {
-            device,
-            signature_ms,
-        } => ("re_enroll", repo.re_enroll(device, signature_ms)),
+pub fn replay_record(repo: &mut CollaborativeRepository, record: &WalRecord) -> bool {
+    let Err(e) = apply_record(repo, record) else {
+        return true;
     };
-    match result {
-        Ok(()) => true,
-        Err(e) => {
-            gdcm_obs::counter("serve/wal_replay_skipped").incr();
-            gdcm_obs::event(
-                "wal_replay_skipped",
-                "serve",
-                &[
-                    ("record", gdcm_obs::FieldValue::Str(kind.to_string())),
-                    ("error", gdcm_obs::FieldValue::Str(e.to_string())),
-                ],
-            );
-            false
-        }
-    }
+    let kind = match record {
+        WalRecord::Contribute { .. } => "contribute",
+        WalRecord::Onboard { .. } => "onboard",
+        WalRecord::ReEnroll { .. } => "re_enroll",
+    };
+    gdcm_obs::counter("serve/wal_replay_skipped").incr();
+    gdcm_obs::event(
+        "wal_replay_skipped",
+        "serve",
+        &[
+            ("record", gdcm_obs::FieldValue::Str(kind.to_string())),
+            ("error", gdcm_obs::FieldValue::Str(e.to_string())),
+        ],
+    );
+    false
 }
 
 #[cfg(test)]
@@ -420,6 +422,30 @@ mod tests {
         assert_eq!(recovered, records[..1]);
         assert_eq!(recovery.replayed, 1);
         assert!(recovery.truncated_bytes > 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Recovery would cut a longer frame off as a torn tail, taking
+    /// every later record with it.
+    #[test]
+    fn oversized_record_is_refused_before_it_is_written() {
+        let path = scratch("oversized");
+        let _ = std::fs::remove_file(&path);
+        let records = sample_records();
+        let (mut wal, _, _) = WriteAheadLog::open(&path).expect("fresh log");
+        wal.append(&records[0]).expect("append");
+        let before = std::fs::read(&path).expect("read");
+        let oversized = WalRecord::Onboard {
+            device: "x".repeat(wire::MAX_PAYLOAD + 1),
+            signature_ms: vec![1.0, 2.0, 3.0],
+        };
+        assert!(matches!(wal.append(&oversized), Err(ServeError::Wire(_))));
+        assert_eq!(std::fs::read(&path).expect("read"), before);
+        wal.append(&records[1]).expect("append after the refusal");
+        drop(wal);
+        let (_, recovered, recovery) = WriteAheadLog::open(&path).expect("reopen");
+        assert_eq!(recovered, records[..2]);
+        assert_eq!(recovery.truncated_bytes, 0);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,4 +1,5 @@
-//! The fitted repository the serve integration tests start from.
+//! The fitted repository the serve integration tests start from, and
+//! the seeded stream their randomized histories draw from.
 
 use gdcm_core::signature::{MutualInfoSelector, SignatureSelector};
 use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
@@ -39,4 +40,28 @@ pub fn fitted_repository(seed: u64) -> (CollaborativeRepository, Vec<Network>) {
         .map(|&n| data.suite[n].network.clone())
         .collect();
     (repo, nets)
+}
+
+/// SplitMix64: a seeded stream for randomized histories.
+#[allow(dead_code)]
+pub struct Rng(pub u64);
+
+#[allow(dead_code)]
+impl Rng {
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A factor in [0.8, 1.2).
+    pub fn jitter(&mut self) -> f64 {
+        0.8 + 0.4 * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
 }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::fitted_repository;
+use common::{fitted_repository, Rng};
 use gdcm_core::{
     CollaborativeRepository, CostDataset, EncoderConfig, NetworkEncoder, RepositoryConfig,
     RepositoryError, TrainingSet,
@@ -178,28 +178,6 @@ fn re_enroll_during_a_refresh_defers_compaction_to_a_cold_refresh() {
     std::fs::remove_file(&snapshot_path).ok();
 }
 
-/// SplitMix64: a seeded stream for the histories below.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    /// A factor in [0.8, 1.2).
-    fn jitter(&mut self) -> f64 {
-        0.8 + 0.4 * (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 const HISTORIES: u64 = 120;
 const SIGNATURE: [usize; 3] = [0, 1, 2];
 const MIN_ROWS: usize = 6;
@@ -267,6 +245,7 @@ fn run_history(
         },
     );
     let serving = ServingRepository::new(repo, ServeConfig::default());
+    let pipeline = IngestPipeline::new(&serving, RefreshConfig::default());
     let open: Vec<usize> = (SIGNATURE.len()..data.n_networks()).collect();
     let probes: Vec<_> = open
         .iter()
@@ -287,7 +266,7 @@ fn run_history(
             0..=2 if enrolled.len() < data.n_devices() => {
                 let d = enrolled.len();
                 let sig = signature(&mut rng, d);
-                serving
+                pipeline
                     .onboard_device(&data.devices[d].model, &sig)
                     .unwrap();
                 enrolled.push(d);
@@ -295,7 +274,7 @@ fn run_history(
             3..=4 if !enrolled.is_empty() => {
                 let d = enrolled[rng.below(enrolled.len())];
                 let sig = signature(&mut rng, d);
-                serving.re_enroll(&data.devices[d].model, &sig).unwrap();
+                pipeline.re_enroll(&data.devices[d].model, &sig).unwrap();
             }
             5..=7 if serving.n_rows() >= MIN_ROWS => serving.fit().unwrap(),
             8..=9 => copies.push(serving.with_repository(|r| r.training_set().clone())),
@@ -312,7 +291,7 @@ fn run_history(
                     let d = enrolled[rng.below(enrolled.len())];
                     let n = open[rng.below(open.len())];
                     let ms = data.db.latency(d, n) * rng.jitter();
-                    serving
+                    pipeline
                         .contribute(&data.devices[d].model, &data.suite[n].network, ms)
                         .unwrap();
                 }

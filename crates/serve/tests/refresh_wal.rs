@@ -6,11 +6,11 @@
 
 mod common;
 
-use common::fitted_repository;
+use common::{fitted_repository, Rng};
 use gdcm_serve::refresh::WAL_COMPACT_RECORDS;
 use gdcm_serve::{
-    load_repository, save_repository, IngestPipeline, RefreshConfig, ServeConfig, ServeError,
-    ServingRepository, WriteAheadLog,
+    load_repository, replay_record, save_repository, IngestPipeline, RefreshConfig, ServeConfig,
+    ServeError, ServingRepository, WriteAheadLog,
 };
 use std::path::PathBuf;
 
@@ -29,6 +29,7 @@ fn scratch_path(name: &str) -> PathBuf {
 fn mid_flight_model_swap_discards_the_stale_prediction() {
     let (repo, nets) = fitted_repository(31);
     let serving = ServingRepository::new(repo, ServeConfig::default());
+    let pipeline = IngestPipeline::new(&serving, RefreshConfig::default());
     let device = serving.device_names()[0].clone();
     let sig_len = serving.with_repository(|r| r.signature_size());
     let new_sig: Vec<f64> = (0..sig_len).map(|i| 7.5 + i as f64).collect();
@@ -38,7 +39,7 @@ fn mid_flight_model_swap_discards_the_stale_prediction() {
         .predict_hooked(&device, &nets[0], || {
             // The racing writer: swaps the model (and clears the cache)
             // while the reader holds its computed-but-uncached value.
-            serving.re_enroll(&device, &new_sig).unwrap();
+            pipeline.re_enroll(&device, &new_sig).unwrap();
         })
         .unwrap();
     let stats_after_race = serving.cache_stats();
@@ -229,12 +230,11 @@ fn serve_binary_counts_one_bad_cache_knob_once() {
 }
 
 /// A mutation the repository rejects must not leave a poison record in
-/// the WAL: the frame is rolled back under the log lock, so a restart
-/// replays only mutations that were actually applied. (Regression: a
-/// single invalid client request used to persist a record whose replay
-/// rejection aborted every subsequent startup.)
+/// the WAL: a restart replays only mutations that were actually applied.
+/// (Regression: a single invalid client request used to persist a record
+/// whose replay rejection aborted every subsequent startup.)
 #[test]
-fn rejected_mutation_is_rolled_back_out_of_the_wal() {
+fn rejected_mutation_leaves_no_record_in_the_wal() {
     let (repo, nets) = fitted_repository(36);
     let snapshot_path = scratch_path("rollback_snapshot.json");
     let wal_path = scratch_path("rollback.wal");
@@ -263,8 +263,8 @@ fn rejected_mutation_is_rolled_back_out_of_the_wal() {
         "rejected mutations must not stay in the log"
     );
 
-    // A restart sees only the applied record, and the rolled-back tail
-    // left the file byte-exact: recovery truncates nothing.
+    // A restart sees only the applied record, and the file is
+    // byte-exact: recovery truncates nothing.
     drop(pipeline);
     let (_, records, recovery) = WriteAheadLog::open(&wal_path).unwrap();
     assert_eq!(records.len(), 1);
@@ -274,8 +274,9 @@ fn rejected_mutation_is_rolled_back_out_of_the_wal() {
 }
 
 /// Replay tolerates *any* record the repository refuses — skip and
-/// warn, never error — so a stray durable record (e.g. surviving a
-/// failed rollback) can never prevent the server from starting.
+/// warn, never error — so a stray durable record (e.g. an `Onboard`
+/// logged again across a compaction crash) can never prevent the server
+/// from starting.
 #[test]
 fn replay_skips_rejected_records_instead_of_failing() {
     let (mut repo, nets) = fitted_repository(37);
@@ -318,6 +319,101 @@ fn replay_skips_rejected_records_instead_of_failing() {
         skipped_before + 3,
         "each skipped record must be counted"
     );
+}
+
+/// Live ingest and replay apply the same mutations. Seeded histories of
+/// contributions, onboardings and re-enrollments, about a quarter of
+/// them invalid, go through a WAL-backed pipeline started from a saved
+/// snapshot: each call is accepted exactly when it is valid, every
+/// logged record replays onto the snapshot, and the replayed repository
+/// equals the live one part for part. This is the agreement between the
+/// pipeline's check and its apply that logging only checked mutations
+/// rests on.
+#[test]
+fn replay_rebuilds_the_repository_live_ingest_built() {
+    let (repo, nets) = fitted_repository(43);
+    let snapshot_path = scratch_path("histories_snapshot.json");
+    let wal_path = scratch_path("histories.wal");
+    save_repository(&repo, &snapshot_path).unwrap();
+    let sig_len = repo.signature_size();
+    let enrolled: Vec<String> = repo.device_names().iter().map(|d| d.to_string()).collect();
+    let bad_latencies = [f64::NAN, f64::INFINITY, 0.0, -2.0, 1e39];
+
+    for seed in 0..40 {
+        let mut rng = Rng(seed);
+        std::fs::remove_file(&wal_path).ok();
+        let serving = ServingRepository::new(
+            load_repository(&snapshot_path).unwrap(),
+            ServeConfig::default(),
+        );
+        let (wal, _, _) = WriteAheadLog::open(&wal_path).unwrap();
+        let pipeline =
+            IngestPipeline::with_wal(&serving, wal, &snapshot_path, RefreshConfig::default());
+        let mut devices = enrolled.clone();
+        let mut accepted = 0;
+        for step in 0..20 + rng.below(21) {
+            let invalid = rng.below(4) == 0;
+            let known = devices[rng.below(devices.len())].clone();
+            let mut sig: Vec<f64> = (0..sig_len).map(|_| 4.0 * rng.jitter()).collect();
+            if invalid && rng.below(2) == 0 {
+                sig.truncate(rng.below(sig_len));
+            } else if invalid {
+                sig[rng.below(sig_len)] = bad_latencies[rng.below(bad_latencies.len())];
+            }
+            let result = match rng.below(4) {
+                0 => {
+                    let name = if invalid && rng.below(3) == 0 {
+                        known
+                    } else {
+                        format!("device-{seed}-{step}")
+                    };
+                    let result = pipeline.onboard_device(&name, &sig);
+                    if result.is_ok() {
+                        devices.push(name);
+                    }
+                    result
+                }
+                1 => {
+                    let name = if invalid && rng.below(3) == 0 {
+                        "ghost".to_string()
+                    } else {
+                        known
+                    };
+                    pipeline.re_enroll(&name, &sig)
+                }
+                _ => {
+                    let (name, latency_ms) = match (invalid, rng.below(2)) {
+                        (false, _) => (known, 10.0 * rng.jitter()),
+                        (true, 0) => ("ghost".to_string(), 10.0),
+                        (true, _) => (known, bad_latencies[rng.below(bad_latencies.len())]),
+                    };
+                    pipeline.contribute(&name, &nets[rng.below(nets.len())], latency_ms)
+                }
+            };
+            assert_eq!(
+                result.is_ok(),
+                !invalid,
+                "seed {seed} step {step}: {result:?}"
+            );
+            accepted += u64::from(!invalid);
+        }
+        assert_eq!(pipeline.wal_records(), accepted, "seed {seed}");
+        let live = serving.with_repository(|r| r.to_parts());
+        drop(pipeline);
+
+        let mut replayed = load_repository(&snapshot_path).unwrap();
+        let (_, records, recovery) = WriteAheadLog::open(&wal_path).unwrap();
+        assert_eq!(recovery.truncated_bytes, 0, "seed {seed}");
+        for (i, record) in records.iter().enumerate() {
+            assert!(
+                replay_record(&mut replayed, record),
+                "seed {seed}: record {i} did not replay"
+            );
+        }
+        assert!(replayed.to_parts() == live, "seed {seed}: replay diverged");
+    }
+    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_file(&snapshot_path).ok();
 }
 
 /// Records recovered from the WAL at startup seed the refresh backlog,

@@ -11,8 +11,9 @@ use gdcm_dnn::Network;
 use gdcm_gen::{RandomNetworkGenerator, SearchSpace};
 use gdcm_ml::{FrozenGbdt, FrozenNodes, GbdtRegressor, Regressor, Tree, TreeNode};
 use gdcm_serve::{
-    load_repository, network_hash, save_repository, RepositorySnapshot, ServeConfig, ServeError,
-    ServingRepository, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+    load_repository, network_hash, save_repository, IngestPipeline, RefreshConfig,
+    RepositorySnapshot, ServeConfig, ServeError, ServingRepository, SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -286,6 +287,7 @@ fn audit_rejects_snapshot_with_corrupt_model() {
 fn re_enroll_invalidates_cached_predictions() {
     let (repo, nets) = fitted_repository(18);
     let serving = ServingRepository::new(repo, ServeConfig::default());
+    let pipeline = IngestPipeline::new(&serving, RefreshConfig::default());
     let device = serving.device_names()[0].clone();
     let sig_len = serving.with_repository(|r| r.signature_size());
 
@@ -294,7 +296,7 @@ fn re_enroll_invalidates_cached_predictions() {
     assert_eq!(before.prediction_misses, 1);
 
     let new_sig: Vec<f64> = (0..sig_len).map(|i| 5.0 + i as f64).collect();
-    serving.re_enroll(&device, &new_sig).unwrap();
+    pipeline.re_enroll(&device, &new_sig).unwrap();
 
     // The cached entry is gone: the next predict recomputes against the
     // new signature and matches an uncached call bit for bit.
