@@ -23,7 +23,6 @@ pub fn fig12(data: &CostDataset) -> String {
             contribution_fraction: frac,
             seed: 7,
             gbdt: GbdtParams::default(),
-            eval_every: 1,
         };
         curves.push(simulate_collaborative(data, &config));
     }
@@ -51,7 +50,7 @@ pub fn fig12(data: &CostDataset) -> String {
             let point = curve
                 .iter()
                 .find(|p| p.n_devices == cp)
-                .expect("eval_every = 1");
+                .expect("one point per enrolled device");
             let _ = write!(row, " {:.3} |", point.avg_r2);
         }
         let _ = writeln!(out, "{row}");

@@ -6,6 +6,12 @@
 //! of networks (training data). One shared cost model is retrained as the
 //! repository grows and is evaluated on *all* networks for every enrolled
 //! device — far beyond any single device's contribution.
+//!
+//! The repository is the [`CollaborativeRepository`] the server runs:
+//! each device is onboarded with its signature latencies and contributes
+//! its measurements, the repository fits, and every score comes from its
+//! one scoring path, [`CollaborativeRepository::predict_encoded`] (behind
+//! `predict`), on the dataset's precomputed encodings.
 
 use gdcm_ml::metrics::r2_score;
 use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor};
@@ -15,6 +21,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::CostDataset;
+use crate::repository::{CollaborativeRepository, RepositoryConfig};
 use crate::signature::{MutualInfoSelector, SignatureSelector};
 
 /// Configuration of the collaborative simulation.
@@ -29,11 +36,8 @@ pub struct CollaborativeConfig {
     pub contribution_fraction: f64,
     /// Shuffling seed for enrollment order and per-device contributions.
     pub seed: u64,
-    /// Regressor hyper-parameters.
+    /// Regressor hyper-parameters of the repository's fits.
     pub gbdt: GbdtParams,
-    /// Retrain/evaluate every `eval_every` enrollments (1 = paper
-    /// protocol; larger values trade resolution for speed).
-    pub eval_every: usize,
 }
 
 impl Default for CollaborativeConfig {
@@ -44,7 +48,6 @@ impl Default for CollaborativeConfig {
             contribution_fraction: 0.1,
             seed: 0,
             gbdt: GbdtParams::default(),
-            eval_every: 1,
         }
     }
 }
@@ -60,13 +63,89 @@ pub struct CollaborativePoint {
     pub n_rows: usize,
 }
 
-/// Runs the §V simulation and returns the growth curve.
+/// The signature set, chosen once with MIS over the whole fleet (the
+/// repository bootstraps from whatever measurements exist), and the
+/// networks it leaves open for contributions and evaluation.
+fn signature_and_open_networks(
+    data: &CostDataset,
+    signature_size: usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let signature = MutualInfoSelector::default().select(
+        &data.db,
+        &(0..data.n_devices()).collect::<Vec<_>>(),
+        signature_size,
+    );
+    let open_networks = (0..data.n_networks())
+        .filter(|n| !signature.contains(n))
+        .collect();
+    (signature, open_networks)
+}
+
+/// An empty repository over the dataset's encoder that fits from its
+/// first row.
+fn empty_repository(data: &CostDataset, config: &CollaborativeConfig) -> CollaborativeRepository {
+    let repo_config = RepositoryConfig {
+        gbdt: config.gbdt,
+        min_rows: 1,
+    };
+    CollaborativeRepository::new(data.encoder.clone(), config.signature_size, repo_config)
+}
+
+/// Onboards `device`, named by its dataset index, with its measured
+/// signature latencies, then contributes its measurements on `networks`.
+fn enroll(
+    repo: &mut CollaborativeRepository,
+    data: &CostDataset,
+    device: usize,
+    signature: &[usize],
+    networks: &[usize],
+) {
+    let name = device.to_string();
+    let latencies: Vec<f64> = signature
+        .iter()
+        .map(|&n| data.db.latency(device, n))
+        .collect();
+    repo.onboard_device(name.as_str(), &latencies)
+        .expect("each device is enrolled once, with measured latencies");
+    for &n in networks {
+        repo.contribute(&name, &data.suite[n].network, data.db.latency(device, n))
+            .expect("measured latencies are finite and positive");
+    }
+}
+
+/// R² of the repository's predictions for an enrolled `device` over
+/// `networks`, scored on the dataset's encodings of them (the bits
+/// `predict` would encode).
+fn device_r2(
+    repo: &CollaborativeRepository,
+    data: &CostDataset,
+    device: usize,
+    networks: &[usize],
+) -> f64 {
+    let signature = repo
+        .device_signature(&device.to_string())
+        .expect("the device is enrolled");
+    let (actual, predicted): (Vec<f32>, Vec<f32>) = networks
+        .iter()
+        .map(|&n| {
+            let predicted = repo
+                .predict_encoded(data.encodings.row(n), signature)
+                .expect("the repository is fitted");
+            (data.db.latency(device, n) as f32, predicted as f32)
+        })
+        .unzip();
+    r2_score(&actual, &predicted)
+}
+
+/// Runs the §V simulation and returns the growth curve, one point per
+/// enrolled device.
 ///
-/// The signature set is chosen once with MIS over the full dataset (the
-/// repository bootstraps from whatever measurements exist); each enrolled
-/// device then contributes its signature latencies plus
-/// `contribution_fraction` of the remaining networks, randomly chosen per
-/// device.
+/// The signature set is chosen once with MIS over the full dataset; each
+/// enrolled device then joins one [`CollaborativeRepository`] with its
+/// signature latencies and contributes `contribution_fraction` of the
+/// remaining networks, randomly chosen per device. After each
+/// enrollment the repository refits on every row and is scored on the
+/// open networks of every enrolled device.
 ///
 /// # Panics
 ///
@@ -89,14 +168,7 @@ pub fn simulate_collaborative(
 
     let _span = gdcm_obs::span!("collaborative/simulate");
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let signature = MutualInfoSelector::default().select(
-        &data.db,
-        &(0..data.n_devices()).collect::<Vec<_>>(),
-        config.signature_size,
-    );
-    let open_networks: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
+    let (signature, open_networks) = signature_and_open_networks(data, config.signature_size);
     let per_device =
         ((open_networks.len() as f64 * config.contribution_fraction).round() as usize).max(1);
 
@@ -104,97 +176,47 @@ pub fn simulate_collaborative(
     order.shuffle(&mut rng);
     order.truncate(config.iterations);
 
-    let width = data.encoder.len() + signature.len();
-    let mut x_train = DenseMatrix::with_capacity(config.iterations * per_device, width);
-    let mut y_train: Vec<f32> = Vec::new();
-    let mut enrolled: Vec<(usize, Vec<f32>)> = Vec::new(); // (device, hw repr)
-    let mut curve = Vec::new();
-
-    for (i, &device) in order.iter().enumerate() {
-        // The device's representation: measured signature latencies.
-        let hw: Vec<f32> = signature
-            .iter()
-            .map(|&n| data.db.latency(device, n) as f32)
-            .collect();
-
-        // Its training contribution: a random slice of the open networks.
+    let mut repo = empty_repository(data, config);
+    let mut curve = Vec::with_capacity(order.len());
+    for &device in &order {
+        // The device's contribution: a random slice of the open networks.
         let mut contrib = open_networks.clone();
         contrib.shuffle(&mut rng);
         contrib.truncate(per_device);
-        let mut row = Vec::with_capacity(width);
-        for &n in &contrib {
-            row.clear();
-            row.extend_from_slice(data.encodings.row(n));
-            row.extend_from_slice(&hw);
-            x_train.push_row(&row);
-            y_train.push(data.db.latency(device, n) as f32);
-        }
-        enrolled.push((device, hw));
+        enroll(&mut repo, data, device, &signature, &contrib);
+        let (n_devices, n_rows) = (repo.n_devices(), repo.n_rows());
         gdcm_obs::counter("collaborative/enrollments").incr();
-        gdcm_obs::gauge("collaborative/repository_devices").set(enrolled.len() as f64);
-        gdcm_obs::gauge("collaborative/repository_rows").set(y_train.len() as f64);
+        gdcm_obs::gauge("collaborative/repository_devices").set(n_devices as f64);
+        gdcm_obs::gauge("collaborative/repository_rows").set(n_rows as f64);
         if gdcm_obs::emitting() {
             gdcm_obs::event(
                 "onboard",
                 "collaborative/device",
                 &[
                     ("device", gdcm_obs::FieldValue::U64(device as u64)),
-                    ("enrolled", gdcm_obs::FieldValue::U64(enrolled.len() as u64)),
-                    ("rows", gdcm_obs::FieldValue::U64(y_train.len() as u64)),
+                    ("enrolled", gdcm_obs::FieldValue::U64(n_devices as u64)),
+                    ("rows", gdcm_obs::FieldValue::U64(n_rows as u64)),
                 ],
             );
         }
 
-        let is_last = i + 1 == order.len();
-        if (i + 1) % config.eval_every != 0 && !is_last {
-            continue;
-        }
-
-        let model = fit_frozen(&x_train, &y_train, &config.gbdt);
-        let avg_r2 = average_device_r2(data, &model, &enrolled, &open_networks);
+        repo.fit()
+            .expect("every enrolled device contributes at least one row");
+        let avg_r2 = order[..n_devices]
+            .iter()
+            .map(|&d| device_r2(&repo, data, d, &open_networks))
+            .sum::<f64>()
+            / n_devices as f64;
         if gdcm_obs::emitting() {
             gdcm_obs::series("collaborative/avg_r2").push(avg_r2);
         }
         curve.push(CollaborativePoint {
-            n_devices: i + 1,
+            n_devices,
             avg_r2,
-            n_rows: y_train.len(),
+            n_rows,
         });
     }
     curve
-}
-
-/// Fits a GBDT and compiles it on the grid it was trained on, so every
-/// prediction below runs the frozen trees the serving paths run.
-fn fit_frozen(x: &DenseMatrix, y: &[f32], gbdt: &GbdtParams) -> FrozenGbdt {
-    let (model, grid) = GbdtRegressor::fit_with_grid(x, y, gbdt);
-    FrozenGbdt::freeze(&model, &grid)
-        .expect("freshly fitted model freezes on its own training grid")
-}
-
-/// Mean per-device R² of `model` over the open networks.
-fn average_device_r2(
-    data: &CostDataset,
-    model: &FrozenGbdt,
-    enrolled: &[(usize, Vec<f32>)],
-    networks: &[usize],
-) -> f64 {
-    let width = data.encoder.len() + enrolled[0].1.len();
-    let mut row = Vec::with_capacity(width);
-    let mut total = 0.0;
-    for (device, hw) in enrolled {
-        let mut actual = Vec::with_capacity(networks.len());
-        let mut predicted = Vec::with_capacity(networks.len());
-        for &n in networks {
-            row.clear();
-            row.extend_from_slice(data.encodings.row(n));
-            row.extend_from_slice(hw);
-            predicted.push(model.predict_row(&row));
-            actual.push(data.db.latency(*device, n) as f32);
-        }
-        total += r2_score(&actual, &predicted);
-    }
-    total / enrolled.len() as f64
 }
 
 /// One point of the isolated-training curve (Fig. 13).
@@ -210,6 +232,10 @@ pub struct IsolatedPoint {
 /// for each training-set size in `sizes`, fit a model on that many
 /// (randomly ordered) networks measured **only on `device`**, with the
 /// network encoding as the only feature, and evaluate on the full suite.
+///
+/// This baseline has no signature features, so it cannot live in a
+/// [`CollaborativeRepository`]; it fits and scores the frozen trees the
+/// repository would.
 pub fn isolated_curve(
     data: &CostDataset,
     device: usize,
@@ -235,7 +261,9 @@ pub fn isolated_curve(
             x.push_row(data.encodings.row(n));
             y.push(data.db.latency(device, n) as f32);
         }
-        let model = fit_frozen(&x, &y, gbdt);
+        let (model, grid) = GbdtRegressor::fit_with_grid(&x, &y, gbdt);
+        let model = FrozenGbdt::freeze(&model, &grid)
+            .expect("freshly fitted model freezes on its own training grid");
         let predicted: Vec<f32> = (0..data.n_networks())
             .map(|n| model.predict_row(data.encodings.row(n)))
             .collect();
@@ -248,9 +276,10 @@ pub fn isolated_curve(
 }
 
 /// The collaborative counterpart of Fig. 13: `n_devices` devices
-/// (including `target`) each contribute the signature latencies plus
-/// `contribution` further measurements; the shared model is evaluated on
-/// the target device across all non-signature networks. Returns the
+/// (including `target`) each join one [`CollaborativeRepository`] with
+/// their signature latencies and contribute `contribution` further
+/// measurements (at least one); the fitted repository is evaluated on the
+/// target device across all non-signature networks. Returns the
 /// target-device R².
 pub fn collaborative_for_device(
     data: &CostDataset,
@@ -261,14 +290,7 @@ pub fn collaborative_for_device(
 ) -> f64 {
     assert!(n_devices <= data.n_devices(), "not enough devices");
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let signature = MutualInfoSelector::default().select(
-        &data.db,
-        &(0..data.n_devices()).collect::<Vec<_>>(),
-        config.signature_size,
-    );
-    let open_networks: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
+    let (signature, open_networks) = signature_and_open_networks(data, config.signature_size);
 
     // Random cohort that always includes the target device.
     let mut cohort: Vec<usize> = (0..data.n_devices()).filter(|&d| d != target).collect();
@@ -276,42 +298,16 @@ pub fn collaborative_for_device(
     cohort.truncate(n_devices.saturating_sub(1));
     cohort.push(target);
 
-    let width = data.encoder.len() + signature.len();
-    let mut x = DenseMatrix::with_capacity(cohort.len() * contribution, width);
-    let mut y = Vec::new();
-    let mut row = Vec::with_capacity(width);
-    let mut target_hw = Vec::new();
+    let mut repo = empty_repository(data, config);
     for &device in &cohort {
-        let hw: Vec<f32> = signature
-            .iter()
-            .map(|&n| data.db.latency(device, n) as f32)
-            .collect();
-        if device == target {
-            target_hw = hw.clone();
-        }
         let mut contrib = open_networks.clone();
         contrib.shuffle(&mut rng);
         contrib.truncate(contribution.max(1));
-        for &n in &contrib {
-            row.clear();
-            row.extend_from_slice(data.encodings.row(n));
-            row.extend_from_slice(&hw);
-            x.push_row(&row);
-            y.push(data.db.latency(device, n) as f32);
-        }
+        enroll(&mut repo, data, device, &signature, &contrib);
     }
-
-    let model = fit_frozen(&x, &y, &config.gbdt);
-    let mut actual = Vec::with_capacity(open_networks.len());
-    let mut predicted = Vec::with_capacity(open_networks.len());
-    for &n in &open_networks {
-        row.clear();
-        row.extend_from_slice(data.encodings.row(n));
-        row.extend_from_slice(&target_hw);
-        predicted.push(model.predict_row(&row));
-        actual.push(data.db.latency(target, n) as f32);
-    }
-    r2_score(&actual, &predicted)
+    repo.fit()
+        .expect("every enrolled device contributes at least one row");
+    device_r2(&repo, data, target, &open_networks)
 }
 
 #[cfg(test)]
@@ -333,7 +329,6 @@ mod tests {
             iterations: 20,
             contribution_fraction: 0.3,
             gbdt: fast_gbdt(),
-            eval_every: 1,
             ..CollaborativeConfig::default()
         };
         let curve = simulate_collaborative(&data, &config);
@@ -347,22 +342,6 @@ mod tests {
         // The late-stage model should be decent on this easy dataset.
         let late = curve[19].avg_r2;
         assert!(late > 0.5, "late R² {late}");
-    }
-
-    #[test]
-    fn eval_every_thins_the_curve_but_keeps_last_point() {
-        let data = CostDataset::tiny(11, 10, 20);
-        let config = CollaborativeConfig {
-            signature_size: 3,
-            iterations: 15,
-            contribution_fraction: 0.2,
-            gbdt: fast_gbdt(),
-            eval_every: 4,
-            ..CollaborativeConfig::default()
-        };
-        let curve = simulate_collaborative(&data, &config);
-        let counts: Vec<usize> = curve.iter().map(|p| p.n_devices).collect();
-        assert_eq!(counts, vec![4, 8, 12, 15]);
     }
 
     #[test]

@@ -16,8 +16,7 @@ use generalizable_dnn_cost_models::core::{
 use generalizable_dnn_cost_models::gen::NamedNetwork;
 use generalizable_dnn_cost_models::gen::{RandomNetworkGenerator, SearchSpace};
 use generalizable_dnn_cost_models::ml::metrics::spearman;
-use generalizable_dnn_cost_models::ml::DenseMatrix;
-use generalizable_dnn_cost_models::ml::{GbdtRegressor, Regressor};
+use generalizable_dnn_cost_models::ml::{DenseMatrix, Regressor};
 use generalizable_dnn_cost_models::sim::{measure, LatencyEngine, MeasurementConfig};
 
 fn main() {
@@ -45,12 +44,10 @@ fn main() {
 
     let (train_devices, test_devices) = pipeline.device_split();
     let signature = MutualInfoSelector::default().select(&data.db, &train_devices, 10);
-    let repr = HardwareRepr::Signature(signature.clone());
-    let networks: Vec<usize> = (0..data.n_networks())
-        .filter(|n| !signature.contains(n))
-        .collect();
-    let (x, y) = pipeline.build_rows(&repr, &train_devices, &networks);
-    let model = GbdtRegressor::fit(&x, &y, &PipelineConfig::default().gbdt);
+    let repr = HardwareRepr::Signature(signature);
+    let model = pipeline
+        .train_artifacts(&repr, &train_devices, &test_devices, "MIS")
+        .frozen;
 
     // The NAS target: an unseen phone. Its only characterization cost is
     // measuring the 10 signature networks (30 runs each).

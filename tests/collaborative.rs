@@ -50,7 +50,6 @@ fn repository_growth_curve_trends_upward() {
         contribution_fraction: 0.2,
         seed: 1,
         gbdt: fast_gbdt(),
-        eval_every: 1,
     };
     let curve = simulate_collaborative(&data, &config);
     assert_eq!(curve.len(), 30);
