@@ -9,6 +9,18 @@
 //! tree-heavy model, freezes it to the SoA arena, flatchecks the
 //! translation, and times frozen batch inference against the recursive
 //! node walker (asserting bit identity and that frozen is not slower).
+//!
+//! The `repository_fit` section fits the paper-scale training set — 84
+//! training devices × 108 open networks of `CostDataset::paper(42)`,
+//! every fifth device held out as in `perfbench`'s `paper_fit` — through
+//! `CollaborativeRepository::fit`, which trains on the training set's
+//! column blocks, and through `fit_with_grid` on the dense
+//! `TrainingSet::matrix`, alternating, and keeps each path's fastest
+//! fit. It asserts the two models and frozen arenas are equal, and
+//! records each path's phases and the bytes it holds for values, ids
+//! and codes. The bytes are computed from the shapes of what each fit
+//! reads and builds, not read from RSS.
+//!
 //! Writes `BENCH_gbdt.json` at the repo root (or `$GDCM_BENCH_OUT`).
 //!
 //! ```sh
@@ -25,7 +37,14 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use gdcm_ml::{BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor};
+use gdcm_core::{
+    CollaborativeRepository, CostDataset, MutualInfoSelector, RepositoryConfig, SignatureSelector,
+    TrainingSet,
+};
+use gdcm_ml::gbdt::TrainingLog;
+use gdcm_ml::{
+    BinnedMatrix, DenseMatrix, FactoredMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -61,6 +80,61 @@ struct FlatVsNode {
     flatcheck_diagnostics: usize,
 }
 
+/// One path of the `repository_fit` comparison.
+#[derive(Serialize)]
+struct FitPath {
+    /// Building what the fit reads: the column-block view, or the dense
+    /// matrix.
+    build_ms: f64,
+    /// The fit's phases, from its `TrainingLog`.
+    fit_ms: f64,
+    bin_ms: f64,
+    split_search_ms: f64,
+    predict_update_ms: f64,
+    /// f32 values the fit reads: the blocks' tables, or the matrix.
+    value_bytes: usize,
+    /// Row-to-table ids: the view's and the grid's copies.
+    id_bytes: usize,
+    /// Bin codes: one per table entry and column, or per row and column.
+    code_bytes: usize,
+}
+
+impl FitPath {
+    fn new(build_ms: f64, log: &TrainingLog, x: &FactoredMatrix<'_>, grid: &BinnedMatrix) -> Self {
+        let (code_bytes, grid_id_bytes) = grid.heap_bytes();
+        let blocks = x.blocks();
+        Self {
+            build_ms,
+            fit_ms: log.total_ms,
+            bin_ms: log.histogram_build_ms,
+            split_search_ms: log.split_search_ms,
+            predict_update_ms: log.predict_update_ms,
+            value_bytes: blocks.iter().map(|b| b.table().len() * 4).sum(),
+            id_bytes: blocks
+                .iter()
+                .filter_map(|b| b.ids())
+                .map(|ids| ids.len() * 4)
+                .sum::<usize>()
+                + grid_id_bytes,
+            code_bytes,
+        }
+    }
+}
+
+/// The paper's training job fitted on column blocks and on the dense
+/// matrix; each path's fastest fit of `repetitions`.
+#[derive(Serialize)]
+struct RepositoryFit {
+    training_devices: usize,
+    open_networks: usize,
+    rows: usize,
+    features: usize,
+    n_estimators: usize,
+    models_equal: bool,
+    factored: FitPath,
+    dense: FitPath,
+}
+
 #[derive(Serialize)]
 struct BenchReport {
     bench: &'static str,
@@ -72,6 +146,7 @@ struct BenchReport {
     bit_identical_across_threads: bool,
     samples: Vec<ThreadSample>,
     flat_vs_node: FlatVsNode,
+    repository_fit: RepositoryFit,
 }
 
 fn synthetic(n_rows: usize, n_cols: usize) -> (DenseMatrix, Vec<f32>) {
@@ -92,6 +167,131 @@ fn synthetic(n_rows: usize, n_cols: usize) -> (DenseMatrix, Vec<f32>) {
         })
         .collect();
     (DenseMatrix::from_rows(&rows), y)
+}
+
+/// The paper's training repository: every device onboarded with a
+/// 10-network MIS signature chosen on the training devices, every fifth
+/// device held out, and every training device contributing every open
+/// network.
+fn paper_training_repository(gbdt: GbdtParams) -> (CollaborativeRepository, usize, usize) {
+    let data = CostDataset::paper(42);
+    let (heldout, train): (Vec<usize>, Vec<usize>) =
+        (0..data.n_devices()).partition(|d| d % 5 == 0);
+    let signature = MutualInfoSelector::default().select(&data.db, &train, 10);
+    let open: Vec<usize> = (0..data.n_networks())
+        .filter(|n| !signature.contains(n))
+        .collect();
+    let mut repo = CollaborativeRepository::new(
+        data.encoder.clone(),
+        signature.len(),
+        RepositoryConfig {
+            gbdt,
+            ..RepositoryConfig::default()
+        },
+    );
+    for d in 0..data.n_devices() {
+        let latencies: Vec<f64> = signature.iter().map(|&n| data.db.latency(d, n)).collect();
+        repo.onboard_device(&data.devices[d].model, &latencies)
+            .expect("dataset devices have unique names and finite signatures");
+    }
+    for &d in &train {
+        for &n in &open {
+            repo.contribute(
+                &data.devices[d].model,
+                &data.suite[n].network,
+                data.db.latency(d, n),
+            )
+            .expect("simulated latencies are finite and positive");
+        }
+    }
+    assert_eq!(heldout.len() + train.len(), data.n_devices());
+    (repo, train.len(), open.len())
+}
+
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Fits the paper's training set through the repository (column blocks)
+/// and densely, alternating, `reps` times each, keeping each path's
+/// fastest fit, and asserts the two give the same model and frozen
+/// arena.
+fn repository_fit(fast: bool, reps: usize) -> RepositoryFit {
+    let n_estimators = if fast { 10 } else { 100 };
+    let gbdt = GbdtParams {
+        n_estimators,
+        ..GbdtParams::default()
+    };
+    let (mut repo, training_devices, open_networks) = paper_training_repository(gbdt);
+    let train: TrainingSet = repo.training_set().clone();
+    let faster = |best: Option<FitPath>, path: FitPath| match best {
+        Some(best) if best.fit_ms <= path.fit_ms => Some(best),
+        _ => Some(path),
+    };
+    let (mut factored, mut dense, mut dense_fit) = (None, None, None);
+    for _ in 0..reps {
+        repo.fit()
+            .expect("the paper's training set is far above min_rows");
+        let start = Instant::now();
+        let view = train.factored();
+        let view_ms = ms_since(start);
+        let log = repo.model().and_then(GbdtRegressor::training_log);
+        let grid = BinnedMatrix::from_factored(&view, gbdt.max_bins);
+        let path = FitPath::new(
+            view_ms,
+            log.expect("a fresh fit keeps its log"),
+            &view,
+            &grid,
+        );
+        factored = faster(factored, path);
+
+        let start = Instant::now();
+        let x = train.matrix();
+        let matrix_ms = ms_since(start);
+        let (model, grid) = GbdtRegressor::fit_with_grid(&x, train.labels(), &gbdt);
+        let log = model.training_log().expect("a fresh fit keeps its log");
+        dense = faster(
+            dense,
+            FitPath::new(matrix_ms, log, &FactoredMatrix::dense(&x), &grid),
+        );
+        dense_fit = Some((model, grid));
+    }
+    let (factored, dense) = (factored.expect("reps >= 1"), dense.expect("reps >= 1"));
+    let (dense_model, dense_grid) = dense_fit.expect("reps >= 1");
+    let dense_frozen =
+        FrozenGbdt::freeze(&dense_model, &dense_grid).expect("fresh fit freezes on its own grid");
+    let models_equal =
+        repo.model() == Some(&dense_model) && repo.frozen_model() == Some(&dense_frozen);
+    assert!(
+        models_equal,
+        "the repository's fit on column blocks differs from the dense fit"
+    );
+    let (rows, features) = (train.n_rows(), dense_grid.n_features());
+    eprintln!(
+        "[repository fit] {rows} rows x {features} features, {n_estimators} trees, fastest of \
+         {reps}: column blocks {:.0} ms (view {:.1}, bin {:.1}, split {:.1}, update {:.1}), \
+         dense {:.0} ms (matrix {:.1}, bin {:.1}, split {:.1}, update {:.1})",
+        factored.fit_ms,
+        factored.build_ms,
+        factored.bin_ms,
+        factored.split_search_ms,
+        factored.predict_update_ms,
+        dense.fit_ms,
+        dense.build_ms,
+        dense.bin_ms,
+        dense.split_search_ms,
+        dense.predict_update_ms,
+    );
+    RepositoryFit {
+        training_devices,
+        open_networks,
+        rows,
+        features,
+        n_estimators,
+        models_equal,
+        factored,
+        dense,
+    }
 }
 
 fn main() {
@@ -245,6 +445,8 @@ fn main() {
         flatcheck_diagnostics: flat_diags.len(),
     };
 
+    let repository_fit = repository_fit(fast, reps);
+
     let report = BenchReport {
         bench: "gbdt_par_scaling",
         cpus_available: cpus,
@@ -255,6 +457,7 @@ fn main() {
         bit_identical_across_threads: bit_identical,
         samples,
         flat_vs_node,
+        repository_fit,
     };
     assert!(
         report.bit_identical_across_threads,

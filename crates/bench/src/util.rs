@@ -50,6 +50,35 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     }
 }
 
+/// `value` as a table prints it, to three decimals, so that a sentence
+/// computed from a table's numbers agrees with what the table shows.
+pub fn shown(value: f64) -> f64 {
+    format!("{value:.3}")
+        .parse()
+        .expect("a formatted float parses back")
+}
+
+/// Breaks `text` at spaces into lines of at most `width` characters (a
+/// longer word keeps a line to itself), as the results' hand-wrapped
+/// paragraphs are.
+pub fn wrap(text: &str, width: usize) -> String {
+    let mut out = String::new();
+    let mut line = 0;
+    for word in text.split_whitespace() {
+        let len = word.chars().count();
+        if line > 0 && line + 1 + len > width {
+            out.push('\n');
+            line = 0;
+        } else if line > 0 {
+            out.push(' ');
+            line += 1;
+        }
+        out.push_str(word);
+        line += len;
+    }
+    out
+}
+
 /// A k=3 clustering with clusters ordered by ascending mean latency.
 #[derive(Debug, Clone)]
 pub struct OrderedClusters {

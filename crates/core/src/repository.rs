@@ -31,11 +31,11 @@
 //! `predict` builds for the same device. Deliberate signature updates go
 //! through [`CollaborativeRepository::re_enroll`], which replaces the
 //! device's one stored signature. A row does not store its hardware
-//! features: every training matrix ([`TrainingSet::matrix`]) appends
-//! the owner's *current* signature to the row's network encoding, so
-//! training data and prediction features cannot disagree (the model
-//! itself only picks the change up at the next
-//! [`CollaborativeRepository::fit`]).
+//! features: every fit ([`TrainingSet::factored`]) and every training
+//! matrix ([`TrainingSet::matrix`]) reads the owner's *current*
+//! signature beside the row's network encoding, so training data and
+//! prediction features cannot disagree (the model itself only picks the
+//! change up at the next [`CollaborativeRepository::fit`]).
 //!
 //! ## Storage
 //!
@@ -43,7 +43,9 @@
 //! each distinct network encoding once, keyed by its exact bits, and a
 //! training row as (encoding id, device id) plus its label, in
 //! contribution order. Device ids are given in onboarding order and
-//! never reused.
+//! never reused. A fit trains on the rows in that form: two column
+//! blocks, the encodings and the signatures, each row a pair of ids
+//! ([`TrainingSet::factored`]).
 //!
 //! ## Bin-grid provenance
 //!
@@ -68,7 +70,10 @@
 //! [`re_enroll`]: CollaborativeRepository::re_enroll
 
 use gdcm_dnn::Network;
-use gdcm_ml::{BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor};
+use gdcm_ml::{
+    BinnedMatrix, ColumnBlock, DenseMatrix, FactoredMatrix, FrozenGbdt, GbdtParams, GbdtRegressor,
+    Regressor,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -404,8 +409,8 @@ impl EncodingIndex {
 /// per device, and every row as ids plus its label.
 ///
 /// Cloning is cheap — the encodings are shared — so a background
-/// refresh can take a copy under a read lock and build the matrix
-/// ([`TrainingSet::matrix`]) off it.
+/// refresh can take a copy under a read lock and fit off it
+/// ([`TrainingSet::factored`]).
 #[derive(Debug, Clone)]
 pub struct TrainingSet {
     /// Distinct encodings, indexed by encoding id.
@@ -446,9 +451,36 @@ impl TrainingSet {
         &self.y
     }
 
+    /// The training rows as the two column blocks every fit trains on:
+    /// each distinct encoding once, with each row's encoding id, and one
+    /// signature per device, with each row's device id. Expanded, it is
+    /// [`TrainingSet::matrix`].
+    ///
+    /// A clone shares the encodings, which are stored one by one, so the
+    /// view copies them into one table (one encoding width of floats per
+    /// distinct encoding) and the ids into one array per block, and
+    /// borrows the signatures.
+    pub fn factored(&self) -> FactoredMatrix<'_> {
+        let encodings: Vec<f32> = self
+            .encodings
+            .iter()
+            .flat_map(|e| e.iter().copied())
+            .collect();
+        let (encoding_ids, device_ids): (Vec<u32>, Vec<u32>) = self.rows.iter().copied().unzip();
+        FactoredMatrix::new(
+            self.rows.len(),
+            vec![
+                ColumnBlock::mapped(encodings, self.encoding_width, encoding_ids),
+                ColumnBlock::mapped(&self.signatures[..], self.signature_size, device_ids),
+            ],
+        )
+    }
+
     /// The training matrix: each row is its network encoding followed
-    /// by its device's current signature, in contribution order. Every
-    /// fit, audit and refresh trains on exactly this matrix.
+    /// by its device's current signature, in contribution order. Fits
+    /// train on its column blocks ([`TrainingSet::factored`]); this is
+    /// the expanded form, for audits, which rebuild a fit's grid from it
+    /// their own way, and for callers that want the rows.
     pub fn matrix(&self) -> DenseMatrix {
         self.prefix_matrix(self.rows.len())
     }
@@ -699,8 +731,8 @@ impl CollaborativeRepository {
                 required: self.config.min_rows,
             });
         }
-        let x = self.train.matrix();
-        let (model, grid) = GbdtRegressor::fit_with_grid(&x, &self.train.y, &self.config.gbdt);
+        let (model, grid) =
+            GbdtRegressor::fit_factored(&self.train.factored(), &self.train.y, &self.config.gbdt);
         // Compile for the prediction paths on the grid the fit trained
         // on, so freezing a fresh model cannot fail.
         let frozen = FrozenGbdt::freeze(&model, &grid)
@@ -960,8 +992,8 @@ impl CollaborativeRepository {
     }
 
     /// The training rows, each materialized as its own vector, and the
-    /// labels. For callers that want owned rows; the repository's own
-    /// paths build one matrix with [`TrainingSet::matrix`].
+    /// labels. For callers that want owned rows; the repository's fits
+    /// never expand them ([`TrainingSet::factored`]).
     pub fn training_data(&self) -> (Vec<Vec<f32>>, &[f32]) {
         let x = self.train.matrix();
         (x.rows().map(<[f32]>::to_vec).collect(), &self.train.y)

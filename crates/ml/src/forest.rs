@@ -8,7 +8,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::binning::BinnedMatrix;
-use crate::dataset::DenseMatrix;
+use crate::dataset::{DenseMatrix, FactoredMatrix};
 use crate::tree::{Tree, TreeParams};
 use crate::Regressor;
 
@@ -40,7 +40,7 @@ impl RandomForestRegressor {
         assert!(n_trees >= 1, "need at least one tree");
 
         let n = x.n_rows();
-        let binned = BinnedMatrix::from_matrix(x, FOREST_BINS);
+        let binned = BinnedMatrix::from_factored(&FactoredMatrix::dense(x), FOREST_BINS);
         // Forest trees fit targets directly: g = -y, h = 1, λ = 0 makes
         // every leaf the mean of its targets.
         let grad: Vec<f64> = y.iter().map(|&v| -(v as f64)).collect();

@@ -4,6 +4,11 @@
 //! error with second-order split gains, shrinkage, and L2 leaf
 //! regularization. The paper's hyper-parameters — learning rate 0.1,
 //! 100 estimators, depth 3 — are the defaults.
+//!
+//! One boosting loop trains every fit, on a [`FactoredMatrix`]: the
+//! dense entry points ([`GbdtRegressor::fit`] and the rest) pass their
+//! matrix as one identity block, and a caller that holds its rows as
+//! column blocks ([`GbdtRegressor::fit_factored`]) never expands them.
 
 use rand::seq::SliceRandom;
 use rand_chacha::rand_core::SeedableRng;
@@ -13,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::binning::BinnedMatrix;
-use crate::dataset::DenseMatrix;
+use crate::dataset::{DenseMatrix, FactoredMatrix};
 use crate::tree::{SharedFit, Tree, TreeParams};
 use crate::Regressor;
 
@@ -84,7 +89,9 @@ pub struct TrainingLog {
     /// Training-set RMSE after each boosting round.
     pub round_train_rmse: Vec<f32>,
     /// Time spent binning this fit's training matrix (ms): quantile
-    /// cuts and codes for every feature, built once per fit on the
+    /// cuts for every feature, from its (value, count) runs, and codes
+    /// for every table entry of its column block
+    /// ([`BinnedMatrix::from_factored`]), built once per fit on the
     /// `gdcm-par` pool. The grid is the one
     /// [`GbdtRegressor::fit_with_grid`] returns, so freezing the model
     /// adds no binning time.
@@ -164,6 +171,22 @@ impl GbdtRegressor {
         y: &[f32],
         params: &GbdtParams,
     ) -> (Self, Arc<BinnedMatrix>) {
+        Self::fit_factored(&FactoredMatrix::dense(x), y, params)
+    }
+
+    /// [`GbdtRegressor::fit_with_grid`] on a matrix held as column
+    /// blocks, which it bins ([`BinnedMatrix::from_factored`]), searches
+    /// and scores without expanding. The model and grid are bitwise the
+    /// ones `fit_with_grid` gives on `x.to_dense()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same conditions as [`GbdtRegressor::fit`].
+    pub fn fit_factored(
+        x: &FactoredMatrix<'_>,
+        y: &[f32],
+        params: &GbdtParams,
+    ) -> (Self, Arc<BinnedMatrix>) {
         Self::fit_boosted(x, y, params, None)
     }
 
@@ -207,6 +230,22 @@ impl GbdtRegressor {
         prev: &GbdtRegressor,
         reuse: usize,
     ) -> (Self, Arc<BinnedMatrix>) {
+        Self::warm_fit_factored(&FactoredMatrix::dense(x), y, params, prev, reuse)
+    }
+
+    /// [`GbdtRegressor::warm_fit_with_grid`] on a matrix held as column
+    /// blocks (see [`GbdtRegressor::fit_factored`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same conditions as [`GbdtRegressor::warm_fit`].
+    pub fn warm_fit_factored(
+        x: &FactoredMatrix<'_>,
+        y: &[f32],
+        params: &GbdtParams,
+        prev: &GbdtRegressor,
+        reuse: usize,
+    ) -> (Self, Arc<BinnedMatrix>) {
         assert!(
             reuse <= prev.trees.len(),
             "cannot reuse {reuse} trees from a {}-tree model",
@@ -218,7 +257,7 @@ impl GbdtRegressor {
             params.n_estimators
         );
         if reuse == 0 {
-            return Self::fit_with_grid(x, y, params);
+            return Self::fit_factored(x, y, params);
         }
         assert_eq!(
             prev.n_features,
@@ -234,7 +273,7 @@ impl GbdtRegressor {
     /// rounds; the cold path takes the mean-of-targets base and boosts
     /// all of them.
     fn fit_boosted(
-        x: &DenseMatrix,
+        x: &FactoredMatrix<'_>,
         y: &[f32],
         params: &GbdtParams,
         warm: Option<(f32, &[Tree])>,
@@ -255,7 +294,7 @@ impl GbdtRegressor {
 
         let n = x.n_rows();
         let hist_start = Instant::now();
-        let binned = Arc::new(BinnedMatrix::from_matrix(x, params.max_bins));
+        let binned = Arc::new(BinnedMatrix::from_factored(x, params.max_bins));
         let histogram_build_ms = hist_start.elapsed().as_secs_f64() * 1e3;
         let base_score = match warm {
             Some((base, _)) => base,
@@ -283,7 +322,7 @@ impl GbdtRegressor {
         let mut preds = vec![base_score as f64; n];
         for tree in reused {
             for (i, pred) in preds.iter_mut().enumerate() {
-                *pred += tree.predict_row(x.row(i)) as f64;
+                *pred += tree.predict_with(|f| x.get(i, f)) as f64;
             }
         }
         let rounds = params.n_estimators - reused.len();
@@ -342,7 +381,7 @@ impl GbdtRegressor {
             let update_start = Instant::now();
             let mut sq_err = 0.0f64;
             for i in 0..n {
-                preds[i] += tree.predict_row(x.row(i)) as f64;
+                preds[i] += tree.predict_with(|f| x.get(i, f)) as f64;
                 let residual = preds[i] - y[i] as f64;
                 sq_err += residual * residual;
             }

@@ -36,7 +36,7 @@ mod split;
 mod tree;
 
 pub use binning::{bin_code, BinnedMatrix, MAX_BINS};
-pub use dataset::DenseMatrix;
+pub use dataset::{ColumnBlock, DenseMatrix, FactoredMatrix};
 pub use forest::{RandomForestRegressor, FOREST_BINS};
 pub use frozen::{FreezeError, FrozenForest, FrozenGbdt, FrozenNodes, FROZEN_LEAF};
 pub use gbdt::{GbdtParams, GbdtRegressor};

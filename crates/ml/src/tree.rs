@@ -26,6 +26,18 @@
 //! receives the same f64 gradients in the node's row order whatever the
 //! loop nesting, and the scan visits candidates in the same order as a
 //! one-feature-at-a-time search.
+//!
+//! # Column blocks
+//!
+//! A [`BinnedMatrix`] built from a [`crate::FactoredMatrix`] stores a
+//! block's codes once per table entry and maps rows to entries by id.
+//! The search gathers each mapped block's ids for the node's rows once
+//! per node, and cuts the feature list at block boundaries so that one
+//! pass of [`LANES`] features reads one id stream: the node's rows
+//! themselves for an identity block, its gathered ids for a mapped one.
+//! Row `i` of the stream still carries the node's `i`-th gradient, so
+//! every cell receives the same gradients in the same order as on the
+//! expanded matrix.
 
 use std::sync::Arc;
 
@@ -79,6 +91,29 @@ impl HistScratch {
             c: Box::new([[0; MAX_BINS]; LANES]),
         }
     }
+}
+
+/// Per column block, the table id of each of a node's rows, in row
+/// order: gathered for a mapped block, empty for an identity block,
+/// whose stream is the rows themselves.
+type NodeIds = Vec<Vec<usize>>;
+
+/// Gathers `rows`' table ids for every mapped block of `binned` into
+/// `ids`, reusing its buffers.
+fn gather_ids(binned: &BinnedMatrix, rows: &[usize], ids: &mut NodeIds) {
+    ids.resize_with(binned.n_blocks(), Vec::new);
+    for (b, out) in ids.iter_mut().enumerate() {
+        out.clear();
+        if let Some(block_ids) = binned.block_ids(b) {
+            out.extend(rows.iter().map(|&r| block_ids[r] as usize));
+        }
+    }
+}
+
+/// The serial path's buffers, reused across a tree's nodes.
+struct NodeScratch {
+    hist: HistScratch,
+    ids: NodeIds,
 }
 
 /// Minimum `rows × features` work below which the parallel split search
@@ -203,7 +238,10 @@ impl Tree {
         assert_eq!(ctx.grad.len(), ctx.binned.n_rows(), "grad length mismatch");
         let mut tree = Tree { nodes: Vec::new() };
         let mut rows = rows.to_vec();
-        let mut scratch = HistScratch::new();
+        let mut scratch = NodeScratch {
+            hist: HistScratch::new(),
+            ids: Vec::new(),
+        };
         tree.grow(ctx, &mut rows, active_features, params, 0, &mut scratch);
         tree
     }
@@ -216,7 +254,7 @@ impl Tree {
         active_features: &[usize],
         params: &TreeParams,
         depth: usize,
-        scratch: &mut HistScratch,
+        scratch: &mut NodeScratch,
     ) -> usize {
         let g_sum: f64 = rows.iter().map(|&r| ctx.grad[r]).sum();
         let h_sum = rows.len() as f64;
@@ -237,10 +275,10 @@ impl Tree {
         };
 
         // Partition rows in place: left block first.
-        let codes = ctx.binned.feature_codes(split.feature);
+        let column = ctx.binned.column(split.feature);
         let mut mid = 0;
         for i in 0..rows.len() {
-            if codes[rows[i]] <= split.bin {
+            if column.code(rows[i]) <= split.bin {
                 rows.swap(i, mid);
                 mid += 1;
             }
@@ -266,6 +304,12 @@ impl Tree {
 
     /// Predicts the tree output for one raw feature row.
     pub fn predict_row(&self, row: &[f32]) -> f32 {
+        self.predict_with(|f| row[f])
+    }
+
+    /// The tree walker: predicts the tree output for a row whose
+    /// feature `f` is `value(f)`.
+    pub(crate) fn predict_with(&self, value: impl Fn(usize) -> f32) -> f32 {
         let mut idx = 0;
         loop {
             match self.nodes[idx] {
@@ -276,7 +320,7 @@ impl Tree {
                     left,
                     right,
                 } => {
-                    idx = if row[feature] <= threshold {
+                    idx = if value(feature) <= threshold {
                         left
                     } else {
                         right
@@ -360,7 +404,7 @@ fn find_best_split(
     active_features: &[usize],
     params: &TreeParams,
     g_sum: f64,
-    scratch: &mut HistScratch,
+    scratch: &mut NodeScratch,
 ) -> Option<SplitCandidate> {
     if let Some(shared) = ctx.shared {
         let pool = gdcm_par::pool();
@@ -371,14 +415,16 @@ fn find_best_split(
             return find_best_split_parallel(shared, pool, rows, active_features, params, g_sum);
         }
     }
+    gather_ids(ctx.binned, rows, &mut scratch.ids);
     best_split_over(
         ctx.binned,
         ctx.grad,
         rows,
+        &scratch.ids,
         active_features,
         params,
         g_sum,
-        scratch,
+        &mut scratch.hist,
     )
 }
 
@@ -388,7 +434,8 @@ fn find_best_split(
 /// winners merged **in submission order** with a strictly-greater
 /// comparison. Ties on gain therefore resolve to the earliest feature in
 /// `active_features` — exactly the serial scan's tie-break — so the
-/// result is bit-identical at any thread count.
+/// result is bit-identical at any thread count. The node's ids are
+/// gathered once and shared by every job.
 fn find_best_split_parallel(
     shared: &SharedFit,
     pool: &gdcm_par::Pool,
@@ -397,6 +444,9 @@ fn find_best_split_parallel(
     params: &TreeParams,
     g_sum: f64,
 ) -> Option<SplitCandidate> {
+    let mut ids = NodeIds::new();
+    gather_ids(&shared.binned, rows, &mut ids);
+    let ids = Arc::new(ids);
     let rows: Arc<Vec<usize>> = Arc::new(rows.to_vec());
     let groups = pool.threads().min(active_features.len());
     let group_len = active_features
@@ -410,11 +460,13 @@ fn find_best_split_parallel(
             let features = features.to_vec();
             let shared = shared.clone();
             let rows = Arc::clone(&rows);
+            let ids = Arc::clone(&ids);
             let job: gdcm_par::Job<Option<SplitCandidate>> = Box::new(move || {
                 best_split_over(
                     &shared.binned,
                     &shared.grad,
                     &rows,
+                    &ids,
                     &features,
                     &params,
                     g_sum,
@@ -434,13 +486,15 @@ fn find_best_split_parallel(
 }
 
 /// The serial split scan over one list of features — the shared core of
-/// both execution paths. Builds the histograms of [`LANES`] features per
-/// pass over `rows` (see the module docs), then scans each feature's
-/// bins in list order.
+/// both execution paths. Builds the histograms of [`LANES`] features of
+/// one column block per pass over the block's id stream for `rows` (see
+/// the module docs), then scans each feature's bins in list order.
+#[allow(clippy::too_many_arguments)]
 fn best_split_over(
     binned: &BinnedMatrix,
     grad: &[f64],
     rows: &[usize],
+    ids: &NodeIds,
     active_features: &[usize],
     params: &TreeParams,
     g_sum: f64,
@@ -463,32 +517,52 @@ fn best_split_over(
     );
 
     let mut best: Option<SplitCandidate> = None;
-    for block in features.chunks(LANES) {
-        let column = |lane: usize| block[lane.min(block.len() - 1)];
-        let codes: [&[u8]; LANES] = std::array::from_fn(|lane| binned.feature_codes(column(lane)));
-        for lane in 0..LANES {
-            let n_bins = binned.n_bins(column(lane));
-            hist_g[lane][..n_bins].fill(0.0);
-            hist_c[lane][..n_bins].fill(0);
-        }
-        for (&r, &g) in rows.iter().zip(node_grad.iter()) {
+    let mut rest: &[usize] = features;
+    while let Some(&head) = rest.first() {
+        // The run of listed features in `head`'s column block.
+        let col_block = binned.block_of(head);
+        let run = rest
+            .iter()
+            .position(|&f| binned.block_of(f) != col_block)
+            .unwrap_or(rest.len());
+        let (same_block, tail) = rest.split_at(run);
+        rest = tail;
+        let stream: &[usize] = match binned.block_ids(col_block) {
+            Some(_) => &ids[col_block],
+            None => rows,
+        };
+        // Every feature of a block has one code per table entry. Slicing
+        // each lane to that one length lets one bounds check per row
+        // cover all lanes.
+        let entries = binned.column(head).codes.len();
+        for block in same_block.chunks(LANES) {
+            let column = |lane: usize| block[lane.min(block.len() - 1)];
+            let codes: [&[u8]; LANES] =
+                std::array::from_fn(|lane| &binned.column(column(lane)).codes[..entries]);
             for lane in 0..LANES {
-                let b = usize::from(codes[lane][r]);
-                hist_g[lane][b] += g;
-                hist_c[lane][b] += 1;
+                let n_bins = binned.n_bins(column(lane));
+                hist_g[lane][..n_bins].fill(0.0);
+                hist_c[lane][..n_bins].fill(0);
             }
-        }
-        for (lane, &f) in block.iter().enumerate() {
-            let n_bins = binned.n_bins(f);
-            scan_bins(
-                f,
-                &hist_g[lane][..n_bins],
-                &hist_c[lane][..n_bins],
-                rows.len(),
-                params,
-                g_sum,
-                &mut best,
-            );
+            for (&e, &g) in stream.iter().zip(node_grad.iter()) {
+                for lane in 0..LANES {
+                    let b = usize::from(codes[lane][e]);
+                    hist_g[lane][b] += g;
+                    hist_c[lane][b] += 1;
+                }
+            }
+            for (lane, &f) in block.iter().enumerate() {
+                let n_bins = binned.n_bins(f);
+                scan_bins(
+                    f,
+                    &hist_g[lane][..n_bins],
+                    &hist_c[lane][..n_bins],
+                    rows.len(),
+                    params,
+                    g_sum,
+                    &mut best,
+                );
+            }
         }
     }
     best

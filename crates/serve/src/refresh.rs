@@ -20,12 +20,13 @@
 //!    refresher (spawned by the server when refresh is enabled) copies
 //!    the training set under a brief read lock — shared encodings, row
 //!    ids, labels and signatures, not the matrix
-//!    ([`gdcm_core::TrainingSet`]) — then builds the matrix and trains
-//!    *off-lock* —
+//!    ([`gdcm_core::TrainingSet`]) — then trains *off-lock* on its column
+//!    blocks, without a dense matrix ([`gdcm_core::TrainingSet::factored`]),
 //!    warm-starting from the previous model's trees so refit cost
 //!    scales with the residual rounds, not total rounds
-//!    ([`gdcm_ml::GbdtRegressor::warm_fit`]) — runs the same audit +
-//!    flatcheck gate the snapshot loader applies, and only then
+//!    ([`gdcm_ml::GbdtRegressor::warm_fit_factored`]) — runs the same
+//!    audit + flatcheck gate the snapshot loader applies, on the dense
+//!    matrix it builds for it after the fit, and only then
 //!    atomically installs the new model
 //!    ([`ServingRepository::install_refit_on`], which records the grid as
 //!    cut from the rows it copied). Readers never wait on a fit: the
@@ -302,9 +303,10 @@ impl<'a> IngestPipeline<'a> {
     }
 
     /// One refresh cycle: copy the training set under a brief read
-    /// lock, build its matrix and (warm-)fit off-lock, audit, swap,
-    /// compact. Returns `Ok(false)` when there is not yet enough data
-    /// to fit. A stale grid makes the cycle cold.
+    /// lock, (warm-)fit on its column blocks off-lock, build the dense
+    /// matrix the audit reads, audit, swap, compact. Returns `Ok(false)`
+    /// when there is not yet enough data to fit. A stale grid makes the
+    /// cycle cold.
     ///
     /// # Errors
     ///
@@ -317,7 +319,7 @@ impl<'a> IngestPipeline<'a> {
         let take = *self.pending_rows.lock();
         // Copy what training needs under the read lock — shared
         // encodings, ids, labels and signatures, not the matrix — and
-        // build the matrix and fit off-lock.
+        // fit off-lock.
         let (train, gbdt, min_rows, prev, stale) = self.serving.with_repository(|repo| {
             (
                 repo.training_set().clone(),
@@ -331,7 +333,7 @@ impl<'a> IngestPipeline<'a> {
             return Ok(false);
         }
         let started = Instant::now();
-        let x = train.matrix();
+        let x = train.factored();
         let y = train.labels();
         // Warm-start only when the previous model is shaped like the
         // configured fit and its grid is not stale; any mismatch
@@ -351,9 +353,11 @@ impl<'a> IngestPipeline<'a> {
             _ => 0,
         };
         let (model, grid) = match (&prev, reuse) {
-            (Some(prev), r) if r > 0 => GbdtRegressor::warm_fit_with_grid(&x, y, &gbdt, prev, r),
-            _ => GbdtRegressor::fit_with_grid(&x, y, &gbdt),
+            (Some(prev), r) if r > 0 => GbdtRegressor::warm_fit_factored(&x, y, &gbdt, prev, r),
+            _ => GbdtRegressor::fit_factored(&x, y, &gbdt),
         };
+        // The view's tables go before the audit's dense matrix comes.
+        drop(x);
         // A freeze failure is handled exactly like an audit rejection —
         // count it, consume the pending rows, keep serving the old
         // model — rather than panicking the refresher thread (which
@@ -371,6 +375,8 @@ impl<'a> IngestPipeline<'a> {
         };
         // The same gate the snapshot loader runs: a refreshed model
         // must clear the audit + flatcheck passes *before* it swaps in.
+        // The audit rebuilds the grid from the dense matrix its own way.
+        let x = train.matrix();
         if let Err(e) =
             snapshot::audit_model_artifacts("serve/refresh", &model, &gbdt, &x, y, Some(&frozen))
         {
