@@ -19,7 +19,12 @@
 //! fit. It asserts the two models and frozen arenas are equal, and
 //! records each path's phases and the bytes it holds for values, ids
 //! and codes. The bytes are computed from the shapes of what each fit
-//! reads and builds, not read from RSS.
+//! reads and builds, not read from RSS. It also asserts that the column
+//! blocks' split search is at least [`MIN_SPLIT_SPEEDUP`] times faster
+//! than the dense one: the learner builds a mapped block's histograms
+//! from per-entry sums, at most 108 networks or 84 devices a node here,
+//! so a fall back to one add per row fails the run without an absolute
+//! timing bound.
 //!
 //! Writes `BENCH_gbdt.json` at the repo root (or `$GDCM_BENCH_OUT`).
 //!
@@ -46,6 +51,10 @@ use gdcm_ml::{
     BinnedMatrix, DenseMatrix, FactoredMatrix, FrozenGbdt, GbdtParams, GbdtRegressor, Regressor,
 };
 use serde::Serialize;
+
+/// Smallest dense / column-block split-search time ratio the
+/// `repository_fit` section accepts.
+const MIN_SPLIT_SPEEDUP: f64 = 4.0;
 
 #[derive(Serialize)]
 struct ThreadSample {
@@ -131,6 +140,8 @@ struct RepositoryFit {
     features: usize,
     n_estimators: usize,
     models_equal: bool,
+    /// Dense split-search ms over column-block split-search ms.
+    split_search_speedup: f64,
     factored: FitPath,
     dense: FitPath,
 }
@@ -267,10 +278,12 @@ fn repository_fit(fast: bool, reps: usize) -> RepositoryFit {
         "the repository's fit on column blocks differs from the dense fit"
     );
     let (rows, features) = (train.n_rows(), dense_grid.n_features());
+    let split_search_speedup = dense.split_search_ms / factored.split_search_ms;
     eprintln!(
         "[repository fit] {rows} rows x {features} features, {n_estimators} trees, fastest of \
          {reps}: column blocks {:.0} ms (view {:.1}, bin {:.1}, split {:.1}, update {:.1}), \
-         dense {:.0} ms (matrix {:.1}, bin {:.1}, split {:.1}, update {:.1})",
+         dense {:.0} ms (matrix {:.1}, bin {:.1}, split {:.1}, update {:.1}), \
+         split search {split_search_speedup:.1}x faster on column blocks",
         factored.fit_ms,
         factored.build_ms,
         factored.bin_ms,
@@ -282,6 +295,13 @@ fn repository_fit(fast: bool, reps: usize) -> RepositoryFit {
         dense.split_search_ms,
         dense.predict_update_ms,
     );
+    assert!(
+        split_search_speedup >= MIN_SPLIT_SPEEDUP,
+        "column-block split search took {:.1} ms against {:.1} ms dense: {split_search_speedup:.1}x, \
+         below {MIN_SPLIT_SPEEDUP}x; are a mapped block's histograms built per row again?",
+        factored.split_search_ms,
+        dense.split_search_ms,
+    );
     RepositoryFit {
         training_devices,
         open_networks,
@@ -289,6 +309,7 @@ fn repository_fit(fast: bool, reps: usize) -> RepositoryFit {
         features,
         n_estimators,
         models_equal,
+        split_search_speedup,
         factored,
         dense,
     }

@@ -287,6 +287,11 @@ impl BinnedMatrix {
         self.blocks[b].ids.as_deref()
     }
 
+    /// Block `b`'s number of table entries.
+    pub(crate) fn block_entries(&self, b: usize) -> usize {
+        self.blocks[b].entries
+    }
+
     /// Bytes held by the codes and by the blocks' ids.
     pub fn heap_bytes(&self) -> (usize, usize) {
         let ids = self

@@ -138,6 +138,15 @@ impl DenseMatrix {
     }
 }
 
+/// Panics, naming the first bad index, unless every target is finite.
+/// One NaN or infinite target would make every prediction of a fitted
+/// model non-finite.
+pub(crate) fn assert_finite_targets(y: &[f32]) {
+    if let Some(i) = y.iter().position(|v| !v.is_finite()) {
+        panic!("target {i} is {}, not finite", y[i]);
+    }
+}
+
 /// One column block of a [`FactoredMatrix`]: a table of sub-rows, each
 /// stored once, and the table id of every matrix row's sub-row.
 ///

@@ -8,7 +8,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::binning::BinnedMatrix;
-use crate::dataset::{DenseMatrix, FactoredMatrix};
+use crate::dataset::{assert_finite_targets, DenseMatrix, FactoredMatrix};
 use crate::tree::{Tree, TreeParams};
 use crate::Regressor;
 
@@ -33,10 +33,12 @@ impl RandomForestRegressor {
     ///
     /// # Panics
     ///
-    /// Panics when `x` is empty, lengths differ, or `n_trees` is 0.
+    /// Panics when `x` is empty, lengths differ, a target is NaN or
+    /// infinite (the message names the first), or `n_trees` is 0.
     pub fn fit(x: &DenseMatrix, y: &[f32], n_trees: usize, max_depth: usize, seed: u64) -> Self {
         assert!(!x.is_empty(), "cannot fit on empty matrix");
         assert_eq!(x.n_rows(), y.len(), "x/y length mismatch");
+        assert_finite_targets(y);
         assert!(n_trees >= 1, "need at least one tree");
 
         let n = x.n_rows();
@@ -173,6 +175,32 @@ mod tests {
         assert_eq!(a, b);
         let c = RandomForestRegressor::fit(&x, &y, 10, 6, 4);
         assert_ne!(a, c);
+    }
+
+    /// A 30-row fit whose target 11 is `bad`.
+    fn fit_with_bad_target(bad: f32) {
+        let rows: Vec<Vec<f32>> = (0..30).map(|i| vec![i as f32]).collect();
+        let mut y: Vec<f32> = (0..30).map(|i| i as f32).collect();
+        y[11] = bad;
+        let _ = RandomForestRegressor::fit(&DenseMatrix::from_rows(&rows), &y, 4, 4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "target 11 is NaN, not finite")]
+    fn nan_target_panics() {
+        fit_with_bad_target(f32::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "target 11 is inf, not finite")]
+    fn infinite_target_panics() {
+        fit_with_bad_target(f32::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "target 11 is -inf, not finite")]
+    fn negative_infinite_target_panics() {
+        fit_with_bad_target(f32::NEG_INFINITY);
     }
 
     #[test]

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::binning::BinnedMatrix;
-use crate::dataset::{DenseMatrix, FactoredMatrix};
-use crate::tree::{SharedFit, Tree, TreeParams};
+use crate::dataset::{assert_finite_targets, DenseMatrix, FactoredMatrix};
+use crate::tree::{Tree, TreeParams};
 use crate::Regressor;
 
 /// Minimum `rows × trees` work below which batch prediction stays on
@@ -96,7 +96,10 @@ pub struct TrainingLog {
     /// [`GbdtRegressor::fit_with_grid`] returns, so freezing the model
     /// adds no binning time.
     pub histogram_build_ms: f64,
-    /// Total wall time spent in tree fitting / split search (ms).
+    /// Wall time spent growing trees (ms): putting each round's
+    /// gradients on the tree's integer grid, summing them per table
+    /// entry of each node's column blocks, building and scanning the
+    /// split histograms from those sums, and partitioning rows.
     pub split_search_ms: f64,
     /// End-to-end `fit` wall time (ms).
     pub total_ms: f64,
@@ -153,7 +156,8 @@ impl GbdtRegressor {
     ///
     /// # Panics
     ///
-    /// Panics when `x` is empty, `y` length differs from the row count, or
+    /// Panics when `x` is empty, `y` length differs from the row count, a
+    /// target is NaN or infinite (the message names the first), or
     /// fractions are outside `(0, 1]`.
     pub fn fit(x: &DenseMatrix, y: &[f32], params: &GbdtParams) -> Self {
         Self::fit_with_grid(x, y, params).0
@@ -280,6 +284,7 @@ impl GbdtRegressor {
     ) -> (Self, Arc<BinnedMatrix>) {
         assert!(!x.is_empty(), "cannot fit on an empty matrix");
         assert_eq!(x.n_rows(), y.len(), "x/y length mismatch");
+        assert_finite_targets(y);
         assert!(
             params.subsample > 0.0 && params.subsample <= 1.0,
             "subsample must be in (0, 1]"
@@ -337,16 +342,13 @@ impl GbdtRegressor {
         let pool_busy_at_start_ms = pool.total_busy_ms();
 
         for _ in 0..rounds {
-            // Gradients are rebuilt per round (they depend on the
-            // running predictions) and handed to the split-search jobs
-            // via `Arc` — same values the old in-place update produced.
-            let grad: Arc<Vec<f64>> = Arc::new(
-                preds
-                    .iter()
-                    .zip(y)
-                    .map(|(&p, &target)| p - target as f64)
-                    .collect(),
-            );
+            // Gradients are rebuilt per round: they depend on the running
+            // predictions. The tree puts them on its integer grid.
+            let grad: Vec<f64> = preds
+                .iter()
+                .zip(y)
+                .map(|(&p, &target)| p - target as f64)
+                .collect();
 
             let rows: Vec<usize> = if params.subsample < 1.0 {
                 let k = ((n as f32 * params.subsample).round() as usize).max(1);
@@ -370,12 +372,8 @@ impl GbdtRegressor {
 
             // Hot loop: accumulate raw `Instant` deltas locally instead
             // of opening a span per round (see gdcm-obs docs).
-            let shared = SharedFit {
-                binned: Arc::clone(&binned),
-                grad,
-            };
             let split_start = Instant::now();
-            let mut tree = Tree::fit_shared(&shared, &rows, &feats, &tree_params);
+            let mut tree = Tree::fit_shared(&binned, &grad, &rows, &feats, &tree_params);
             split_search_ms += split_start.elapsed().as_secs_f64() * 1e3;
             tree.scale_leaves(params.learning_rate);
             let update_start = Instant::now();
@@ -689,6 +687,47 @@ mod tests {
     fn empty_matrix_panics() {
         let x = DenseMatrix::with_capacity(0, 3);
         let _ = GbdtRegressor::fit(&x, &[], &GbdtParams::default());
+    }
+
+    /// `synthetic(20)` with target 7 replaced by `bad`.
+    fn with_bad_target(bad: f32) -> (DenseMatrix, Vec<f32>) {
+        let (x, mut y) = synthetic(20);
+        y[7] = bad;
+        (x, y)
+    }
+
+    #[test]
+    #[should_panic(expected = "target 7 is NaN, not finite")]
+    fn nan_target_panics() {
+        let (x, y) = with_bad_target(f32::NAN);
+        let _ = GbdtRegressor::fit(&x, &y, &GbdtParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "target 7 is inf, not finite")]
+    fn infinite_target_panics() {
+        let (x, y) = with_bad_target(f32::INFINITY);
+        let _ = GbdtRegressor::fit_factored(&FactoredMatrix::dense(&x), &y, &GbdtParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "target 7 is -inf, not finite")]
+    fn negative_infinite_target_panics() {
+        let (x, y) = with_bad_target(f32::NEG_INFINITY);
+        let _ = GbdtRegressor::fit(&x, &y, &GbdtParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "target 7 is NaN, not finite")]
+    fn warm_fit_refuses_a_non_finite_target() {
+        let (x, y) = synthetic(20);
+        let params = GbdtParams {
+            n_estimators: 4,
+            ..GbdtParams::default()
+        };
+        let prev = GbdtRegressor::fit(&x, &y, &params);
+        let (_, bad) = with_bad_target(f32::NAN);
+        let _ = GbdtRegressor::warm_fit(&x, &bad, &params, &prev, 2);
     }
 
     #[test]

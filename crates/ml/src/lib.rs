@@ -46,7 +46,7 @@ pub use linear::RidgeRegressor;
 pub use mlp::{MlpParams, MlpRegressor};
 pub use scaler::StandardScaler;
 pub use split::train_test_split;
-pub use tree::{SharedFit, Tree, TreeNode, TreeParams};
+pub use tree::{Tree, TreeNode, TreeParams};
 
 /// A fitted regression model that can score feature rows.
 ///

@@ -223,6 +223,26 @@ fn gbdt_warm_fit_digest() {
     assert_eq!(gbdt_digest(&warm), 0xE4F170ED4767F653);
 }
 
+/// Targets that are not dyadic and span ten decades. Rows 0 and 1 get
+/// the same features and targets of +1e9 and −1e9: no split parts them,
+/// so their gradients stay near ±1e9 in every round and set the grid,
+/// while the other rows' targets run from 1/3 to 14. Their gradients
+/// fall between grid points, and quantization rounds them by amounts
+/// their leaves' f32 weights show. So this digest pins the grid's scale
+/// rule and its rounding, which the integer targets above never
+/// exercise.
+#[test]
+fn gbdt_rounded_gradients_digest() {
+    let (x, y) = matrix();
+    let mut rows: Vec<Vec<f32>> = x.rows().map(<[f32]>::to_vec).collect();
+    rows[1] = rows[0].clone();
+    let mut y: Vec<f32> = y.iter().map(|&v| (v + 1.0) / 3.0).collect();
+    y[0] = 1e9;
+    y[1] = -1e9;
+    let model = GbdtRegressor::fit(&DenseMatrix::from_rows(&rows), &y, &params());
+    assert_eq!(gbdt_digest(&model), 0x3F1845F3B53618BF);
+}
+
 #[test]
 fn random_forest_digest() {
     let (x, y) = matrix();

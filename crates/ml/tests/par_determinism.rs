@@ -5,7 +5,8 @@
 //! concurrent tests inside this binary would race on the budget.
 
 use gdcm_ml::{
-    BinnedMatrix, DenseMatrix, GbdtParams, GbdtRegressor, RandomForestRegressor, Regressor,
+    BinnedMatrix, ColumnBlock, DenseMatrix, FactoredMatrix, GbdtParams, GbdtRegressor,
+    RandomForestRegressor, Regressor,
 };
 
 fn synthetic(n_rows: usize, n_cols: usize) -> (DenseMatrix, Vec<f32>) {
@@ -53,6 +54,52 @@ fn wide(n_rows: usize, n_cols: usize) -> (DenseMatrix, Vec<f32>) {
         .map(|r| r.iter().step_by(7).sum::<f32>() + r[1] * 4.0)
         .collect();
     (DenseMatrix::from_rows(&rows), y)
+}
+
+/// Table entries of [`two_blocks`]' wide block, and its columns.
+const WIDE_ENTRIES: usize = 100;
+const WIDE_COLS: usize = 400;
+
+/// A repository-shaped matrix of two mapped blocks: a wide table of
+/// [`WIDE_ENTRIES`] sub-rows (networks) and a narrow one of 12, two of
+/// which no row references (devices). At the root, the wide block's
+/// stream is every one of its entries, and 100 entries × 400 columns is
+/// above the parallel search's 2^15 threshold. Wide column `j` repeats
+/// column `j − 100`, so gains tie exactly across the parallel search's
+/// feature groups and must go to the earliest column.
+fn two_blocks(n_rows: usize) -> (FactoredMatrix<'static>, Vec<f32>) {
+    let cell = |i: usize, j: usize| {
+        let (i, j) = (i as u64, j as u64);
+        ((i * 2_654_435_761 + j * 40_503 + (i * j) % 97) % 65_521) as usize
+    };
+    let wide: Vec<f32> = (0..WIDE_ENTRIES)
+        .flat_map(|e| (0..WIDE_COLS).map(move |j| (cell(e, j % 100) % (2 + j % 5)) as f32))
+        .collect();
+    let narrow: Vec<f32> = (0..12)
+        .flat_map(|d| (0..3).map(move |j| (cell(d, j + 7) % 50) as f32 + 0.5))
+        .collect();
+    let network = |r: usize| r * 7 % WIDE_ENTRIES;
+    let device = |r: usize| r * 10 / n_rows;
+    let y: Vec<f32> = (0..n_rows)
+        .map(|r| {
+            let e = network(r);
+            let d = device(r);
+            let work: f32 = (0..WIDE_COLS)
+                .step_by(13)
+                .map(|j| wide[e * WIDE_COLS + j])
+                .sum();
+            work * narrow[d * 3] / 7.0 + narrow[d * 3 + 1]
+        })
+        .collect();
+    let ids = |f: &dyn Fn(usize) -> usize| (0..n_rows).map(|r| f(r) as u32).collect::<Vec<_>>();
+    let x = FactoredMatrix::new(
+        n_rows,
+        vec![
+            ColumnBlock::mapped(wide, WIDE_COLS, ids(&network)),
+            ColumnBlock::mapped(narrow, 3, ids(&device)),
+        ],
+    );
+    (x, y)
 }
 
 /// Every bit of a grid: per-feature codes, cut bits and constant flags.
@@ -112,6 +159,36 @@ fn models_are_bit_identical_across_thread_counts() {
             wide_serial,
             GbdtRegressor::fit(&wide_x, &wide_y, &wide_params),
             "wide GBDT model differs at {threads} threads"
+        );
+    }
+
+    // Column blocks: the root's search runs in parallel over the wide
+    // block's entry stream and the narrow block's, shared by every job.
+    let (blocks, blocks_y) = two_blocks(2_000);
+    let active = {
+        let grid = BinnedMatrix::from_factored(&blocks, 64);
+        (0..grid.n_features())
+            .filter(|&f| !grid.is_constant(f))
+            .count()
+    };
+    assert!(
+        WIDE_ENTRIES * (active - 3) >= 1 << 15,
+        "only {active} active features: the root would search serially"
+    );
+    let blocks_params = GbdtParams {
+        n_estimators: 6,
+        subsample: 0.8,
+        seed: 3,
+        ..GbdtParams::default()
+    };
+    gdcm_par::set_threads(1);
+    let blocks_serial = GbdtRegressor::fit_factored(&blocks, &blocks_y, &blocks_params).0;
+    for threads in [2usize, 4] {
+        gdcm_par::set_threads(threads);
+        assert_eq!(
+            blocks_serial,
+            GbdtRegressor::fit_factored(&blocks, &blocks_y, &blocks_params).0,
+            "column-block GBDT model differs at {threads} threads"
         );
     }
 
