@@ -10,10 +10,26 @@
 //! dataset, anchored at the first offending index and listing the total
 //! count plus a few examples — a corrupted 10k-row matrix produces a
 //! readable card, not 10k lines.
+//!
+//! The feature lints read the matrix's column blocks
+//! ([`FactoredMatrix`]; a [`DenseMatrix`] is one identity block) and
+//! never expand them, yet report what row-wise lints on the expanded
+//! rows would, in the same text and order:
+//!
+//! - non-finite cells are found once per table entry, then reported as
+//!   the ascending rows that reference such an entry;
+//! - two rows are duplicates when, block by block, their entries hold
+//!   bitwise-equal sub-rows (so two devices with bitwise-equal
+//!   signatures count as one);
+//! - a column is constant when every entry its rows reference holds the
+//!   same bits there, and duplicate columns are compared one pair at a
+//!   time through the rows' ids.
 
 use gdcm_analyze::{DiagCode, Diagnostic};
-use gdcm_ml::{DenseMatrix, StandardScaler};
-use std::collections::HashMap;
+use gdcm_ml::{ColumnBlock, DenseMatrix, FactoredMatrix, StandardScaler};
+use std::collections::{HashMap, HashSet};
+
+use crate::grid::{entry_of, reference_counts};
 
 /// How many offending indices a summary diagnostic spells out before
 /// collapsing to "and N more".
@@ -62,26 +78,28 @@ impl DatasetLints {
 }
 
 /// Runs every dataset lint against `(x, y)`, appending findings to
-/// `out`. `y` may be empty when only the features are of interest;
-/// otherwise its length must match `x.n_rows()` (the caller's contract,
-/// same as `GbdtRegressor::fit`).
-pub fn check_dataset(
+/// `out`. `x` is a [`DenseMatrix`] or the column blocks of a
+/// [`FactoredMatrix`]. `y` may be empty when only the features are of
+/// interest; otherwise its length must match `x`'s rows (the caller's
+/// contract, same as `GbdtRegressor::fit`).
+pub fn check_dataset<'a>(
     label: &str,
-    x: &DenseMatrix,
+    x: impl Into<FactoredMatrix<'a>>,
     y: &[f32],
     lints: &DatasetLints,
     out: &mut Vec<Diagnostic>,
 ) {
-    check_finite_features(label, x, out);
+    let x = x.into();
+    check_finite_features(label, &x, out);
     check_finite_labels(label, y, out);
     if lints.flag_constant_columns {
-        check_constant_columns(label, x, out);
+        check_constant_columns(label, &x, out);
     }
     if lints.flag_duplicate_columns {
-        check_duplicate_columns(label, x, out);
+        check_duplicate_columns(label, &x, out);
     }
     if lints.flag_duplicate_rows {
-        check_duplicate_rows(label, x, out);
+        check_duplicate_rows(label, &x, out);
     }
     if lints.flag_label_outliers {
         check_label_outliers(label, y, out);
@@ -124,14 +142,34 @@ fn summarize(
     ));
 }
 
-fn check_finite_features(label: &str, x: &DenseMatrix, out: &mut Vec<Diagnostic>) {
-    let mut rows: Vec<usize> = x
-        .rows()
-        .enumerate()
-        .filter(|(_, row)| row.iter().any(|v| !v.is_finite()))
-        .map(|(i, _)| i)
+/// The sub-rows of `block`'s table, one per entry.
+fn entries<'b>(block: &'b ColumnBlock<'_>) -> std::slice::ChunksExact<'b, f32> {
+    block.table().chunks_exact(block.width())
+}
+
+/// The value of column `c` of `block` in row `r`.
+fn cell(block: &ColumnBlock<'_>, r: usize, c: usize) -> f32 {
+    block.table()[entry_of(block, r) * block.width() + c]
+}
+
+fn check_finite_features(label: &str, x: &FactoredMatrix<'_>, out: &mut Vec<Diagnostic>) {
+    let bad_entries: Vec<Vec<bool>> = x
+        .blocks()
+        .iter()
+        .map(|block| {
+            entries(block)
+                .map(|entry| entry.iter().any(|v| !v.is_finite()))
+                .collect()
+        })
         .collect();
-    rows.dedup();
+    let rows: Vec<usize> = (0..x.n_rows())
+        .filter(|&r| {
+            x.blocks()
+                .iter()
+                .zip(&bad_entries)
+                .any(|(block, bad)| bad[entry_of(block, r)])
+        })
+        .collect();
     summarize(
         DiagCode::NonFiniteFeature,
         label,
@@ -159,16 +197,27 @@ fn check_finite_labels(label: &str, y: &[f32], out: &mut Vec<Diagnostic>) {
     );
 }
 
-fn check_constant_columns(label: &str, x: &DenseMatrix, out: &mut Vec<Diagnostic>) {
+fn check_constant_columns(label: &str, x: &FactoredMatrix<'_>, out: &mut Vec<Diagnostic>) {
     if x.n_rows() < 2 {
         return;
     }
-    let first = x.row(0);
-    let constant: Vec<usize> = (0..x.n_cols())
-        .filter(|&j| {
-            let v = first[j].to_bits();
-            x.rows().all(|row| row[j].to_bits() == v)
+    // Row 0's entry sets each column's value; every entry a row
+    // references must hold the same bits.
+    let constant: Vec<usize> = x
+        .blocks()
+        .iter()
+        .flat_map(|block| {
+            let counts = reference_counts(block, x.n_rows());
+            (0..block.width()).map(move |c| {
+                let v = cell(block, 0, c).to_bits();
+                entries(block)
+                    .zip(&counts)
+                    .all(|(entry, &n)| n == 0 || entry[c].to_bits() == v)
+            })
         })
+        .enumerate()
+        .filter(|&(_, constant)| constant)
+        .map(|(j, _)| j)
         .collect();
     summarize(
         DiagCode::ConstantFeatureColumn,
@@ -180,22 +229,33 @@ fn check_constant_columns(label: &str, x: &DenseMatrix, out: &mut Vec<Diagnostic
     );
 }
 
-fn check_duplicate_columns(label: &str, x: &DenseMatrix, out: &mut Vec<Diagnostic>) {
+fn check_duplicate_columns(label: &str, x: &FactoredMatrix<'_>, out: &mut Vec<Diagnostic>) {
     if x.n_rows() == 0 {
         return;
     }
+    let rows = 0..x.n_rows();
+    let hash = |(block, c): (&ColumnBlock<'_>, usize)| {
+        fnv1a(rows.clone().map(|r| cell(block, r, c).to_bits()))
+    };
+    let equal = |(a, i): (&ColumnBlock<'_>, usize), (b, j): (&ColumnBlock<'_>, usize)| {
+        rows.clone()
+            .all(|r| cell(a, r, i).to_bits() == cell(b, r, j).to_bits())
+    };
     // Bucket by a cheap bit-pattern hash, then verify equality inside
-    // each bucket so hash collisions cannot produce false positives.
-    let mut buckets: HashMap<u64, Vec<(usize, Vec<u32>)>> = HashMap::new();
+    // each bucket, row by row, so hash collisions cannot produce false
+    // positives.
+    let mut buckets: HashMap<u64, Vec<(&ColumnBlock<'_>, usize)>> = HashMap::new();
     let mut duplicates: Vec<usize> = Vec::new();
-    for j in 0..x.n_cols() {
-        let bits: Vec<u32> = x.column(j).iter().map(|v| v.to_bits()).collect();
-        let hash = fnv1a(&bits);
-        let bucket = buckets.entry(hash).or_default();
-        if bucket.iter().any(|(_, seen)| *seen == bits) {
+    let columns = x
+        .blocks()
+        .iter()
+        .flat_map(|block| (0..block.width()).map(move |c| (block, c)));
+    for (j, column) in columns.enumerate() {
+        let bucket = buckets.entry(hash(column)).or_default();
+        if bucket.iter().any(|&seen| equal(seen, column)) {
             duplicates.push(j);
         } else {
-            bucket.push((j, bits));
+            bucket.push(column);
         }
     }
     summarize(
@@ -208,24 +268,56 @@ fn check_duplicate_columns(label: &str, x: &DenseMatrix, out: &mut Vec<Diagnosti
     );
 }
 
-fn check_duplicate_rows(label: &str, x: &DenseMatrix, out: &mut Vec<Diagnostic>) {
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut duplicates: Vec<usize> = Vec::new();
-    for (i, row) in x.rows().enumerate() {
-        let bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
-        let hash = fnv1a(&bits);
-        let bucket = buckets.entry(hash).or_default();
-        if bucket.iter().any(|&k| {
-            x.row(k)
-                .iter()
-                .zip(row)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-        }) {
-            duplicates.push(i);
-        } else {
-            bucket.push(i);
-        }
+/// For each table entry of `block`, the first entry whose sub-row is
+/// bitwise equal to it.
+fn entry_classes(block: &ColumnBlock<'_>) -> Vec<u32> {
+    let subrows: Vec<&[f32]> = entries(block).collect();
+    let bitwise_eq =
+        |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits());
+    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+    let mut classes = Vec::with_capacity(subrows.len());
+    for (e, subrow) in subrows.iter().enumerate() {
+        let bucket = buckets
+            .entry(fnv1a(subrow.iter().map(|v| v.to_bits())))
+            .or_default();
+        let class = match bucket
+            .iter()
+            .find(|&&k| bitwise_eq(subrows[k as usize], subrow))
+        {
+            Some(&k) => k,
+            None => {
+                let e = u32::try_from(e).expect("fewer than 2^32 table entries");
+                bucket.push(e);
+                e
+            }
+        };
+        classes.push(class);
     }
+    classes
+}
+
+fn check_duplicate_rows(label: &str, x: &FactoredMatrix<'_>, out: &mut Vec<Diagnostic>) {
+    if x.blocks().is_empty() {
+        // No columns: there are no rows to compare.
+        return;
+    }
+    // A row is its entries' classes, block by block.
+    let classes: Vec<Vec<u32>> = x.blocks().iter().map(entry_classes).collect();
+    let keys: Vec<u32> = (0..x.n_rows())
+        .flat_map(|r| {
+            x.blocks()
+                .iter()
+                .zip(&classes)
+                .map(move |(block, classes)| classes[entry_of(block, r)])
+        })
+        .collect();
+    let mut seen: HashSet<&[u32]> = HashSet::new();
+    let duplicates: Vec<usize> = keys
+        .chunks_exact(x.blocks().len())
+        .enumerate()
+        .filter(|&(_, key)| !seen.insert(key))
+        .map(|(r, _)| r)
+        .collect();
     summarize(
         DiagCode::DuplicateNetworkRow,
         label,
@@ -295,9 +387,9 @@ fn median(sorted_or_not: &[f64]) -> f64 {
     }
 }
 
-fn fnv1a(words: &[u32]) -> u64 {
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &w in words {
+    for w in words {
         for byte in w.to_le_bytes() {
             hash ^= byte as u64;
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

@@ -6,8 +6,8 @@
 //! downstream re-verifies: feature indices in bounds, finite thresholds
 //! and leaf weights, children inside the arena, acyclicity, every arena
 //! node reachable from the root, depth and leaf counts within
-//! [`GbdtParams`], and split thresholds drawn from the bin-edge grid of
-//! the [`BinnedMatrix`] the ensemble was trained on. On structurally
+//! [`GbdtParams`], and split thresholds drawn from the bin-edge grid
+//! the ensemble was trained on ([`CutGrid`]). On structurally
 //! sound models it then replays an independent reference predictor that
 //! must agree **bit-for-bit** with the fast batched predict path, and
 //! re-derives feature importance from raw tree structure.
@@ -20,21 +20,22 @@
 
 use gdcm_analyze::{DiagCode, Diagnostic};
 use gdcm_ml::{
-    BinnedMatrix, DenseMatrix, GbdtParams, GbdtRegressor, RandomForestRegressor, Regressor as _,
-    Tree, TreeNode,
+    DenseMatrix, GbdtParams, GbdtRegressor, RandomForestRegressor, Regressor as _, Tree, TreeNode,
 };
 
+use crate::grid::CutGrid;
+
 /// Optional context sharpening the ensemble checks: hyper-parameters
-/// enable the depth/leaf bounds, a binned training matrix enables the
+/// enable the depth/leaf bounds, a training grid enables the
 /// threshold-grid check, and a probe matrix enables the bit-for-bit
 /// predict comparison.
 #[derive(Default, Clone, Copy)]
 pub struct EnsembleContext<'a> {
     /// Hyper-parameters the model claims to have been fitted with.
     pub params: Option<&'a GbdtParams>,
-    /// The binned matrix the model was trained on (or an identical
-    /// rebuild: `BinnedMatrix::from_matrix` is deterministic).
-    pub binned: Option<&'a BinnedMatrix>,
+    /// The grid the model was trained on: the fit's `BinnedMatrix`, or
+    /// the auditor's own rebuild ([`crate::TrainingGrid`]).
+    pub binned: Option<&'a dyn CutGrid>,
     /// Rows to replay through the reference predictor.
     pub probe: Option<&'a DenseMatrix>,
 }
@@ -285,14 +286,14 @@ fn audit_tree(
 }
 
 /// Every split threshold must be bitwise equal to one of the bin edges
-/// of the training matrix — `grow` copies thresholds straight out of
+/// of the training grid — `grow` copies thresholds straight out of
 /// `BinnedMatrix::threshold`, so any deviation means the model was not
 /// trained on this data (or was corrupted in flight).
 fn check_threshold_grid(
     label: &str,
     t: usize,
     nodes: &[TreeNode],
-    binned: &BinnedMatrix,
+    binned: &dyn CutGrid,
     out: &mut Vec<Diagnostic>,
 ) {
     for (n, node) in nodes.iter().enumerate() {
@@ -316,9 +317,9 @@ fn check_threshold_grid(
             ));
             continue;
         }
-        let n_cuts = binned.n_bins(feature) - 1;
-        let on_grid = (0..n_cuts)
-            .any(|b| binned.threshold(feature, b as u8).to_bits() == threshold.to_bits());
+        let cuts = binned.cuts(feature);
+        let n_cuts = cuts.len();
+        let on_grid = cuts.iter().any(|c| c.to_bits() == threshold.to_bits());
         if !on_grid {
             out.push(Diagnostic::at_index(
                 DiagCode::ThresholdOffGrid,

@@ -13,9 +13,9 @@
 //!    range), and bitwise leaf values — and the flat arena must be
 //!    acyclic with every in-range slot reachable from its root.
 //! 2. **Quantization soundness** (`GDCM148`–`GDCM151`): the frozen cut
-//!    grid must match the deterministic rebuild of the training
-//!    `BinnedMatrix` bitwise and be strictly ascending, each slot's bin
-//!    must map back to its source threshold bitwise, and — checked
+//!    grid must match the deterministic rebuild of the training grid
+//!    ([`crate::TrainingGrid`]) bitwise and be strictly ascending, each
+//!    slot's bin must map back to its source threshold bitwise, and — checked
 //!    *symbolically* over every representable bin edge rather than by
 //!    row sampling — the integer decision `bin_code(v) <= bin` must
 //!    equal the source decision `v <= threshold` on every cell of the
@@ -54,11 +54,12 @@
 
 use gdcm_analyze::{DiagCode, Diagnostic};
 use gdcm_ml::{
-    bin_code, BinnedMatrix, DenseMatrix, FrozenForest, FrozenGbdt, FrozenNodes, GbdtRegressor,
+    bin_code, DenseMatrix, FrozenForest, FrozenGbdt, FrozenNodes, GbdtRegressor,
     RandomForestRegressor, Regressor as _, Tree, TreeNode, FROZEN_LEAF,
 };
 
 use crate::ensemble::{reference_forest_predict, reference_predict};
+use crate::grid::CutGrid;
 
 /// Upper bound on enumerated root-to-leaf paths per tree (complete for
 /// depths ≤ 12).
@@ -85,14 +86,15 @@ struct FlatTreeAudit {
 
 /// Certifies a frozen GBDT against its source model: bijection,
 /// quantization soundness (against `binned` when available — pass the
-/// deterministic rebuild of the training matrix at the model's
-/// `max_bins`), path consistency, and bitwise accumulation. Appends
-/// findings to `out`; a certified translation appends nothing.
+/// deterministic rebuild of the training grid at the model's
+/// `max_bins`, a [`crate::TrainingGrid`] or a `BinnedMatrix`), path
+/// consistency, and bitwise accumulation. Appends findings to `out`; a
+/// certified translation appends nothing.
 pub fn check_frozen_gbdt(
     label: &str,
     model: &GbdtRegressor,
     frozen: &FrozenGbdt,
-    binned: Option<&BinnedMatrix>,
+    binned: Option<&dyn CutGrid>,
     out: &mut Vec<Diagnostic>,
 ) {
     let _span = gdcm_obs::span!("audit/flatcheck");
@@ -147,7 +149,7 @@ pub fn check_frozen_forest(
     label: &str,
     forest: &RandomForestRegressor,
     frozen: &FrozenForest,
-    binned: Option<&BinnedMatrix>,
+    binned: Option<&dyn CutGrid>,
     out: &mut Vec<Diagnostic>,
 ) {
     let _span = gdcm_obs::span!("audit/flatcheck");
@@ -200,7 +202,7 @@ fn bump_counters(out: &[Diagnostic]) {
 /// the accumulation cross-check is meaningful), `None` otherwise.
 fn check_frozen_ensemble(
     ctx: &FlatCtx<'_>,
-    binned: Option<&BinnedMatrix>,
+    binned: Option<&dyn CutGrid>,
     out: &mut Vec<Diagnostic>,
 ) -> Option<DenseMatrix> {
     check_grid(ctx.label, ctx.cuts, binned, out);
@@ -242,7 +244,7 @@ fn check_frozen_ensemble(
 fn check_grid(
     label: &str,
     cuts: &[Vec<f32>],
-    binned: Option<&BinnedMatrix>,
+    binned: Option<&dyn CutGrid>,
     out: &mut Vec<Diagnostic>,
 ) {
     for (f, fc) in cuts.iter().enumerate() {
@@ -823,7 +825,7 @@ fn check_accumulation(label: &str, reference: &[f32], flat: &[f32], out: &mut Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdcm_ml::GbdtParams;
+    use gdcm_ml::{BinnedMatrix, GbdtParams};
 
     fn synthetic(n: usize, d: usize) -> (DenseMatrix, Vec<f32>) {
         let mut rows = Vec::with_capacity(n);

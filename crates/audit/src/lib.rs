@@ -23,6 +23,14 @@
 //!   quantization soundness, path/interval consistency, and bitwise
 //!   accumulation cross-checks.
 //!
+//! Training data reaches the audit as column blocks
+//! ([`gdcm_ml::FactoredMatrix`]: each distinct sub-row stored once, plus
+//! one table id per row), and a [`gdcm_ml::DenseMatrix`] is the
+//! one-block case.
+//! The grid rebuild ([`grid`]) and the dataset lints work on the blocks
+//! without expanding them, and the reference-prediction probe expands
+//! only its [`probe_rows`] rows.
+//!
 //! The crate ships a sweep binary (`gdcm-audit`) that trains the
 //! paper's four representations on a synthetic zoo and audits every
 //! resulting model, and an opt-in pipeline gate
@@ -56,6 +64,7 @@ pub mod dataset;
 pub mod ensemble;
 pub mod flatcheck;
 pub mod folds;
+pub mod grid;
 
 pub use card::ModelCard;
 pub use dataset::{check_dataset, check_scaler, DatasetLints};
@@ -65,10 +74,11 @@ pub use ensemble::{
 };
 pub use flatcheck::{check_frozen_forest, check_frozen_gbdt, MAX_PATHS_PER_TREE};
 pub use folds::{check_folds, check_leave_device_out, check_signature, check_split};
+pub use grid::{CutGrid, TrainingGrid};
 
 use gdcm_analyze::{DiagCode, Diagnostic, Report};
 use gdcm_core::AuditContext;
-use gdcm_ml::{BinnedMatrix, DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
+use gdcm_ml::{FactoredMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
 
 /// Default upper bound on rows replayed through the reference
 /// predictor — keeps the bit-for-bit check O(1) in dataset size while
@@ -122,41 +132,44 @@ pub fn probe_rows() -> usize {
 /// prediction over up to [`probe_rows`] training rows) plus every
 /// dataset lint the given profile enables.
 ///
+/// `x_train` is a [`gdcm_ml::DenseMatrix`] or the column blocks of a
+/// [`FactoredMatrix`]; the two give the same report on the same rows.
 /// The `label` names the audit subject in every diagnostic (the sweep
 /// uses `"gbdt/<method>"`).
-pub fn audit_trained_model(
+pub fn audit_trained_model<'a>(
     label: &str,
     model: &GbdtRegressor,
     params: Option<&GbdtParams>,
-    x_train: &DenseMatrix,
+    x_train: impl Into<FactoredMatrix<'a>>,
     y_train: &[f32],
     lints: &DatasetLints,
 ) -> Report {
-    audit_model_on_rebuilt_grid(label, model, params, x_train, y_train, lints).0
+    audit_model_on_rebuilt_grid(label, model, params, &x_train.into(), y_train, lints).0
 }
 
 /// [`audit_trained_model`] plus, when `frozen` is given, the flatcheck
 /// pass over the compiled model ([`check_frozen_gbdt`]). Both passes
-/// check against one rebuild of the training grid from `x_train` at
-/// `params.max_bins`. The grid is rebuilt here, never taken from the
+/// check against one rebuild of the training grid from `x_train`'s
+/// column blocks at `params.max_bins` ([`TrainingGrid::rebuild`]). The
+/// grid is rebuilt here by the auditor's own code, never taken from the
 /// producer, so the audit stays independent of the fit it certifies.
-pub fn audit_trained_artifacts(
+pub fn audit_trained_artifacts<'a>(
     label: &str,
     model: &GbdtRegressor,
     frozen: Option<&FrozenGbdt>,
     params: Option<&GbdtParams>,
-    x_train: &DenseMatrix,
+    x_train: impl Into<FactoredMatrix<'a>>,
     y_train: &[f32],
     lints: &DatasetLints,
 ) -> Report {
-    let (mut report, binned) =
-        audit_model_on_rebuilt_grid(label, model, params, x_train, y_train, lints);
+    let (mut report, grid) =
+        audit_model_on_rebuilt_grid(label, model, params, &x_train.into(), y_train, lints);
     if let Some(frozen) = frozen {
         check_frozen_gbdt(
             label,
             model,
             frozen,
-            binned.as_ref(),
+            grid.as_ref().map(|g| g as &dyn CutGrid),
             &mut report.diagnostics,
         );
     }
@@ -170,10 +183,10 @@ fn audit_model_on_rebuilt_grid(
     label: &str,
     model: &GbdtRegressor,
     params: Option<&GbdtParams>,
-    x_train: &DenseMatrix,
+    x_train: &FactoredMatrix<'_>,
     y_train: &[f32],
     lints: &DatasetLints,
-) -> (Report, Option<BinnedMatrix>) {
+) -> (Report, Option<TrainingGrid>) {
     let _span = gdcm_obs::span!("audit/model");
     let mut diags = Vec::new();
 
@@ -192,25 +205,24 @@ fn audit_model_on_rebuilt_grid(
 
     // Rebinning is deterministic, so the grid the model was trained on
     // can be reconstructed exactly from the data plus the bin budget.
-    let binned = match params {
+    let grid = match params {
         Some(p) if widths_match && x_train.n_rows() > 0 => {
-            Some(BinnedMatrix::from_matrix(x_train, p.max_bins))
+            let _span = gdcm_obs::span!("audit/grid");
+            Some(TrainingGrid::rebuild(x_train, p.max_bins))
         }
         _ => None,
     };
-    let probe = if widths_match && x_train.n_rows() > 0 {
-        let rows: Vec<usize> = (0..x_train.n_rows().min(probe_rows())).collect();
-        Some(x_train.select_rows(&rows))
-    } else {
-        None
-    };
+    let probe = (widths_match && x_train.n_rows() > 0).then(|| x_train.head(probe_rows()));
     let ctx = EnsembleContext {
         params,
-        binned: binned.as_ref(),
+        binned: grid.as_ref().map(|g| g as &dyn CutGrid),
         probe: probe.as_ref(),
     };
     check_ensemble(label, model, &ctx, &mut diags);
-    check_dataset(label, x_train, y_train, lints, &mut diags);
+    {
+        let _span = gdcm_obs::span!("audit/dataset");
+        check_dataset(label, x_train, y_train, lints, &mut diags);
+    }
 
     let report = Report {
         network: label.to_string(),
@@ -220,7 +232,7 @@ fn audit_model_on_rebuilt_grid(
     if !report.is_clean() {
         gdcm_obs::counter("audit/models_flagged").incr();
     }
-    (report, binned)
+    (report, grid)
 }
 
 /// Audits everything a pipeline training run exposes through the

@@ -144,11 +144,17 @@ fn audit_zoo_forest(artifacts: &TrainedArtifacts, seed: u64) -> ModelCard {
     gdcm_audit::check_forest(label, &forest, Some(&probe), &mut report.diagnostics);
     match gdcm_ml::FrozenForest::freeze(&forest, &binned) {
         Ok(frozen) => {
+            // Flatcheck against the auditor's own rebuild of the grid,
+            // not the grid the forest was frozen on.
+            let grid = gdcm_audit::TrainingGrid::rebuild(
+                &(&artifacts.x_train).into(),
+                gdcm_ml::FOREST_BINS,
+            );
             gdcm_audit::check_frozen_forest(
                 label,
                 &forest,
                 &frozen,
-                Some(&binned),
+                Some(&grid),
                 &mut report.diagnostics,
             );
             ModelCard {

@@ -26,6 +26,18 @@
 //! so a fall back to one add per row fails the run without an absolute
 //! timing bound.
 //!
+//! The `repository_audit` section audits that fit as the serving stack
+//! does — `gdcm_audit::audit_trained_artifacts` with the pipeline lint
+//! profile, the frozen model included — on the training set's column
+//! blocks (`TrainingSet::factored`) and on the same rows as one identity
+//! block (the expanded `TrainingSet::matrix`), alternating, and keeps
+//! each path's fastest audit. It asserts the two reports are identical,
+//! line for line, and that the blocks' audit is at least
+//! [`MIN_AUDIT_SPEEDUP`] times faster: the auditor cuts a mapped block's
+//! columns from its table entries and lints each entry once, so an audit
+//! that reads every row again fails the run. The section's fit time is
+//! reported beside it.
+//!
 //! Writes `BENCH_gbdt.json` at the repo root (or `$GDCM_BENCH_OUT`).
 //!
 //! ```sh
@@ -42,6 +54,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use gdcm_audit::DatasetLints;
 use gdcm_core::{
     CollaborativeRepository, CostDataset, MutualInfoSelector, RepositoryConfig, SignatureSelector,
     TrainingSet,
@@ -55,6 +68,10 @@ use serde::Serialize;
 /// Smallest dense / column-block split-search time ratio the
 /// `repository_fit` section accepts.
 const MIN_SPLIT_SPEEDUP: f64 = 4.0;
+
+/// Smallest identity-block / column-block audit time ratio the
+/// `repository_audit` section accepts.
+const MIN_AUDIT_SPEEDUP: f64 = 4.0;
 
 #[derive(Serialize)]
 struct ThreadSample {
@@ -115,7 +132,7 @@ impl FitPath {
         Self {
             build_ms,
             fit_ms: log.total_ms,
-            bin_ms: log.histogram_build_ms,
+            bin_ms: log.bin_ms,
             split_search_ms: log.split_search_ms,
             predict_update_ms: log.predict_update_ms,
             value_bytes: blocks.iter().map(|b| b.table().len() * 4).sum(),
@@ -146,6 +163,31 @@ struct RepositoryFit {
     dense: FitPath,
 }
 
+/// The audit gate on the `repository_fit` section's fitted model, on
+/// column blocks and on one identity block; each path's fastest of
+/// `repetitions`.
+#[derive(Serialize)]
+struct RepositoryAudit {
+    rows: usize,
+    features: usize,
+    /// Diagnostics each path reported; the two lists are identical.
+    diagnostics: usize,
+    diagnostics_equal: bool,
+    /// Building the column-block view.
+    factored_build_ms: f64,
+    /// The audit and flatcheck passes on the view.
+    factored_audit_ms: f64,
+    /// Expanding the rows into a dense matrix.
+    dense_build_ms: f64,
+    /// The same passes on the dense matrix as one identity block.
+    dense_audit_ms: f64,
+    /// Dense audit ms over column-block audit ms.
+    audit_speedup: f64,
+    /// The column-block fit the audit checks (`repository_fit`'s
+    /// fastest), for scale.
+    fit_ms: f64,
+}
+
 #[derive(Serialize)]
 struct BenchReport {
     bench: &'static str,
@@ -158,6 +200,7 @@ struct BenchReport {
     samples: Vec<ThreadSample>,
     flat_vs_node: FlatVsNode,
     repository_fit: RepositoryFit,
+    repository_audit: RepositoryAudit,
 }
 
 fn synthetic(n_rows: usize, n_cols: usize) -> (DenseMatrix, Vec<f32>) {
@@ -226,8 +269,8 @@ fn ms_since(start: Instant) -> f64 {
 /// Fits the paper's training set through the repository (column blocks)
 /// and densely, alternating, `reps` times each, keeping each path's
 /// fastest fit, and asserts the two give the same model and frozen
-/// arena.
-fn repository_fit(fast: bool, reps: usize) -> RepositoryFit {
+/// arena. Returns the fitted repository too.
+fn repository_fit(fast: bool, reps: usize) -> (RepositoryFit, CollaborativeRepository) {
     let n_estimators = if fast { 10 } else { 100 };
     let gbdt = GbdtParams {
         n_estimators,
@@ -302,7 +345,7 @@ fn repository_fit(fast: bool, reps: usize) -> RepositoryFit {
         factored.split_search_ms,
         dense.split_search_ms,
     );
-    RepositoryFit {
+    let fit = RepositoryFit {
         training_devices,
         open_networks,
         rows,
@@ -312,6 +355,82 @@ fn repository_fit(fast: bool, reps: usize) -> RepositoryFit {
         split_search_speedup,
         factored,
         dense,
+    };
+    (fit, repo)
+}
+
+/// Audits `repo`'s fitted model on its training set's column blocks and
+/// on the expanded rows, alternating, `reps` times each, keeping each
+/// path's fastest audit, and asserts the two reports are identical and
+/// the blocks' audit at least [`MIN_AUDIT_SPEEDUP`] times faster.
+fn repository_audit(repo: &CollaborativeRepository, fit_ms: f64, reps: usize) -> RepositoryAudit {
+    let model = repo.model().expect("repository_fit fitted the repository");
+    let frozen = repo.frozen_model();
+    let gbdt = repo.config().gbdt;
+    let train = repo.training_set();
+    let audit = |x: FactoredMatrix<'_>| {
+        let start = Instant::now();
+        let report = gdcm_audit::audit_trained_artifacts(
+            "bench/repository",
+            model,
+            frozen,
+            Some(&gbdt),
+            x,
+            train.labels(),
+            &DatasetLints::pipeline(),
+        );
+        let lines: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
+        (lines, ms_since(start))
+    };
+    let (mut factored_build_ms, mut factored_audit_ms) = (f64::INFINITY, f64::INFINITY);
+    let (mut dense_build_ms, mut dense_audit_ms) = (f64::INFINITY, f64::INFINITY);
+    let mut reports = None;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let view = train.factored();
+        factored_build_ms = factored_build_ms.min(ms_since(start));
+        let (on_blocks, ms) = audit(view);
+        factored_audit_ms = factored_audit_ms.min(ms);
+
+        let start = Instant::now();
+        let x = train.matrix();
+        dense_build_ms = dense_build_ms.min(ms_since(start));
+        let (on_rows, ms) = audit(FactoredMatrix::dense(&x));
+        dense_audit_ms = dense_audit_ms.min(ms);
+        reports = Some((on_blocks, on_rows));
+    }
+    let (on_blocks, on_rows) = reports.expect("reps >= 1");
+    let diagnostics_equal = on_blocks == on_rows;
+    assert!(
+        diagnostics_equal,
+        "the audit of the column blocks reported {on_blocks:?}, of the rows {on_rows:?}"
+    );
+    let audit_speedup = dense_audit_ms / factored_audit_ms;
+    let (rows, features) = (train.n_rows(), model.n_features());
+    eprintln!(
+        "[repository audit] {rows} rows x {features} features, fastest of {reps}: column blocks \
+         {factored_audit_ms:.1} ms (view {factored_build_ms:.1}), one identity block \
+         {dense_audit_ms:.1} ms (matrix {dense_build_ms:.1}), {audit_speedup:.1}x faster on \
+         column blocks; the fit it checks took {fit_ms:.0} ms; {} diagnostic(s) on each",
+        on_blocks.len()
+    );
+    assert!(
+        audit_speedup >= MIN_AUDIT_SPEEDUP,
+        "the column-block audit took {factored_audit_ms:.1} ms against {dense_audit_ms:.1} ms \
+         on the rows: {audit_speedup:.1}x, below {MIN_AUDIT_SPEEDUP}x; does the auditor read \
+         every row again?"
+    );
+    RepositoryAudit {
+        rows,
+        features,
+        diagnostics: on_blocks.len(),
+        diagnostics_equal,
+        factored_build_ms,
+        factored_audit_ms,
+        dense_build_ms,
+        dense_audit_ms,
+        audit_speedup,
+        fit_ms,
     }
 }
 
@@ -355,7 +474,7 @@ fn main() {
         let model = model.expect("reps >= 1");
         let phases = fastest.expect("a fresh fit keeps its training log");
         let fit_unattributed_ms =
-            fit_ms - phases.histogram_build_ms - phases.split_search_ms - phases.predict_update_ms;
+            fit_ms - phases.bin_ms - phases.split_search_ms - phases.predict_update_ms;
         let mut predict_ms = f64::INFINITY;
         for _ in 0..reps {
             let start = Instant::now();
@@ -377,12 +496,12 @@ fn main() {
         eprintln!(
             "[{threads} threads] fit {fit_ms:.1} ms (bin {:.1}, split {:.1}, update {:.1}, \
              other {fit_unattributed_ms:.1}), predict {predict_ms:.1} ms, split busy {busy:.1} ms",
-            phases.histogram_build_ms, phases.split_search_ms, phases.predict_update_ms,
+            phases.bin_ms, phases.split_search_ms, phases.predict_update_ms,
         );
         samples.push(ThreadSample {
             threads,
             fit_ms,
-            fit_bin_ms: phases.histogram_build_ms,
+            fit_bin_ms: phases.bin_ms,
             fit_split_search_ms: phases.split_search_ms,
             fit_predict_update_ms: phases.predict_update_ms,
             fit_unattributed_ms,
@@ -466,7 +585,8 @@ fn main() {
         flatcheck_diagnostics: flat_diags.len(),
     };
 
-    let repository_fit = repository_fit(fast, reps);
+    let (repository_fit, repo) = repository_fit(fast, reps);
+    let repository_audit = repository_audit(&repo, repository_fit.factored.fit_ms, reps);
 
     let report = BenchReport {
         bench: "gbdt_par_scaling",
@@ -479,6 +599,7 @@ fn main() {
         samples,
         flat_vs_node,
         repository_fit,
+        repository_audit,
     };
     assert!(
         report.bit_identical_across_threads,

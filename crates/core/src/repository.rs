@@ -454,21 +454,36 @@ impl TrainingSet {
     /// The training rows as the two column blocks every fit trains on:
     /// each distinct encoding once, with each row's encoding id, and one
     /// signature per device, with each row's device id. Expanded, it is
-    /// [`TrainingSet::matrix`].
+    /// [`TrainingSet::matrix`]. It is [`TrainingSet::prefix_factored`]
+    /// of every row.
+    pub fn factored(&self) -> FactoredMatrix<'_> {
+        self.prefix_factored(self.rows.len())
+    }
+
+    /// The first `rows` rows as the two column blocks of
+    /// [`TrainingSet::factored`]: what a grid cut from those rows was
+    /// cut from. The tables hold every encoding and device, and those
+    /// that only later rows reference take part in nothing the blocks
+    /// are binned or audited on.
     ///
     /// A clone shares the encodings, which are stored one by one, so the
     /// view copies them into one table (one encoding width of floats per
     /// distinct encoding) and the ids into one array per block, and
     /// borrows the signatures.
-    pub fn factored(&self) -> FactoredMatrix<'_> {
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` exceeds [`TrainingSet::n_rows`].
+    pub fn prefix_factored(&self, rows: usize) -> FactoredMatrix<'_> {
         let encodings: Vec<f32> = self
             .encodings
             .iter()
             .flat_map(|e| e.iter().copied())
             .collect();
-        let (encoding_ids, device_ids): (Vec<u32>, Vec<u32>) = self.rows.iter().copied().unzip();
+        let (encoding_ids, device_ids): (Vec<u32>, Vec<u32>) =
+            self.rows[..rows].iter().copied().unzip();
         FactoredMatrix::new(
-            self.rows.len(),
+            rows,
             vec![
                 ColumnBlock::mapped(encodings, self.encoding_width, encoding_ids),
                 ColumnBlock::mapped(&self.signatures[..], self.signature_size, device_ids),
@@ -478,9 +493,8 @@ impl TrainingSet {
 
     /// The training matrix: each row is its network encoding followed
     /// by its device's current signature, in contribution order. Fits
-    /// train on its column blocks ([`TrainingSet::factored`]); this is
-    /// the expanded form, for audits, which rebuild a fit's grid from it
-    /// their own way, and for callers that want the rows.
+    /// and audits read its column blocks ([`TrainingSet::factored`]);
+    /// this is the expanded form, for callers that want the rows.
     pub fn matrix(&self) -> DenseMatrix {
         self.prefix_matrix(self.rows.len())
     }
@@ -1142,13 +1156,13 @@ impl CollaborativeRepository {
                 ));
             }
             // Pre-freeze snapshot: recompile from the rows the grid was
-            // cut from, on the same deterministic grid `fit` would build.
-            // Deep equivalence checking (the flatcheck pass) is the
-            // snapshot loader's job; here a failed freeze means the model
-            // cannot have come from these rows.
+            // cut from, on the grid `fit` would build from their column
+            // blocks. Deep equivalence checking (the flatcheck pass) is
+            // the snapshot loader's job; here a failed freeze means the
+            // model cannot have come from these rows.
             (Some(model), None) => {
-                let binned = BinnedMatrix::from_matrix(
-                    &repo.train.prefix_matrix(repo.grid_rows),
+                let binned = BinnedMatrix::from_factored(
+                    &repo.train.prefix_factored(repo.grid_rows),
                     repo.config.gbdt.max_bins,
                 );
                 Some(FrozenGbdt::freeze(model, &binned).map_err(|e| {

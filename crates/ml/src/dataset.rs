@@ -341,14 +341,48 @@ impl<'a> FactoredMatrix<'a> {
 
     /// Expands the blocks into the dense matrix they stand for.
     pub fn to_dense(&self) -> DenseMatrix {
-        let mut data = Vec::with_capacity(self.n_rows * self.n_cols());
-        for r in 0..self.n_rows {
+        self.head(self.n_rows)
+    }
+
+    /// Expands the first `rows` rows, or every row when there are
+    /// fewer.
+    pub fn head(&self, rows: usize) -> DenseMatrix {
+        let rows = rows.min(self.n_rows);
+        let mut data = Vec::with_capacity(rows * self.n_cols());
+        for r in 0..rows {
             for block in &self.blocks {
                 let start = block.entry(r) * block.width;
                 data.extend_from_slice(&block.table[start..start + block.width]);
             }
         }
-        DenseMatrix::from_vec(data, self.n_rows, self.n_cols())
+        DenseMatrix::from_vec(data, rows, self.n_cols())
+    }
+}
+
+impl<'a> From<&'a DenseMatrix> for FactoredMatrix<'a> {
+    /// [`FactoredMatrix::dense`]: one identity block.
+    fn from(x: &'a DenseMatrix) -> Self {
+        Self::dense(x)
+    }
+}
+
+impl<'a> From<&'a FactoredMatrix<'_>> for FactoredMatrix<'a> {
+    /// A view of the same blocks that borrows their tables and ids.
+    fn from(x: &'a FactoredMatrix<'_>) -> Self {
+        let blocks = x
+            .blocks
+            .iter()
+            .map(|block| ColumnBlock {
+                table: Cow::Borrowed(&block.table[..]),
+                width: block.width,
+                ids: block.ids.as_deref().map(Cow::Borrowed),
+            })
+            .collect();
+        Self {
+            n_rows: x.n_rows,
+            blocks,
+            columns: x.columns.clone(),
+        }
     }
 }
 
@@ -406,6 +440,11 @@ mod tests {
         assert_eq!(dense.row(1), &[1.0, 2.0, 8.0]);
         let view = FactoredMatrix::dense(&dense);
         assert_eq!(view.to_dense(), dense);
+        assert_eq!(x.head(2), dense.select_rows(&[0, 1]));
+        assert_eq!(x.head(9), dense);
+        let borrowed = FactoredMatrix::from(&x);
+        assert_eq!(borrowed.to_dense(), dense);
+        assert_eq!(FactoredMatrix::from(&dense).to_dense(), dense);
     }
 
     #[test]

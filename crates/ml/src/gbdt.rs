@@ -94,8 +94,11 @@ pub struct TrainingLog {
     /// ([`BinnedMatrix::from_factored`]), built once per fit on the
     /// `gdcm-par` pool. The grid is the one
     /// [`GbdtRegressor::fit_with_grid`] returns, so freezing the model
-    /// adds no binning time.
-    pub histogram_build_ms: f64,
+    /// adds no binning time. Building the split histograms is part of
+    /// `split_search_ms`. Serialized under its earlier name, so saved
+    /// models keep their bytes.
+    #[serde(rename = "histogram_build_ms")]
+    pub bin_ms: f64,
     /// Wall time spent growing trees (ms): putting each round's
     /// gradients on the tree's integer grid, summing them per table
     /// entry of each node's column blocks, building and scanning the
@@ -298,9 +301,9 @@ impl GbdtRegressor {
         let fit_start = Instant::now();
 
         let n = x.n_rows();
-        let hist_start = Instant::now();
+        let bin_start = Instant::now();
         let binned = Arc::new(BinnedMatrix::from_factored(x, params.max_bins));
-        let histogram_build_ms = hist_start.elapsed().as_secs_f64() * 1e3;
+        let bin_ms = bin_start.elapsed().as_secs_f64() * 1e3;
         let base_score = match warm {
             Some((base, _)) => base,
             None => (y.iter().map(|&v| v as f64).sum::<f64>() / n as f64) as f32,
@@ -390,7 +393,7 @@ impl GbdtRegressor {
 
         let log = TrainingLog {
             round_train_rmse,
-            histogram_build_ms,
+            bin_ms,
             split_search_ms,
             total_ms: fit_start.elapsed().as_secs_f64() * 1e3,
             threads_used,
@@ -424,7 +427,7 @@ impl GbdtRegressor {
                         "final_rmse",
                         gdcm_obs::FieldValue::F64(log.final_train_rmse().unwrap_or(f32::NAN) as f64),
                     ),
-                    ("hist_ms", gdcm_obs::FieldValue::F64(log.histogram_build_ms)),
+                    ("bin_ms", gdcm_obs::FieldValue::F64(log.bin_ms)),
                     ("split_ms", gdcm_obs::FieldValue::F64(log.split_search_ms)),
                     (
                         "threads",

@@ -25,8 +25,8 @@
 //!    warm-starting from the previous model's trees so refit cost
 //!    scales with the residual rounds, not total rounds
 //!    ([`gdcm_ml::GbdtRegressor::warm_fit_factored`]) — runs the same
-//!    audit + flatcheck gate the snapshot loader applies, on the dense
-//!    matrix it builds for it after the fit, and only then
+//!    audit + flatcheck gate the snapshot loader applies, on the same
+//!    column blocks, and only then
 //!    atomically installs the new model
 //!    ([`ServingRepository::install_refit_on`], which records the grid as
 //!    cut from the rows it copied). Readers never wait on a fit: the
@@ -303,10 +303,10 @@ impl<'a> IngestPipeline<'a> {
     }
 
     /// One refresh cycle: copy the training set under a brief read
-    /// lock, (warm-)fit on its column blocks off-lock, build the dense
-    /// matrix the audit reads, audit, swap, compact. Returns `Ok(false)`
-    /// when there is not yet enough data to fit. A stale grid makes the
-    /// cycle cold.
+    /// lock, then off-lock (warm-)fit, freeze and audit on one view of
+    /// its column blocks, then swap and compact. No step expands the
+    /// rows into a dense matrix. Returns `Ok(false)` when there is not
+    /// yet enough data to fit. A stale grid makes the cycle cold.
     ///
     /// # Errors
     ///
@@ -356,8 +356,6 @@ impl<'a> IngestPipeline<'a> {
             (Some(prev), r) if r > 0 => GbdtRegressor::warm_fit_factored(&x, y, &gbdt, prev, r),
             _ => GbdtRegressor::fit_factored(&x, y, &gbdt),
         };
-        // The view's tables go before the audit's dense matrix comes.
-        drop(x);
         // A freeze failure is handled exactly like an audit rejection —
         // count it, consume the pending rows, keep serving the old
         // model — rather than panicking the refresher thread (which
@@ -375,8 +373,7 @@ impl<'a> IngestPipeline<'a> {
         };
         // The same gate the snapshot loader runs: a refreshed model
         // must clear the audit + flatcheck passes *before* it swaps in.
-        // The audit rebuilds the grid from the dense matrix its own way.
-        let x = train.matrix();
+        // The audit rebuilds the grid from the same blocks its own way.
         if let Err(e) =
             snapshot::audit_model_artifacts("serve/refresh", &model, &gbdt, &x, y, Some(&frozen))
         {

@@ -42,10 +42,23 @@
 //!    ([`crate::ServeError::AuditRejected`]). Warnings are logged
 //!    through `gdcm-obs` but do not block serving. Rows after *g* get
 //!    the structural checks of step 1 only.
+//!
+//! The audit reads those rows as the training set's two column blocks
+//! ([`gdcm_core::TrainingSet::prefix_factored`]): each distinct encoding
+//! and each device's signature once, plus two ids per row. No step of
+//! a load expands the rows into a dense matrix; the audit's reference
+//! probe expands its first few hundred rows only.
+//!
+//! A load is timed stage by stage under the `serve/snapshot_load` span:
+//! `serve/snapshot_parse` (read and parse the file),
+//! `serve/snapshot_parts` (rebuild and validate the repository) and
+//! `serve/snapshot_audit`, which splits into the audit's own
+//! `audit/model` (with its `audit/grid` and `audit/dataset` stages) and
+//! `audit/flatcheck`.
 
 use gdcm_audit::DatasetLints;
 use gdcm_core::{CollaborativeRepository, RepositoryError, RepositoryParts, RepositoryPartsV1};
-use gdcm_ml::{DenseMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
+use gdcm_ml::{FactoredMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
@@ -134,7 +147,6 @@ impl RepositorySnapshot {
     /// [`ServeError::Repository`] when structural validation fails, and
     /// [`ServeError::AuditRejected`] when `gdcm-audit` finds errors.
     pub fn into_repository(self) -> Result<CollaborativeRepository, ServeError> {
-        let _span = gdcm_obs::span!("serve/snapshot_load");
         if self.format != SNAPSHOT_FORMAT {
             return Err(ServeError::BadSnapshot {
                 reason: format!("format {:?} is not {SNAPSHOT_FORMAT:?}", self.format),
@@ -148,7 +160,10 @@ impl RepositorySnapshot {
                 ),
             });
         }
-        let repo = CollaborativeRepository::from_parts(self.parts)?;
+        let repo = {
+            let _span = gdcm_obs::span!("serve/snapshot_parts");
+            CollaborativeRepository::from_parts(self.parts)?
+        };
         audit_repository(&repo)?;
         gdcm_obs::counter("serve/snapshots_loaded").incr();
         Ok(repo)
@@ -157,9 +172,11 @@ impl RepositorySnapshot {
 
 /// Runs the `gdcm-audit` ensemble + dataset passes over a repository's
 /// fitted model and the rows its grid was cut from
-/// ([`CollaborativeRepository::grid_rows`]), then the flatcheck pass
-/// over its compiled (frozen) model. Error-severity findings reject the
-/// repository; warnings are re-emitted as `gdcm-obs` events.
+/// ([`CollaborativeRepository::grid_rows`]), read as the column blocks
+/// of those rows ([`gdcm_core::TrainingSet::prefix_factored`]), then
+/// the flatcheck pass over its compiled (frozen) model. Error-severity
+/// findings reject the repository; warnings are re-emitted as
+/// `gdcm-obs` events.
 ///
 /// An unfitted repository (no model yet) has no ensemble to audit and
 /// passes vacuously — `from_parts` has already validated its rows.
@@ -174,7 +191,7 @@ fn audit_repository(repo: &CollaborativeRepository) -> Result<(), ServeError> {
         "serve/snapshot",
         model,
         &repo.config().gbdt,
-        &train.prefix_matrix(rows),
+        &train.prefix_factored(rows),
         &train.labels()[..rows],
         repo.frozen_model(),
     )
@@ -183,16 +200,16 @@ fn audit_repository(repo: &CollaborativeRepository) -> Result<(), ServeError> {
 
 /// The audit + flatcheck gate shared by the snapshot loader and the
 /// background refresh controller: runs the `gdcm-audit` ensemble +
-/// dataset passes over a trained model and its data, then the flatcheck
-/// pass over the compiled (frozen) artifact when present.
-/// Error-severity findings return [`ServeError::AuditRejected`];
-/// warnings are re-emitted as `gdcm-obs` events. Call sites own their
-/// rejection counters.
+/// dataset passes over a trained model and the column blocks of its
+/// training rows, then the flatcheck pass over the compiled (frozen)
+/// artifact when present. Error-severity findings return
+/// [`ServeError::AuditRejected`]; warnings are re-emitted as `gdcm-obs`
+/// events. Call sites own their rejection counters.
 pub(crate) fn audit_model_artifacts(
     context: &'static str,
     model: &GbdtRegressor,
     gbdt: &GbdtParams,
-    x: &DenseMatrix,
+    x: &FactoredMatrix<'_>,
     y: &[f32],
     frozen: Option<&FrozenGbdt>,
 ) -> Result<(), ServeError> {
@@ -274,7 +291,8 @@ pub fn save_repository(repo: &CollaborativeRepository, path: &Path) -> Result<()
 }
 
 /// Loads — and audits — a repository snapshot of any supported
-/// version from `path`.
+/// version from `path`, under the `serve/snapshot_load` span (its stages
+/// are in the module docs).
 ///
 /// # Errors
 ///
@@ -284,6 +302,11 @@ pub fn save_repository(repo: &CollaborativeRepository, path: &Path) -> Result<()
 /// when version-1 rows disagree with their owners; I/O errors; and
 /// everything [`RepositorySnapshot::into_repository`] refuses.
 pub fn load_repository(path: &Path) -> Result<CollaborativeRepository, ServeError> {
-    let json = std::fs::read_to_string(path)?;
-    RepositorySnapshot::from_json(&json)?.into_repository()
+    let _span = gdcm_obs::span!("serve/snapshot_load");
+    let snapshot = {
+        let _span = gdcm_obs::span!("serve/snapshot_parse");
+        let json = std::fs::read_to_string(path)?;
+        RepositorySnapshot::from_json(&json)?
+    };
+    snapshot.into_repository()
 }
