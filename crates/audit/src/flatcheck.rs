@@ -31,7 +31,10 @@
 //!    rows of every live path, the frozen batch predictor must agree
 //!    bit-for-bit with the naive recursive reference (base + leaf sums
 //!    for GBDTs, means for forests), and frozen metadata must match the
-//!    source model.
+//!    source model. A representative row sits in every feature's lowest
+//!    cell except where its path narrows the feature, so each live leaf
+//!    keeps only those (feature, cell) pairs, and the rows are expanded
+//!    and scored 32 at a time.
 //!
 //! The two traversal checks cover both split decisions a frozen model
 //! has: check 3 walks bin codes (`code <= bin`, as `predict_binned`
@@ -65,6 +68,9 @@ use crate::grid::CutGrid;
 /// depths ≤ 12).
 pub const MAX_PATHS_PER_TREE: usize = 4096;
 
+/// Probe rows expanded and scored together by the accumulation check.
+const PROBE_CHUNK: usize = 32;
+
 /// Shared inputs of the per-tree flat checks.
 struct FlatCtx<'a> {
     label: &'a str,
@@ -80,8 +86,50 @@ struct FlatTreeAudit {
     /// Both representations of this tree can be walked safely and the
     /// slot range matches — path and accumulation checks may run.
     traversal_safe: bool,
-    /// One representative raw row per live root-to-leaf path.
-    probe: Vec<Vec<f32>>,
+    /// One representative row per live root-to-leaf path, as the
+    /// (feature, cell) pairs where it leaves the lowest cell.
+    probe: Vec<Vec<(usize, usize)>>,
+}
+
+/// The representative rows of every live path, in tree order, held
+/// sparse: row `i` is the all-lowest-cell row with `rows[i]`'s cells
+/// in place.
+struct Probe<'a> {
+    cuts: &'a [Vec<f32>],
+    rows: Vec<Vec<(usize, usize)>>,
+}
+
+impl Probe<'_> {
+    /// Scores every row with `reference`, one row at a time, and with
+    /// `batch`, `PROBE_CHUNK` rows at a time, expanding no more rows
+    /// than one chunk. Returns both score lists in row order.
+    fn score(
+        &self,
+        reference: impl Fn(&[f32]) -> f32,
+        batch: impl Fn(&DenseMatrix) -> Vec<f32>,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let lowest: Vec<f32> = self.cuts.iter().map(|c| cell_value(c, 0)).collect();
+        let mut row = lowest.clone();
+        let mut scored = (
+            Vec::with_capacity(self.rows.len()),
+            Vec::with_capacity(self.rows.len()),
+        );
+        for chunk in self.rows.chunks(PROBE_CHUNK) {
+            let mut x = DenseMatrix::with_capacity(chunk.len(), row.len());
+            for cells in chunk {
+                for &(f, cell) in cells {
+                    row[f] = cell_value(&self.cuts[f], cell);
+                }
+                scored.0.push(reference(&row));
+                x.push_row(&row);
+                for &(f, _) in cells {
+                    row[f] = lowest[f];
+                }
+            }
+            scored.1.extend(batch(&x));
+        }
+        scored
+    }
 }
 
 /// Certifies a frozen GBDT against its source model: bijection,
@@ -132,10 +180,8 @@ pub fn check_frozen_gbdt(
     let probe = check_frozen_ensemble(&ctx, binned, out);
     if meta_ok {
         if let Some(probe) = probe {
-            let reference: Vec<f32> = (0..probe.n_rows())
-                .map(|i| reference_predict(model, probe.row(i)))
-                .collect();
-            let flat = frozen.predict(&probe);
+            let (reference, flat) =
+                probe.score(|row| reference_predict(model, row), |x| frozen.predict(x));
             check_accumulation(label, &reference, &flat, out);
         }
     }
@@ -176,10 +222,10 @@ pub fn check_frozen_forest(
     let probe = check_frozen_ensemble(&ctx, binned, out);
     if meta_ok && !forest.trees().is_empty() {
         if let Some(probe) = probe {
-            let reference: Vec<f32> = (0..probe.n_rows())
-                .map(|i| reference_forest_predict(forest, probe.row(i)))
-                .collect();
-            let flat = frozen.predict(&probe);
+            let (reference, flat) = probe.score(
+                |row| reference_forest_predict(forest, row),
+                |x| frozen.predict(x),
+            );
             check_accumulation(label, &reference, &flat, out);
         }
     }
@@ -198,13 +244,13 @@ fn bump_counters(out: &[Diagnostic]) {
 }
 
 /// The ensemble-shape portion shared by both wrappers. Returns the
-/// synthesized probe matrix when every tree verified traversal-safe (so
-/// the accumulation cross-check is meaningful), `None` otherwise.
-fn check_frozen_ensemble(
-    ctx: &FlatCtx<'_>,
+/// probe rows when every tree verified traversal-safe (so the
+/// accumulation cross-check is meaningful), `None` otherwise.
+fn check_frozen_ensemble<'a>(
+    ctx: &FlatCtx<'a>,
     binned: Option<&dyn CutGrid>,
     out: &mut Vec<Diagnostic>,
-) -> Option<DenseMatrix> {
+) -> Option<Probe<'a>> {
     check_grid(ctx.label, ctx.cuts, binned, out);
     if ctx.cuts.len() != ctx.n_features {
         out.push(Diagnostic::network_level(
@@ -227,16 +273,15 @@ fn check_frozen_ensemble(
         gdcm_par::pool().par_map(&tree_indices, |&t| audit_flat_tree(ctx, t));
 
     let all_safe = audits.iter().all(|a| a.traversal_safe);
-    let mut rows: Vec<Vec<f32>> = Vec::new();
+    let mut rows = Vec::new();
     for mut audit in audits {
         out.append(&mut audit.diags);
         rows.append(&mut audit.probe);
     }
-    if all_safe && !rows.is_empty() {
-        Some(DenseMatrix::from_rows(&rows))
-    } else {
-        None
-    }
+    (all_safe && !rows.is_empty()).then_some(Probe {
+        cuts: ctx.cuts,
+        rows,
+    })
 }
 
 /// `GDCM148`/`GDCM149`: grid ascent, and bitwise equality against the
@@ -684,8 +729,9 @@ struct PathWalk<'a> {
 /// Depth-first enumeration of the source tree's root-to-leaf paths,
 /// narrowing per-feature cell intervals on the way down (backtracking
 /// on the way up). Dead branches report `GDCM152`; live leaves get a
-/// representative row, a flat-vs-recursive leaf comparison, and a probe
-/// entry for the accumulation check.
+/// representative row (each feature's lowest cell in its interval), a
+/// flat-vs-recursive leaf comparison, and a probe entry for the
+/// accumulation check.
 fn walk_paths(w: &mut PathWalk<'_>, src: &[TreeNode], node: usize, audit: &mut FlatTreeAudit) {
     if w.paths >= MAX_PATHS_PER_TREE {
         return;
@@ -693,18 +739,10 @@ fn walk_paths(w: &mut PathWalk<'_>, src: &[TreeNode], node: usize, audit: &mut F
     match src[node] {
         TreeNode::Leaf { weight } => {
             w.paths += 1;
-            let row: Vec<f32> = w
-                .intervals
-                .iter()
-                .enumerate()
-                .map(|(f, &(lo, _))| cell_value(&w.ctx.cuts[f], lo))
-                .collect();
-            let codes: Vec<u8> = row
-                .iter()
-                .enumerate()
-                .map(|(f, &v)| bin_code(&w.ctx.cuts[f], v))
-                .collect();
-            let flat_slot = flat_leaf_for(w.ctx.nodes, w.start, w.end, &codes);
+            let cuts = w.ctx.cuts;
+            let intervals = &w.intervals;
+            let code = |f: usize| bin_code(&cuts[f], cell_value(&cuts[f], intervals[f].0));
+            let flat_slot = flat_leaf_for(w.ctx.nodes, w.start, w.end, w.ctx.n_features, code);
             let expected = w.start + node;
             let agree = flat_slot
                 .map(|s| s == expected && w.ctx.nodes.leaf()[s].to_bits() == weight.to_bits())
@@ -722,7 +760,11 @@ fn walk_paths(w: &mut PathWalk<'_>, src: &[TreeNode], node: usize, audit: &mut F
                     });
                 }
             }
-            audit.probe.push(row);
+            let cells = (w.intervals.iter().enumerate())
+                .filter(|&(_, &(lo, _))| lo != 0)
+                .map(|(f, &(lo, _))| (f, lo))
+                .collect();
+            audit.probe.push(cells);
         }
         TreeNode::Split {
             feature,
@@ -758,10 +800,17 @@ fn walk_paths(w: &mut PathWalk<'_>, src: &[TreeNode], node: usize, audit: &mut F
     }
 }
 
-/// Flat traversal of one tree over pre-binned codes. Returns `None` if
-/// the walk escapes its slot range or runs longer than the slot count
-/// (defensive: callers only traverse trees already verified safe).
-fn flat_leaf_for(nodes: &FrozenNodes, start: usize, end: usize, codes: &[u8]) -> Option<usize> {
+/// Flat traversal of one tree over the bin codes `code` gives for each
+/// of `n_features` features. Returns `None` if the walk escapes its
+/// slot range or runs longer than the slot count (defensive: callers
+/// only traverse trees already verified safe).
+fn flat_leaf_for(
+    nodes: &FrozenNodes,
+    start: usize,
+    end: usize,
+    n_features: usize,
+    code: impl Fn(usize) -> u8,
+) -> Option<usize> {
     let mut s = start;
     for _ in 0..=(end - start) {
         if !(start..end).contains(&s) {
@@ -772,10 +821,10 @@ fn flat_leaf_for(nodes: &FrozenNodes, start: usize, end: usize, codes: &[u8]) ->
             return Some(s);
         }
         let f = f as usize;
-        if f >= codes.len() {
+        if f >= n_features {
             return None;
         }
-        s = if codes[f] <= nodes.bin()[s] {
+        s = if code(f) <= nodes.bin()[s] {
             nodes.left()[s] as usize
         } else {
             nodes.right()[s] as usize

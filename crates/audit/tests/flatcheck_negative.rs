@@ -216,6 +216,31 @@ fn gdcm147_153_154_leaf_bit_flip() {
     assert!(found.contains(&154), "{diags:?}");
 }
 
+/// GDCM154's whole line, recorded when the probe rows were still built
+/// as one matrix: the disagreeing count, the probe size, the first
+/// disagreeing row (in the third chunk of 32 probe rows) and both of
+/// its values. It holds the probe to the same rows in the same order.
+#[test]
+fn gdcm154_line_names_the_count_and_the_first_disagreeing_row() {
+    let (model, frozen, binned) = fixture();
+    // A leaf of the last tree that 11 of the 183 probe rows reach.
+    const SLOT: usize = 350;
+    assert_eq!(frozen.nodes().feature()[SLOT], FROZEN_LEAF);
+    let bad = corrupt_nodes(&frozen, |_, _, _, _, _, leaf| leaf[SLOT] += 0.5);
+    let lines: Vec<String> = run(&model, &bad, &binned)
+        .iter()
+        .filter(|d| d.code.number() == 154)
+        .map(|d| d.to_string())
+        .collect();
+    assert_eq!(
+        lines,
+        [
+            "error[GDCM154] neg/flat @ n89: 11 of 183 probe rows disagree bitwise \
+             (row 89: reference 7.939409 vs frozen 8.439408)"
+        ]
+    );
+}
+
 #[test]
 fn gdcm148_grid_drifts_from_training_matrix() {
     let (model, frozen, binned) = fixture();

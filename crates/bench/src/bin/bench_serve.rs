@@ -53,23 +53,17 @@ struct ModeSample {
     speedup_vs_cached_single: f64,
 }
 
-/// The streaming-refresh measurement: refit cost warm vs cold on
-/// identical rows, and how well serving holds up while a background
-/// refit + swap runs.
+/// The streaming-refresh measurement: what one refresh cycle (a cold
+/// refit, its audit, the swap) costs, and how well serving holds up
+/// while one runs.
 #[derive(Serialize)]
 struct RefreshSample {
     /// Training rows in the refit set.
     rows: usize,
-    /// Full-rounds refit wall time (min of 3), ms.
+    /// Refresh cycle wall time (min of 3), ms.
     cold_refit_ms: f64,
-    /// Warm-started refit wall time (reused trees + residual rounds,
-    /// min of 3), ms.
-    warm_refit_ms: f64,
-    /// `cold_refit_ms / warm_refit_ms` — above 1 means warm-starting
-    /// pays for itself.
-    warm_speedup: f64,
-    /// Single-row predictions answered while the warm refit + swap ran
-    /// on a background thread.
+    /// Single-row predictions answered while a refresh cycle ran on a
+    /// background thread.
     predictions_during_refit: usize,
     /// Serving throughput over that window — evidence readers never
     /// block behind a refit.
@@ -443,25 +437,18 @@ fn main() {
          flight ({bin_single_qps:.0} qps)"
     );
 
-    // Then the streaming-refresh path. First warm-vs-cold refit cost
-    // on identical rows (min of 3 runs each to shed scheduler noise),
-    // then serving throughput while a warm refit + swap runs on a
-    // background thread — the epoch-guarded swap must never block
-    // readers behind the fit.
+    // Then the streaming-refresh path. First the cost of a refresh
+    // cycle (min of 3 runs to shed scheduler noise), then serving
+    // throughput while one runs on a background thread — the
+    // epoch-guarded swap must never block readers behind the fit.
     let refresh_sample = {
         let serving = ServingRepository::new(repo.clone(), ServeConfig::default());
         let device = device_names[0].clone();
         // Stream one sweep of fresh measurements in so the refit has
         // new rows to absorb.
-        let cold_pipeline = IngestPipeline::new(
-            &serving,
-            RefreshConfig {
-                refresh_rows: 1,
-                warm_boost: 0,
-            },
-        );
+        let pipeline = IngestPipeline::new(&serving, RefreshConfig { refresh_rows: 1 });
         for (i, net) in nets.iter().enumerate() {
-            cold_pipeline
+            pipeline
                 .contribute(&device, net, 30.0 + i as f64)
                 .expect("streams a fresh row");
         }
@@ -472,39 +459,16 @@ fn main() {
         let mut cold_refit_ms = f64::INFINITY;
         for _ in 0..3 {
             let start = Instant::now();
-            assert!(cold_pipeline.refresh_once().expect("cold refresh fits"));
+            assert!(pipeline.refresh_once().expect("a refresh fits"));
             cold_refit_ms = cold_refit_ms.min(start.elapsed().as_secs_f64() * 1e3);
         }
-        // Warm: same rows, but the refit reuses the installed model's
-        // prefix and boosts only the residual rounds.
-        let warm_pipeline = IngestPipeline::new(
-            &serving,
-            RefreshConfig {
-                refresh_rows: 1,
-                ..RefreshConfig::default()
-            },
-        );
-        let mut warm_refit_ms = f64::INFINITY;
-        for _ in 0..3 {
-            let start = Instant::now();
-            assert!(warm_pipeline.refresh_once().expect("warm refresh fits"));
-            warm_refit_ms = warm_refit_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        }
-        assert!(
-            warm_refit_ms < cold_refit_ms,
-            "warm-started refit ({warm_refit_ms:.2} ms) must beat a cold refit \
-             ({cold_refit_ms:.2} ms) on the same {refit_rows} rows"
-        );
 
         let mut served = 0usize;
         let mut window_s = 0.0f64;
         std::thread::scope(|scope| {
-            let warm_pipeline = &warm_pipeline;
-            let refit = scope.spawn(move || {
-                warm_pipeline
-                    .refresh_once()
-                    .expect("concurrent refresh fits")
-            });
+            let pipeline = &pipeline;
+            let refit =
+                scope.spawn(move || pipeline.refresh_once().expect("concurrent refresh fits"));
             let start = Instant::now();
             // Keep predicting until the refit lands; the floor keeps the
             // window statistically meaningful when the refit is quick.
@@ -522,17 +486,13 @@ fn main() {
         RefreshSample {
             rows: refit_rows,
             cold_refit_ms,
-            warm_refit_ms,
-            warm_speedup: cold_refit_ms / warm_refit_ms,
             predictions_during_refit: served,
             qps_during_refit: served as f64 / window_s,
         }
     };
     eprintln!(
-        "[           refresh] cold {:.2} ms vs warm {:.2} ms ({:.2}x); {} predictions at {:.0} qps during refit",
+        "[           refresh] cold {:.2} ms; {} predictions at {:.0} qps during refit",
         refresh_sample.cold_refit_ms,
-        refresh_sample.warm_refit_ms,
-        refresh_sample.warm_speedup,
         refresh_sample.predictions_during_refit,
         refresh_sample.qps_during_refit,
     );
@@ -555,14 +515,9 @@ fn main() {
             bin_pipe_qps / bin_single_qps,
         ),
         format!(
-            "background refresh on {} rows: warm-started refit ({:.2} ms, reusing the \
-             installed ensemble's prefix) is {:.2}x cheaper than a cold refit \
-             ({:.2} ms); serving sustained {:.0} qps while the refit + swap ran.",
-            refresh_sample.rows,
-            refresh_sample.warm_refit_ms,
-            refresh_sample.warm_speedup,
-            refresh_sample.cold_refit_ms,
-            refresh_sample.qps_during_refit,
+            "background refresh on {} rows: a cycle (cold refit on every row, audit, \
+             swap) takes {:.2} ms; serving sustained {:.0} qps while one ran.",
+            refresh_sample.rows, refresh_sample.cold_refit_ms, refresh_sample.qps_during_refit,
         ),
     ];
 
@@ -606,8 +561,6 @@ fn main() {
         bin_pipe_qps / cached_single_qps,
     );
     run_report.set_metric("refresh_cold_ms", report.refresh.cold_refit_ms);
-    run_report.set_metric("refresh_warm_ms", report.refresh.warm_refit_ms);
-    run_report.set_metric("refresh_warm_speedup", report.refresh.warm_speedup);
     run_report.set_metric(
         "refresh_serving_qps_during_refit",
         report.refresh.qps_during_refit,

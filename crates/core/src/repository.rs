@@ -72,11 +72,12 @@
 use gdcm_dnn::Network;
 use gdcm_ml::{
     BinnedMatrix, ColumnBlock, DenseMatrix, FactoredMatrix, FrozenGbdt, GbdtParams, GbdtRegressor,
-    Regressor,
+    Regressor, MAX_BINS,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use crate::encoding::NetworkEncoder;
@@ -192,6 +193,29 @@ fn corrupt(reason: String) -> RepositoryError {
     RepositoryError::CorruptParts { reason }
 }
 
+/// Refuses stored hyper-parameters that a fit or the load-time audit
+/// would panic on: a bin budget outside `1..=MAX_BINS`, or a sampling
+/// fraction outside (0, 1].
+fn check_gbdt_params(gbdt: &GbdtParams) -> Result<(), RepositoryError> {
+    if !(1..=MAX_BINS).contains(&gbdt.max_bins) {
+        return Err(corrupt(format!(
+            "config.gbdt.max_bins {} is not in 1..={MAX_BINS}",
+            gbdt.max_bins
+        )));
+    }
+    for (name, fraction) in [
+        ("subsample", gbdt.subsample),
+        ("colsample_bytree", gbdt.colsample_bytree),
+    ] {
+        if !(fraction > 0.0 && fraction <= 1.0) {
+            return Err(corrupt(format!(
+                "config.gbdt.{name} {fraction} is not in (0, 1]"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The width of a training row, refusing a stored signature size so
 /// large that it overflows.
 fn row_width(encoding_width: usize, signature_size: usize) -> Result<usize, RepositoryError> {
@@ -207,7 +231,8 @@ fn row_width(encoding_width: usize, signature_size: usize) -> Result<usize, Repo
 /// versioned snapshot envelope for persistence (layout version 3).
 /// Devices are stored as a name-sorted vector (not a map) so
 /// serialization is deterministic; a row names its device by position
-/// in that vector.
+/// in that vector. [`RepositoryParts::write_json`] writes the fields in
+/// the order declared here, so a new field goes there too.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepositoryParts {
     /// The fitted network encoder.
@@ -253,6 +278,53 @@ impl RepositoryParts {
         self.grid_rows = self.model.as_ref().map(|_| self.rows.len());
         self
     }
+
+    /// Writes the bytes `serde_json::to_string(self)` gives, one field at
+    /// a time and `encodings` one encoding at a time, so no step holds
+    /// more than one field's document tree (the vendored serde builds a
+    /// value's whole tree before it writes a byte). Fields go in their
+    /// declaration order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write errors; a field that does not serialize is an
+    /// [`std::io::ErrorKind::Other`] error.
+    pub fn write_json(&self, out: &mut impl Write) -> io::Result<()> {
+        out.write_all(b"{\"encoder\":")?;
+        write_json_value(out, &self.encoder)?;
+        out.write_all(b",\"signature_size\":")?;
+        write_json_value(out, &self.signature_size)?;
+        out.write_all(b",\"config\":")?;
+        write_json_value(out, &self.config)?;
+        out.write_all(b",\"devices\":")?;
+        write_json_value(out, &self.devices)?;
+        out.write_all(b",\"encodings\":[")?;
+        for (i, encoding) in self.encodings.iter().enumerate() {
+            if i > 0 {
+                out.write_all(b",")?;
+            }
+            write_json_value(out, encoding)?;
+        }
+        out.write_all(b"],\"rows\":")?;
+        write_json_value(out, &self.rows)?;
+        out.write_all(b",\"y\":")?;
+        write_json_value(out, &self.y)?;
+        out.write_all(b",\"model\":")?;
+        write_json_value(out, &self.model)?;
+        out.write_all(b",\"grid_rows\":")?;
+        write_json_value(out, &self.grid_rows)?;
+        out.write_all(b",\"frozen\":")?;
+        write_json_value(out, &self.frozen)?;
+        out.write_all(b",\"epoch\":")?;
+        write_json_value(out, &self.epoch)?;
+        out.write_all(b"}")
+    }
+}
+
+/// Writes one value as compact JSON.
+fn write_json_value(out: &mut impl Write, value: &impl Serialize) -> io::Result<()> {
+    let text = serde_json::to_string(value).map_err(io::Error::other)?;
+    out.write_all(text.as_bytes())
 }
 
 /// The version-1 snapshot layout of [`RepositoryParts`]: every training
@@ -1058,15 +1130,18 @@ impl CollaborativeRepository {
     /// # Errors
     ///
     /// Returns [`RepositoryError::CorruptParts`] when any structural
-    /// invariant is violated — a zero signature size, a duplicate device
-    /// name, an encoding of the wrong width, with a non-finite value or
-    /// with the same bits as another, a row id out of range, a model of
-    /// the wrong width, a model without `grid_rows` or `grid_rows`
-    /// without a model, `grid_rows` outside `1..=rows` — and
+    /// invariant is violated — GBDT hyper-parameters a fit would panic
+    /// on (`max_bins` outside `1..=MAX_BINS`, `subsample` or
+    /// `colsample_bytree` outside (0, 1]), a zero signature size, a
+    /// duplicate device name, an encoding of the wrong width, with a
+    /// non-finite value or with the same bits as another, a row id out
+    /// of range, a model of the wrong width, a model without `grid_rows`
+    /// or `grid_rows` without a model, `grid_rows` outside `1..=rows` — and
     /// [`RepositoryError::InvalidLatency`] /
     /// [`RepositoryError::SignatureLength`] when stored measurements
     /// fail ingestion validation.
     pub fn from_parts(parts: RepositoryParts) -> Result<Self, RepositoryError> {
+        check_gbdt_params(&parts.config.gbdt)?;
         if parts.signature_size == 0 {
             return Err(corrupt("signature_size is 0".into()));
         }

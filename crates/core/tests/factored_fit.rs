@@ -5,11 +5,9 @@
 //! onboard / contribute / re-enroll, with devices that never contribute,
 //! its model, per-round training RMSE and frozen arena must be bitwise
 //! the ones a dense fit of `TrainingSet::matrix` plus a freeze gives, and
-//! so must the grid: cut bits, constant flags and every row's code. A
-//! warm refit that reuses 20 of 30 trees must match the dense warm refit
-//! the same way.
+//! so must the grid: cut bits, constant flags and every row's code.
 
-use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig, TrainingSet};
+use gdcm_core::{CollaborativeRepository, CostDataset, RepositoryConfig};
 use gdcm_ml::{BinnedMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -18,7 +16,6 @@ use rand_chacha::ChaCha8Rng;
 const HISTORIES: u64 = 50;
 const SIGNATURE_SIZE: usize = 3;
 const TREES: usize = 30;
-const REUSED: usize = 20;
 /// Devices that contribute rows.
 const CONTRIBUTORS: [&str; 4] = ["pixel", "galaxy", "iphone", "moto"];
 /// Devices onboarded that never contribute: their signatures are table
@@ -39,9 +36,8 @@ fn params(seed: u64) -> GbdtParams {
     }
 }
 
-/// One seeded history. Returns the repository and a copy of its
-/// training set from halfway through, which the warm refit starts from.
-fn run_history(data: &CostDataset, seed: u64) -> (CollaborativeRepository, TrainingSet) {
+/// One seeded history.
+fn run_history(data: &CostDataset, seed: u64) -> CollaborativeRepository {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut repo = CollaborativeRepository::new(
         data.encoder.clone(),
@@ -54,12 +50,7 @@ fn run_history(data: &CostDataset, seed: u64) -> (CollaborativeRepository, Train
     for name in BYSTANDERS {
         repo.onboard_device(name, &signature(&mut rng)).unwrap();
     }
-    let events = rng.gen_range(20..44);
-    let mut halfway = None;
-    for event in 0..events {
-        if event == events / 2 {
-            halfway = Some(repo.training_set().clone());
-        }
+    for _ in 0..rng.gen_range(20..44) {
         let name = CONTRIBUTORS[rng.gen_range(0..CONTRIBUTORS.len())];
         let enrolled = repo.device_signature(name).is_some();
         match rng.gen_range(0..10) {
@@ -74,7 +65,7 @@ fn run_history(data: &CostDataset, seed: u64) -> (CollaborativeRepository, Train
             }
         }
     }
-    (repo, halfway.expect("every history has a middle"))
+    repo
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -111,9 +102,8 @@ fn assert_same_fit(
 #[test]
 fn factored_fits_are_the_dense_fits() {
     let data = CostDataset::tiny(29, 6, 4);
-    let mut warm_checked = 0;
     for seed in 0..HISTORIES {
-        let (mut repo, halfway) = run_history(&data, seed);
+        let mut repo = run_history(&data, seed);
         let gbdt = params(seed);
         let train = repo.training_set().clone();
         let x = train.matrix();
@@ -133,22 +123,5 @@ fn factored_fits_are_the_dense_fits() {
         for (f, cuts) in frozen.cut_grid().iter().enumerate() {
             assert_eq!(bits(cuts), bits(dense.1.cuts(f)), "seed {seed} feature {f}");
         }
-
-        // Warm: 20 trees of a model fitted halfway through, 10 boosted
-        // on every row.
-        if halfway.n_rows() == 0 {
-            continue;
-        }
-        let (prev, _) = GbdtRegressor::fit_factored(&halfway.factored(), halfway.labels(), &gbdt);
-        let dense_warm = GbdtRegressor::warm_fit_with_grid(&x, y, &gbdt, &prev, REUSED);
-        let factored_warm =
-            GbdtRegressor::warm_fit_factored(&train.factored(), y, &gbdt, &prev, REUSED);
-        assert_same_fit(&factored_warm, &dense_warm, &format!("seed {seed}, warm"));
-        assert_eq!(&factored_warm.0.trees()[..REUSED], &prev.trees()[..REUSED]);
-        warm_checked += 1;
     }
-    assert!(
-        warm_checked > HISTORIES / 2,
-        "only {warm_checked} warm refits"
-    );
 }

@@ -200,13 +200,14 @@ impl GbdtRegressor {
     /// Warm-start refit: reuses the first `reuse` trees of `prev` (and
     /// its base score) verbatim and boosts only the remaining
     /// `params.n_estimators - reuse` rounds against the residuals the
-    /// reused prefix leaves on `(x, y)`. Refit cost therefore scales
-    /// with the *new* rounds, not the whole ensemble, while the model
-    /// keeps a constant size.
+    /// reused prefix leaves on `(x, y)`. With `reuse == 0` this is
+    /// **exactly** [`GbdtRegressor::fit`], bit for bit.
     ///
-    /// With `reuse == 0` this is **exactly** [`GbdtRegressor::fit`] —
-    /// the same code path, bit for bit — so callers can dial warmth
-    /// down to a cold refit without changing semantics.
+    /// The server no longer warm-starts: every background refresh is a
+    /// cold [`GbdtRegressor::fit_factored`], because thresholds reused
+    /// from a model fitted on other rows are cuts of that model's grid,
+    /// not of the new rows', and the refit does not freeze. This stays
+    /// for `perfbench`'s `gbdt.warm_fit_ms` ledger stage.
     ///
     /// # Panics
     ///
@@ -221,38 +222,6 @@ impl GbdtRegressor {
         prev: &GbdtRegressor,
         reuse: usize,
     ) -> Self {
-        Self::warm_fit_with_grid(x, y, params, prev, reuse).0
-    }
-
-    /// [`GbdtRegressor::warm_fit`], also returning the bin grid the
-    /// ensemble was trained on (see [`GbdtRegressor::fit_with_grid`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`GbdtRegressor::warm_fit`].
-    pub fn warm_fit_with_grid(
-        x: &DenseMatrix,
-        y: &[f32],
-        params: &GbdtParams,
-        prev: &GbdtRegressor,
-        reuse: usize,
-    ) -> (Self, Arc<BinnedMatrix>) {
-        Self::warm_fit_factored(&FactoredMatrix::dense(x), y, params, prev, reuse)
-    }
-
-    /// [`GbdtRegressor::warm_fit_with_grid`] on a matrix held as column
-    /// blocks (see [`GbdtRegressor::fit_factored`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same conditions as [`GbdtRegressor::warm_fit`].
-    pub fn warm_fit_factored(
-        x: &FactoredMatrix<'_>,
-        y: &[f32],
-        params: &GbdtParams,
-        prev: &GbdtRegressor,
-        reuse: usize,
-    ) -> (Self, Arc<BinnedMatrix>) {
         assert!(
             reuse <= prev.trees.len(),
             "cannot reuse {reuse} trees from a {}-tree model",
@@ -264,14 +233,15 @@ impl GbdtRegressor {
             params.n_estimators
         );
         if reuse == 0 {
-            return Self::fit_factored(x, y, params);
+            return Self::fit(x, y, params);
         }
         assert_eq!(
             prev.n_features,
             x.n_cols(),
             "warm-start source feature count mismatch"
         );
-        Self::fit_boosted(x, y, params, Some((prev.base_score, &prev.trees[..reuse])))
+        let warm = Some((prev.base_score, &prev.trees[..reuse]));
+        Self::fit_boosted(&FactoredMatrix::dense(x), y, params, warm).0
     }
 
     /// The boosting loop behind [`GbdtRegressor::fit`] (`warm == None`)
@@ -814,9 +784,6 @@ mod tests {
             let bits = |cuts: &[f32]| cuts.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(grid.cuts(f)), bits(rebuilt.cuts(f)));
         }
-        let (warm, warm_grid) = GbdtRegressor::warm_fit_with_grid(&x, &y, &params, &model, 5);
-        assert_eq!(warm, GbdtRegressor::warm_fit(&x, &y, &params, &model, 5));
-        assert_eq!(warm_grid.feature_codes(0), rebuilt.feature_codes(0));
     }
 
     #[test]

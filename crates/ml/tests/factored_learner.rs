@@ -5,8 +5,7 @@
 //! fits group the same integer adds differently. Integer sums do not
 //! depend on grouping, and so `fit_factored` must give the model, the
 //! per-round training RMSE bits and the grid that `fit_with_grid` gives
-//! on `to_dense()`, and `warm_fit_factored` must give what
-//! `warm_fit_with_grid` gives. The matrices have one to three blocks,
+//! on `to_dense()`. The matrices have one to three blocks,
 //! identity or mapped, with repeated ids and table entries no row
 //! references; the targets run from 1e-3 to 1e6 in magnitude, some
 //! negative, so that the gradients do not all land on the grid; and some
@@ -141,15 +140,5 @@ proptest! {
 
         let cold = GbdtRegressor::fit_factored(&x, &y, &params);
         assert_same_fit(&cold, &GbdtRegressor::fit_with_grid(&dense, &y, &params));
-
-        // Warm: reuse a prefix of a model fitted to other targets.
-        let y_prev = draw_targets(&mut draw, n_rows);
-        let (prev, _) = GbdtRegressor::fit_factored(&x, &y_prev, &params);
-        let reuse = draw.below(params.n_estimators + 1);
-        let warm = GbdtRegressor::warm_fit_factored(&x, &y, &params, &prev, reuse);
-        assert_same_fit(
-            &warm,
-            &GbdtRegressor::warm_fit_with_grid(&dense, &y, &params, &prev, reuse),
-        );
     }
 }

@@ -34,18 +34,18 @@
 //!   and fsynced, then applied and acked, so a refused request never
 //!   reaches the log. The log is replayed over the latest snapshot on
 //!   startup through the same apply function. A background refresh
-//!   controller refits after `GDCM_SERVE_REFRESH_ROWS` new
-//!   contributions (warm-starting from the previous model's trees),
-//!   gates the result through the audit + flatcheck passes, atomically
-//!   swaps it in without blocking readers, and compacts the log into a
-//!   fresh snapshot — as does a fit, and the mutation that fills the
-//!   log to [`refresh::WAL_COMPACT_RECORDS`] records.
+//!   controller refits cold after `GDCM_SERVE_REFRESH_ROWS` new
+//!   contributions, or once fewer have gone quiet for
+//!   [`refresh::QUIET_PERIOD`], gates the result through the audit +
+//!   flatcheck passes, atomically swaps it in without blocking readers,
+//!   and compacts the log into a fresh snapshot — as does a fit, and
+//!   the mutation that fills the log to
+//!   [`refresh::WAL_COMPACT_RECORDS`] records.
 //!
 //! Environment knobs: `GDCM_SERVE_ENC_CACHE` / `GDCM_SERVE_PRED_CACHE`
-//! (cache capacities in entries, 0 disables),
-//! `GDCM_SERVE_REFRESH_ROWS` / `GDCM_SERVE_REFRESH_BOOST` (background
-//! refresh threshold and warm residual rounds), `GDCM_THREADS` (worker
-//! budget, via `gdcm-par`), `GDCM_OBS` (event sinks, via `gdcm-obs`).
+//! (cache capacities in entries, 0 disables), `GDCM_SERVE_REFRESH_ROWS`
+//! (background refresh threshold), `GDCM_THREADS` (worker budget, via
+//! `gdcm-par`), `GDCM_OBS` (event sinks, via `gdcm-obs`).
 //! Unparsable `GDCM_SERVE_*` values fall back to their defaults with a
 //! structured `config_warning` event.
 

@@ -15,22 +15,19 @@
 //!    Once the check passes the apply cannot fail: the check reads only
 //!    the device table, and only a logged onboarding, which also holds
 //!    the log lock, changes it.
-//! 2. **Threshold-triggered refresh.** Contributions are counted; once
-//!    `GDCM_SERVE_REFRESH_ROWS` new rows accumulate, the background
-//!    refresher (spawned by the server when refresh is enabled) copies
-//!    the training set under a brief read lock — shared encodings, row
-//!    ids, labels and signatures, not the matrix
-//!    ([`gdcm_core::TrainingSet`]) — then trains *off-lock* on its column
-//!    blocks, without a dense matrix ([`gdcm_core::TrainingSet::factored`]),
-//!    warm-starting from the previous model's trees so refit cost
-//!    scales with the residual rounds, not total rounds
-//!    ([`gdcm_ml::GbdtRegressor::warm_fit_factored`]) — runs the same
-//!    audit + flatcheck gate the snapshot loader applies, on the same
-//!    column blocks, and only then
-//!    atomically installs the new model
-//!    ([`ServingRepository::install_refit_on`], which records the grid as
-//!    cut from the rows it copied). Readers never wait on a fit: the
-//!    write guard is held for the pointer swap only.
+//! 2. **Background refresh.** Once `GDCM_SERVE_REFRESH_ROWS`
+//!    contributions are pending, or fewer have gone quiet for
+//!    [`QUIET_PERIOD`], the background refresher (spawned by the server
+//!    when refresh is enabled) copies the training set under a brief
+//!    read lock — shared encodings, row ids, labels and signatures
+//!    ([`gdcm_core::TrainingSet`]) — and off the lock fits cold on every
+//!    row, as the paper's repository refits, on its column blocks
+//!    ([`gdcm_ml::GbdtRegressor::fit_factored`]). The model must clear
+//!    the snapshot loader's audit + flatcheck gate, on the same blocks,
+//!    before it is installed ([`ServingRepository::install_refit_on`],
+//!    which records the grid as cut from the rows it copied). Readers
+//!    never wait on a fit: the write guard is held for the pointer swap
+//!    only.
 //! 3. **Compaction.** Saving the repository as a snapshot (atomically —
 //!    [`crate::snapshot::save_repository`]) and truncating the WAL
 //!    bounds replay work at the next startup. It runs under the WAL lock
@@ -43,7 +40,7 @@
 //!    since the cut — [`gdcm_core::CollaborativeRepository::grid_is_stale`]):
 //!    the save is refused, the skip is counted
 //!    (`serve/compactions_deferred`) and the log keeps its records until
-//!    the next refresh, which is cold, or the next fit.
+//!    the next refresh or fit.
 //!
 //! The epoch guard in [`ServingRepository`] is what makes the swap safe
 //! for in-flight readers: any prediction computed against the old model
@@ -62,44 +59,76 @@ use gdcm_dnn::Network;
 use gdcm_ml::{FrozenGbdt, GbdtRegressor};
 
 /// Background-refresh configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefreshConfig {
     /// Contributions that trigger a background refit; 0 disables the
     /// refresher entirely.
     pub refresh_rows: usize,
-    /// Boosting rounds to retrain on a warm-started refresh: the
-    /// previous model's first `n_estimators - warm_boost` trees are
-    /// reused and only `warm_boost` residual rounds are fitted. 0 means
-    /// every refresh is a cold fit.
-    pub warm_boost: usize,
 }
 
-/// Default residual rounds per warm refresh.
+/// Residual rounds of the [`GbdtRegressor::warm_fit`] that `perfbench`'s
+/// `gbdt.warm_fit_ms` ledger stage times. The server never warm-starts:
+/// every refresh is a cold fit. This goes when that stage goes.
 pub const DEFAULT_WARM_BOOST: usize = 8;
 
 /// WAL records at which a mutation compacts the log after applying,
 /// bounding replay work whether or not refresh is enabled.
 pub const WAL_COMPACT_RECORDS: u64 = 1024;
 
-impl Default for RefreshConfig {
-    fn default() -> Self {
+/// How long contributions pending below the threshold wait for another
+/// before the refresher trains on them (and compacts the log) anyway.
+pub const QUIET_PERIOD: Duration = Duration::from_secs(1);
+
+/// How often the refresher checks whether a cycle is due.
+const POLL: Duration = Duration::from_millis(25);
+
+impl RefreshConfig {
+    /// Reads `GDCM_SERVE_REFRESH_ROWS` (contribution threshold, 0 or
+    /// unset disables). An unparsable value falls back with a structured
+    /// warning, like every other `GDCM_SERVE_*` knob.
+    pub fn from_env() -> Self {
         Self {
-            refresh_rows: 0,
-            warm_boost: DEFAULT_WARM_BOOST,
+            refresh_rows: env_usize("GDCM_SERVE_REFRESH_ROWS", 0),
         }
     }
 }
 
-impl RefreshConfig {
-    /// Reads `GDCM_SERVE_REFRESH_ROWS` (contribution threshold, 0 or
-    /// unset disables) and `GDCM_SERVE_REFRESH_BOOST` (warm residual
-    /// rounds). Unparsable values fall back with a structured warning,
-    /// like every other `GDCM_SERVE_*` knob.
-    pub fn from_env() -> Self {
-        Self {
-            refresh_rows: env_usize("GDCM_SERVE_REFRESH_ROWS", 0),
-            warm_boost: env_usize("GDCM_SERVE_REFRESH_BOOST", DEFAULT_WARM_BOOST),
-        }
+/// Contributions since the last completed refresh.
+#[derive(Debug, Default)]
+struct Backlog {
+    rows: u64,
+    /// When the latest of them arrived; the quiet-period trigger takes
+    /// it, so one burst fires that trigger once.
+    armed: Option<Instant>,
+}
+
+impl Backlog {
+    fn add(&mut self, rows: u64) {
+        self.rows += rows;
+        self.armed = Some(Instant::now());
+        self.publish();
+    }
+
+    /// Takes off the rows a cycle started from; rows that arrived
+    /// during the cycle stay pending.
+    fn consume(&mut self, rows: u64) {
+        self.rows = self.rows.saturating_sub(rows);
+        self.publish();
+    }
+
+    /// Whether rows are pending and none has arrived for
+    /// [`QUIET_PERIOD`]; disarms the trigger when it fires, so a cycle
+    /// that cannot fit yet (too few rows) is not retried every poll.
+    fn quiet(&mut self) -> bool {
+        self.rows > 0
+            && self
+                .armed
+                .take_if(|t| t.elapsed() >= QUIET_PERIOD)
+                .is_some()
+    }
+
+    fn publish(&self) {
+        gdcm_obs::gauge("serve/refresh_pending_rows").set(self.rows as f64);
     }
 }
 
@@ -113,8 +142,7 @@ pub struct IngestPipeline<'a> {
     /// the refresh threshold).
     wal: Option<(Mutex<WriteAheadLog>, PathBuf)>,
     config: RefreshConfig,
-    /// Contributions since the last completed refresh.
-    pending_rows: Mutex<u64>,
+    backlog: Mutex<Backlog>,
     stop: AtomicBool,
     refreshes: AtomicU64,
     refreshes_rejected: AtomicU64,
@@ -128,7 +156,7 @@ impl<'a> IngestPipeline<'a> {
             serving,
             wal: None,
             config,
-            pending_rows: Mutex::new(0),
+            backlog: Mutex::new(Backlog::default()),
             stop: AtomicBool::new(false),
             refreshes: AtomicU64::new(0),
             refreshes_rejected: AtomicU64::new(0),
@@ -142,9 +170,10 @@ impl<'a> IngestPipeline<'a> {
     /// repository) by the caller — see [`WriteAheadLog::open`].
     ///
     /// Records recovered at open seed the refresh backlog: a crash
-    /// backlog counts toward the threshold immediately, so the next
-    /// refresh folds it into a snapshot instead of leaving it to be
-    /// replayed on every start until enough *new* contributions arrive.
+    /// backlog counts toward the threshold immediately and arms the
+    /// quiet-period trigger, so a refresh folds it into a snapshot
+    /// instead of leaving it to be replayed on every start until enough
+    /// *new* contributions arrive.
     pub fn with_wal(
         serving: &'a ServingRepository,
         wal: WriteAheadLog,
@@ -155,9 +184,7 @@ impl<'a> IngestPipeline<'a> {
         let recovered = wal.pending();
         pipeline.wal = Some((Mutex::new(wal), snapshot_path.to_path_buf()));
         if pipeline.refresh_enabled() && recovered > 0 {
-            let mut pending = pipeline.pending_rows.lock();
-            *pending = recovered;
-            gdcm_obs::gauge("serve/refresh_pending_rows").set(*pending as f64);
+            pipeline.backlog.lock().add(recovered);
         }
         pipeline
     }
@@ -170,7 +197,7 @@ impl<'a> IngestPipeline<'a> {
     /// Whether a refresh cycle is due right now: refresh is enabled and
     /// the contribution threshold is crossed.
     pub fn refresh_due(&self) -> bool {
-        self.refresh_enabled() && *self.pending_rows.lock() >= self.config.refresh_rows as u64
+        self.refresh_enabled() && self.pending_rows() >= self.config.refresh_rows as u64
     }
 
     /// Completed background refreshes.
@@ -185,7 +212,7 @@ impl<'a> IngestPipeline<'a> {
 
     /// Contributions accumulated toward the next refresh.
     pub fn pending_rows(&self) -> u64 {
-        *self.pending_rows.lock()
+        self.backlog.lock().rows
     }
 
     /// WAL records awaiting compaction (0 when no WAL is attached).
@@ -265,9 +292,7 @@ impl<'a> IngestPipeline<'a> {
             }
         }
         if self.refresh_enabled() && matches!(record, WalRecord::Contribute { .. }) {
-            let mut pending = self.pending_rows.lock();
-            *pending += 1;
-            gdcm_obs::gauge("serve/refresh_pending_rows").set(*pending as f64);
+            self.backlog.lock().add(1);
         }
         Ok(())
     }
@@ -277,85 +302,62 @@ impl<'a> IngestPipeline<'a> {
         self.stop.store(true, Ordering::Release);
     }
 
-    /// The background refresher loop: polls [`Self::refresh_due`], then
-    /// refits and swaps. Run on a dedicated thread by
-    /// [`crate::server::serve`] when refresh is enabled. A gate-rejected
-    /// refresh is logged and the loop keeps serving the old model. The
-    /// poll interval (25 ms against an uncontended mutex) bounds refresh
-    /// latency. A `Condvar` could wake the loop sooner (the vendored
-    /// `parking_lot` shim hands out std guards, and `gdcm-par` already
-    /// waits on a std `Condvar` with them), but a refit takes orders of
-    /// magnitude longer than a poll tick, so it would buy nothing.
+    /// The background refresher loop: runs a cycle when
+    /// [`Self::refresh_due`], or when contributions below the threshold
+    /// have gone quiet for [`QUIET_PERIOD`]. Run on a dedicated thread
+    /// by [`crate::server::serve`] when refresh is enabled. A
+    /// gate-rejected refresh is logged and the old model keeps serving.
+    /// The 25 ms poll bounds refresh latency; a `Condvar` would buy
+    /// nothing, since a refit takes orders of magnitude longer.
     pub fn run(&self) {
         while !self.stop.load(Ordering::Acquire) {
-            if !self.refresh_due() {
-                std::thread::park_timeout(Duration::from_millis(25));
+            if !(self.refresh_due() || self.backlog.lock().quiet()) {
+                std::thread::park_timeout(POLL);
                 continue;
             }
-            if let Err(e) = self.refresh_once() {
-                gdcm_obs::event(
+            match self.refresh_once() {
+                Ok(true) => {}
+                // Too few rows to fit: wait a poll rather than copy the
+                // training set again at once.
+                Ok(false) => std::thread::park_timeout(POLL),
+                Err(e) => gdcm_obs::event(
                     "refresh_rejected",
                     "serve",
                     &[("error", gdcm_obs::FieldValue::Str(e.to_string()))],
-                );
+                ),
             }
         }
     }
 
     /// One refresh cycle: copy the training set under a brief read
-    /// lock, then off-lock (warm-)fit, freeze and audit on one view of
-    /// its column blocks, then swap and compact. No step expands the
-    /// rows into a dense matrix. Returns `Ok(false)` when there is not
-    /// yet enough data to fit. A stale grid makes the cycle cold.
+    /// lock, then off-lock fit cold on every row, freeze and audit on
+    /// one view of its column blocks, then swap and compact. No step
+    /// expands the rows into a dense matrix. Returns `Ok(false)` when
+    /// there is not yet enough data to fit.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::AuditRejected`] when the refreshed model
-    /// fails the audit + flatcheck gate (the old model keeps serving).
-    /// A failed compaction is logged, not returned: the swap stands and
-    /// the log keeps its records.
+    /// fails the freeze or the audit + flatcheck gate (the old model
+    /// keeps serving). A failed compaction is logged, not returned: the
+    /// swap stands and the log keeps its records.
     pub fn refresh_once(&self) -> Result<bool, ServeError> {
         let _span = gdcm_obs::span!("serve/refresh");
-        let take = *self.pending_rows.lock();
+        let take = self.pending_rows();
         // Copy what training needs under the read lock — shared
         // encodings, ids, labels and signatures, not the matrix — and
         // fit off-lock.
-        let (train, gbdt, min_rows, prev, stale) = self.serving.with_repository(|repo| {
-            (
-                repo.training_set().clone(),
-                repo.config().gbdt,
-                repo.config().min_rows,
-                repo.model().cloned(),
-                repo.grid_is_stale(),
-            )
-        });
-        if train.n_rows() < min_rows {
+        let (train, config) = self
+            .serving
+            .with_repository(|repo| (repo.training_set().clone(), repo.config().clone()));
+        let gbdt = config.gbdt;
+        if train.n_rows() < config.min_rows {
             return Ok(false);
         }
         let started = Instant::now();
         let x = train.factored();
         let y = train.labels();
-        // Warm-start only when the previous model is shaped like the
-        // configured fit and its grid is not stale; any mismatch
-        // (hyper-parameter change, feature width change after a
-        // signature-set change, a re-enroll since the last fit) falls
-        // back cold.
-        let reuse = match &prev {
-            Some(prev)
-                if !stale
-                    && self.config.warm_boost > 0
-                    && self.config.warm_boost < gbdt.n_estimators
-                    && prev.n_trees() == gbdt.n_estimators
-                    && prev.n_features() == x.n_cols() =>
-            {
-                gbdt.n_estimators - self.config.warm_boost
-            }
-            _ => 0,
-        };
-        let (model, grid) = match (&prev, reuse) {
-            (Some(prev), r) if r > 0 => GbdtRegressor::warm_fit_factored(&x, y, &gbdt, prev, r),
-            _ => GbdtRegressor::fit_factored(&x, y, &gbdt),
-        };
+        let (model, grid) = GbdtRegressor::fit_factored(&x, y, &gbdt);
         // A freeze failure is handled exactly like an audit rejection —
         // count it, consume the pending rows, keep serving the old
         // model — rather than panicking the refresher thread (which
@@ -384,11 +386,7 @@ impl<'a> IngestPipeline<'a> {
         drop((x, grid));
         let epoch = self.serving.install_refit_on(model, frozen, &train)?;
         let fit_ms = started.elapsed().as_secs_f64() * 1e3;
-        {
-            let mut pending = self.pending_rows.lock();
-            *pending = pending.saturating_sub(take);
-            gdcm_obs::gauge("serve/refresh_pending_rows").set(*pending as f64);
-        }
+        self.backlog.lock().consume(take);
         self.refreshes.fetch_add(1, Ordering::Relaxed);
         gdcm_obs::counter("serve/refreshes").incr();
         gdcm_obs::histogram("serve/refresh_fit_ms").record(fit_ms);
@@ -398,7 +396,6 @@ impl<'a> IngestPipeline<'a> {
             &[
                 ("epoch", gdcm_obs::FieldValue::U64(epoch)),
                 ("rows", gdcm_obs::FieldValue::U64(y.len() as u64)),
-                ("reused_trees", gdcm_obs::FieldValue::U64(reuse as u64)),
                 ("fit_ms", gdcm_obs::FieldValue::F64(fit_ms)),
             ],
         );
@@ -415,9 +412,7 @@ impl<'a> IngestPipeline<'a> {
     fn reject_refresh(&self, take: u64, error: ServeError) -> ServeError {
         self.refreshes_rejected.fetch_add(1, Ordering::Relaxed);
         gdcm_obs::counter("serve/refreshes_rejected").incr();
-        let mut pending = self.pending_rows.lock();
-        *pending = pending.saturating_sub(take);
-        gdcm_obs::gauge("serve/refresh_pending_rows").set(*pending as f64);
+        self.backlog.lock().consume(take);
         error
     }
 

@@ -60,7 +60,7 @@ use gdcm_audit::DatasetLints;
 use gdcm_core::{CollaborativeRepository, RepositoryError, RepositoryParts, RepositoryPartsV1};
 use gdcm_ml::{FactoredMatrix, FrozenGbdt, GbdtParams, GbdtRegressor};
 use serde::{Deserialize, Serialize};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::Path;
 
 use crate::ServeError;
@@ -249,26 +249,36 @@ pub(crate) fn audit_model_artifacts(
 /// are written and fsynced to a `.tmp` sibling, then renamed over the
 /// destination, so a crash mid-save can never leave a torn file where a
 /// valid snapshot used to be — readers observe either the old snapshot
-/// or the new one, nothing in between.
+/// or the new one, nothing in between. The document is streamed
+/// through a buffer, field by field ([`RepositoryParts::write_json`]),
+/// never held whole.
 ///
 /// # Errors
 ///
 /// Refuses a stale grid with [`RepositoryError::StaleGrid`], writing
-/// nothing, and fails on serialization or filesystem errors.
+/// nothing, and fails on filesystem errors.
 pub fn save_repository(repo: &CollaborativeRepository, path: &Path) -> Result<(), ServeError> {
     let _span = gdcm_obs::span!("serve/snapshot_save");
     if repo.grid_is_stale() {
         return Err(RepositoryError::StaleGrid.into());
     }
-    let snapshot = RepositorySnapshot::capture(repo);
-    let json = serde_json::to_string(&snapshot).map_err(|e| ServeError::Json(e.to_string()))?;
+    let parts = repo.to_parts();
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(json.as_bytes())?;
-        file.sync_all()?;
+        // The bytes of `RepositorySnapshot::capture(repo)` as
+        // `serde_json::to_string` writes them.
+        let mut out = io::BufWriter::new(std::fs::File::create(&tmp)?);
+        write!(
+            out,
+            "{{\"format\":\"{SNAPSHOT_FORMAT}\",\"version\":{SNAPSHOT_VERSION},\"parts\":"
+        )?;
+        parts.write_json(&mut out)?;
+        out.write_all(b"}")?;
+        out.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
     // Durability of the rename itself: fsync the parent directory when

@@ -120,10 +120,7 @@ fn re_enroll_during_a_refresh_defers_compaction_to_a_cold_refresh() {
         &serving,
         wal,
         &snapshot_path,
-        RefreshConfig {
-            refresh_rows: 1,
-            ..RefreshConfig::default()
-        },
+        RefreshConfig { refresh_rows: 1 },
     );
 
     // The refresher copies the rows; a re-enroll lands; the refresher

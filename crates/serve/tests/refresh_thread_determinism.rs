@@ -10,8 +10,8 @@ mod common;
 use common::fitted_repository;
 use gdcm_serve::{IngestPipeline, RefreshConfig, ServeConfig, ServingRepository};
 
-/// Runs the refresh path (contribute past the threshold, `refresh_once`
-/// with `warm_boost: 0`, i.e. a cold refit) and a direct cold
+/// Runs the refresh path (contribute past the threshold, then
+/// `refresh_once`, which always refits cold) and a direct cold
 /// `CollaborativeRepository::fit` on identical rows, at 1 and 4
 /// threads, and demands one set of prediction bits from all four runs.
 #[test]
@@ -26,13 +26,7 @@ fn refresh_swapped_predictions_equal_a_cold_fit_at_any_thread_count() {
         let (repo, nets) = fitted_repository(41);
         let device = repo.device_names()[0].to_string();
         let serving = ServingRepository::new(repo, ServeConfig::default());
-        let pipeline = IngestPipeline::new(
-            &serving,
-            RefreshConfig {
-                refresh_rows: 4,
-                warm_boost: 0,
-            },
-        );
+        let pipeline = IngestPipeline::new(&serving, RefreshConfig { refresh_rows: 4 });
         for (i, net) in nets.iter().take(4).enumerate() {
             pipeline.contribute(&device, net, 15.0 + i as f64).unwrap();
         }

@@ -7,12 +7,14 @@
 mod common;
 
 use common::{fitted_repository, Rng};
-use gdcm_serve::refresh::WAL_COMPACT_RECORDS;
+use gdcm_core::CollaborativeRepository;
+use gdcm_serve::refresh::{QUIET_PERIOD, WAL_COMPACT_RECORDS};
 use gdcm_serve::{
     load_repository, replay_record, save_repository, IngestPipeline, RefreshConfig, ServeConfig,
     ServeError, ServingRepository, WriteAheadLog,
 };
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn scratch_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gdcm_refresh_tests_{}", std::process::id()));
@@ -161,15 +163,13 @@ fn acked_wal_records_survive_a_crash_and_replay() {
 fn unparsable_env_knob_warns_and_falls_back() {
     let before = gdcm_obs::counter("serve/config_env_invalid").get();
     std::env::set_var("GDCM_SERVE_REFRESH_ROWS", "a-few-hundred");
-    std::env::set_var("GDCM_SERVE_REFRESH_BOOST", "-3");
     let config = RefreshConfig::from_env();
     std::env::remove_var("GDCM_SERVE_REFRESH_ROWS");
-    std::env::remove_var("GDCM_SERVE_REFRESH_BOOST");
     assert_eq!(config, RefreshConfig::default());
     assert_eq!(
         gdcm_obs::counter("serve/config_env_invalid").get(),
-        before + 2,
-        "each unparsable knob must be counted once"
+        before + 1,
+        "an unparsable knob must be counted once"
     );
 }
 
@@ -436,10 +436,7 @@ fn recovered_wal_records_seed_the_refresh_backlog() {
             &serving,
             wal,
             &snapshot_path,
-            RefreshConfig {
-                refresh_rows: 100,
-                ..RefreshConfig::default()
-            },
+            RefreshConfig { refresh_rows: 100 },
         );
         for (i, net) in nets.iter().take(3).enumerate() {
             pipeline.contribute(&device, net, 10.0 + i as f64).unwrap();
@@ -455,10 +452,7 @@ fn recovered_wal_records_seed_the_refresh_backlog() {
         &serving,
         wal,
         &snapshot_path,
-        RefreshConfig {
-            refresh_rows: 100,
-            ..RefreshConfig::default()
-        },
+        RefreshConfig { refresh_rows: 100 },
     );
     assert_eq!(
         pipeline.pending_rows(),
@@ -490,10 +484,7 @@ fn wal_compacts_via_backstop_without_contribution_threshold() {
         &serving,
         wal,
         &snapshot_path,
-        RefreshConfig {
-            refresh_rows: 0, // contribution threshold disabled
-            ..RefreshConfig::default()
-        },
+        RefreshConfig { refresh_rows: 0 }, // contribution threshold disabled
     );
     assert!(!pipeline.refresh_enabled() && !pipeline.refresh_due());
     let served: Vec<u64> = nets
@@ -595,10 +586,7 @@ fn refresh_swaps_a_new_model_and_compacts_the_wal() {
         &serving,
         wal,
         &snapshot_path,
-        RefreshConfig {
-            refresh_rows: 4,
-            warm_boost: 8,
-        },
+        RefreshConfig { refresh_rows: 4 },
     );
     let epoch_before = serving.model_epoch();
 
@@ -630,4 +618,107 @@ fn refresh_swaps_a_new_model_and_compacts_the_wal() {
     }
     std::fs::remove_file(&wal_path).ok();
     std::fs::remove_file(&snapshot_path).ok();
+}
+
+/// Polls `done` until it holds, failing after `within`.
+fn wait_for(what: &str, within: Duration, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + within;
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Contributions that land after a refresh's compaction sit below the
+/// threshold. Once none has arrived for the quiet period, the running
+/// refresher trains on them and compacts the log: the WAL drains and
+/// nothing stays pending, and the snapshot alone serves the new bits.
+#[test]
+fn quiet_period_drains_contributions_left_below_the_threshold() {
+    let (repo, nets) = fitted_repository(42);
+    let snapshot_path = scratch_path("quiet_snapshot.json");
+    let wal_path = scratch_path("quiet.wal");
+    std::fs::remove_file(&wal_path).ok();
+    save_repository(&repo, &snapshot_path).unwrap();
+    let rows_before = repo.n_rows();
+    let device = repo.device_names()[0].to_string();
+
+    let serving = ServingRepository::new(repo, ServeConfig::default());
+    let (wal, _, _) = WriteAheadLog::open(&wal_path).unwrap();
+    let pipeline = IngestPipeline::with_wal(
+        &serving,
+        wal,
+        &snapshot_path,
+        RefreshConfig { refresh_rows: 4 },
+    );
+    let within = QUIET_PERIOD * 30;
+    std::thread::scope(|scope| {
+        let refresher = scope.spawn(|| pipeline.run());
+        for (i, net) in nets.iter().take(4).enumerate() {
+            pipeline.contribute(&device, net, 20.0 + i as f64).unwrap();
+        }
+        wait_for("the threshold cycle and its compaction", within, || {
+            pipeline.refreshes() == 1 && pipeline.wal_records() == 0
+        });
+
+        // Two rows after the compaction: below the threshold of four.
+        for (i, net) in nets.iter().skip(4).take(2).enumerate() {
+            pipeline.contribute(&device, net, 30.0 + i as f64).unwrap();
+        }
+        assert!(!pipeline.refresh_due());
+        wait_for("the quiet-period cycle", within, || {
+            pipeline.refreshes() == 2 && pipeline.wal_records() == 0 && pipeline.pending_rows() == 0
+        });
+        pipeline.stop();
+        refresher.thread().unpark();
+        refresher.join().unwrap();
+    });
+    assert_eq!(pipeline.refreshes_rejected(), 0);
+
+    // The drained rows are trained on and folded into the snapshot.
+    let reloaded = load_repository(&snapshot_path).unwrap();
+    assert_eq!(reloaded.n_rows(), rows_before + 6);
+    assert_eq!(reloaded.grid_rows(), rows_before + 6);
+    for net in &nets {
+        let live = serving
+            .with_repository(|r| r.predict(&device, net))
+            .unwrap();
+        assert_eq!(
+            live.to_bits(),
+            reloaded.predict(&device, net).unwrap().to_bits()
+        );
+    }
+    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_file(&snapshot_path).ok();
+}
+
+/// A repository below `min_rows` cannot fit. With the threshold crossed
+/// the running refresher waits a poll between attempts, rather than
+/// copying the training set again in a hot loop (about a dozen attempts
+/// in 300 ms, where a loop without the wait makes thousands).
+#[test]
+fn refresher_below_min_rows_waits_between_attempts() {
+    let (repo, nets) = fitted_repository(44);
+    let device = repo.device_names()[0].to_string();
+    let mut parts = repo.to_parts();
+    parts.config.min_rows = 10_000;
+    let repo = CollaborativeRepository::from_parts(parts).unwrap();
+    let serving = ServingRepository::new(repo, ServeConfig::default());
+    let pipeline = IngestPipeline::new(&serving, RefreshConfig { refresh_rows: 1 });
+    pipeline.contribute(&device, &nets[0], 20.0).unwrap();
+    assert!(pipeline.refresh_due());
+
+    let attempts = || gdcm_obs::span::stats("serve/refresh").map_or(0, |s| s.count);
+    let before = attempts();
+    std::thread::scope(|scope| {
+        let refresher = scope.spawn(|| pipeline.run());
+        std::thread::sleep(Duration::from_millis(300));
+        pipeline.stop();
+        refresher.thread().unpark();
+        refresher.join().unwrap();
+    });
+    // Other tests in this binary refresh a few times meanwhile.
+    let made = attempts() - before;
+    assert!(made <= 40, "{made} refresh attempts in 300 ms");
+    assert_eq!((pipeline.refreshes(), pipeline.pending_rows()), (0, 1));
 }

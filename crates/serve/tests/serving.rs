@@ -6,10 +6,12 @@
 mod common;
 
 use common::fitted_repository;
-use gdcm_core::CollaborativeRepository;
+use gdcm_core::{CollaborativeRepository, RepositoryError};
 use gdcm_dnn::Network;
 use gdcm_gen::{RandomNetworkGenerator, SearchSpace};
-use gdcm_ml::{FrozenGbdt, FrozenNodes, GbdtRegressor, Regressor, Tree, TreeNode};
+use gdcm_ml::{
+    FrozenGbdt, FrozenNodes, GbdtParams, GbdtRegressor, Regressor, Tree, TreeNode, MAX_BINS,
+};
 use gdcm_serve::{
     load_repository, network_hash, save_repository, IngestPipeline, RefreshConfig,
     RepositorySnapshot, ServeConfig, ServeError, ServingRepository, SNAPSHOT_FORMAT,
@@ -281,6 +283,59 @@ fn audit_rejects_snapshot_with_corrupt_model() {
         other => panic!("corrupt model accepted: {other:?}"),
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Saves a fitted snapshot with its `config.gbdt` edited, then loads it.
+fn load_with_gbdt(
+    name: &str,
+    edit: impl FnOnce(&mut GbdtParams),
+) -> Result<CollaborativeRepository, ServeError> {
+    let (repo, _) = fitted_repository(20);
+    let mut snapshot = RepositorySnapshot::capture(&repo);
+    edit(&mut snapshot.parts.config.gbdt);
+    let path = scratch_path(name);
+    std::fs::write(&path, serde_json::to_string(&snapshot).unwrap()).unwrap();
+    let loaded = load_repository(&path);
+    std::fs::remove_file(&path).ok();
+    loaded
+}
+
+fn assert_refused(loaded: Result<CollaborativeRepository, ServeError>, field: &str) {
+    match loaded {
+        Err(ServeError::Repository(RepositoryError::CorruptParts { reason })) => {
+            assert!(reason.contains(field), "unhelpful reason: {reason}");
+        }
+        other => panic!("a snapshot with an unusable {field} loaded: {other:?}"),
+    }
+}
+
+/// A bin budget outside `1..=MAX_BINS` would panic in the load-time
+/// audit's grid rebuild; the load refuses the file instead.
+#[test]
+fn snapshot_with_an_unusable_max_bins_is_refused() {
+    for max_bins in [0, MAX_BINS + 1] {
+        let loaded = load_with_gbdt("max_bins.json", |gbdt| gbdt.max_bins = max_bins);
+        assert_refused(loaded, "max_bins");
+    }
+}
+
+/// A row fraction outside (0, 1] loads today and panics at the first
+/// fit, on the server's refresher thread; the load refuses it.
+#[test]
+fn snapshot_with_an_unusable_subsample_is_refused() {
+    for subsample in [0.0, -0.5, 1.5] {
+        let loaded = load_with_gbdt("subsample.json", |gbdt| gbdt.subsample = subsample);
+        assert_refused(loaded, "subsample");
+    }
+}
+
+/// The column fraction is held to (0, 1] the same way.
+#[test]
+fn snapshot_with_an_unusable_colsample_bytree_is_refused() {
+    for colsample in [0.0, -0.5, 1.5] {
+        let loaded = load_with_gbdt("colsample.json", |gbdt| gbdt.colsample_bytree = colsample);
+        assert_refused(loaded, "colsample_bytree");
+    }
 }
 
 #[test]
