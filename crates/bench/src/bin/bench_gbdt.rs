@@ -24,7 +24,12 @@
 //! than the dense one: the learner builds a mapped block's histograms
 //! from per-entry sums, at most 108 networks or 84 devices a node here,
 //! so a fall back to one add per row fails the run without an absolute
-//! timing bound.
+//! timing bound. It counts the histogram sets the column-block fit built
+//! from rows and derived by subtraction (the `ml/tree/hist_built` and
+//! `ml/tree/hist_derived` counters), and fails unless at least
+//! [`MIN_DERIVED_SHARE`] of the searched nodes derived theirs: a learner
+//! that builds every node's histograms from its rows fails it, again
+//! without a timing bound.
 //!
 //! The `repository_audit` section audits that fit as the serving stack
 //! does — `gdcm_audit::audit_trained_artifacts` with the pipeline lint
@@ -72,6 +77,11 @@ const MIN_SPLIT_SPEEDUP: f64 = 4.0;
 /// Smallest identity-block / column-block audit time ratio the
 /// `repository_audit` section accepts.
 const MIN_AUDIT_SPEEDUP: f64 = 4.0;
+
+/// Smallest share of searched nodes whose histograms the
+/// `repository_fit` section's column-block fit derives from its parent's
+/// instead of building them.
+const MIN_DERIVED_SHARE: f64 = 1.0 / 3.0;
 
 #[derive(Serialize)]
 struct ThreadSample {
@@ -159,6 +169,12 @@ struct RepositoryFit {
     models_equal: bool,
     /// Dense split-search ms over column-block split-search ms.
     split_search_speedup: f64,
+    /// Histogram sets one column-block fit built from rows, and derived
+    /// as a parent's minus a sibling's: one per searched node.
+    hists_built: u64,
+    hists_derived: u64,
+    /// `hists_derived` over the searched nodes.
+    derived_share: f64,
     factored: FitPath,
     dense: FitPath,
 }
@@ -283,9 +299,16 @@ fn repository_fit(fast: bool, reps: usize) -> (RepositoryFit, CollaborativeRepos
         _ => Some(path),
     };
     let (mut factored, mut dense, mut dense_fit) = (None, None, None);
+    let (built, derived) = (
+        gdcm_obs::counter("ml/tree/hist_built"),
+        gdcm_obs::counter("ml/tree/hist_derived"),
+    );
+    let (mut hists_built, mut hists_derived) = (0, 0);
     for _ in 0..reps {
+        let (built_before, derived_before) = (built.get(), derived.get());
         repo.fit()
             .expect("the paper's training set is far above min_rows");
+        (hists_built, hists_derived) = (built.get() - built_before, derived.get() - derived_before);
         let start = Instant::now();
         let view = train.factored();
         let view_ms = ms_since(start);
@@ -322,11 +345,13 @@ fn repository_fit(fast: bool, reps: usize) -> (RepositoryFit, CollaborativeRepos
     );
     let (rows, features) = (train.n_rows(), dense_grid.n_features());
     let split_search_speedup = dense.split_search_ms / factored.split_search_ms;
+    let derived_share = hists_derived as f64 / (hists_built + hists_derived) as f64;
     eprintln!(
         "[repository fit] {rows} rows x {features} features, {n_estimators} trees, fastest of \
          {reps}: column blocks {:.0} ms (view {:.1}, bin {:.1}, split {:.1}, update {:.1}), \
          dense {:.0} ms (matrix {:.1}, bin {:.1}, split {:.1}, update {:.1}), \
-         split search {split_search_speedup:.1}x faster on column blocks",
+         split search {split_search_speedup:.1}x faster on column blocks; histograms of \
+         {hists_built} nodes built, {hists_derived} derived",
         factored.fit_ms,
         factored.build_ms,
         factored.bin_ms,
@@ -345,6 +370,12 @@ fn repository_fit(fast: bool, reps: usize) -> (RepositoryFit, CollaborativeRepos
         factored.split_search_ms,
         dense.split_search_ms,
     );
+    assert!(
+        derived_share >= MIN_DERIVED_SHARE,
+        "{hists_derived} of {} searched nodes derived their histograms, below a share of \
+         {MIN_DERIVED_SHARE:.3}; does every node build its own again?",
+        hists_built + hists_derived,
+    );
     let fit = RepositoryFit {
         training_devices,
         open_networks,
@@ -353,6 +384,9 @@ fn repository_fit(fast: bool, reps: usize) -> (RepositoryFit, CollaborativeRepos
         n_estimators,
         models_equal,
         split_search_speedup,
+        hists_built,
+        hists_derived,
+        derived_share,
         factored,
         dense,
     };

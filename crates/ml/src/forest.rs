@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::binning::BinnedMatrix;
 use crate::dataset::{assert_finite_targets, DenseMatrix, FactoredMatrix};
-use crate::tree::{Tree, TreeParams};
+use crate::tree::{FitScratch, Tree, TreeParams};
 use crate::Regressor;
 
 /// Histogram bin budget used by [`RandomForestRegressor::fit`].
@@ -76,9 +76,16 @@ impl RandomForestRegressor {
                 (rows, feats)
             })
             .collect();
-        let trees = gdcm_par::pool().par_map(&samples, |(rows, feats)| {
-            Tree::fit(&binned, &grad, rows, feats, &params)
+        let grown = gdcm_par::pool().par_map(&samples, |(rows, feats)| {
+            let scratch = &mut FitScratch::default();
+            let g = Tree::grow(&binned, None, &grad, rows.clone(), feats, &params, scratch);
+            (g.tree, g.hists_built, g.hists_derived)
         });
+        let built = grown.iter().map(|g| g.1).sum();
+        let derived = grown.iter().map(|g| g.2).sum();
+        gdcm_obs::counter("ml/tree/hist_built").add(built);
+        gdcm_obs::counter("ml/tree/hist_derived").add(derived);
+        let trees = grown.into_iter().map(|g| g.0).collect();
         Self {
             trees,
             n_features: x.n_cols(),

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use crate::binning::BinnedMatrix;
 use crate::dataset::{assert_finite_targets, DenseMatrix, FactoredMatrix};
-use crate::tree::{Tree, TreeParams};
+use crate::tree::{FitScratch, Tree, TreeParams};
 use crate::Regressor;
 
 /// Minimum `rows × trees` work below which batch prediction stays on
@@ -101,8 +101,10 @@ pub struct TrainingLog {
     pub bin_ms: f64,
     /// Wall time spent growing trees (ms): putting each round's
     /// gradients on the tree's integer grid, summing them per table
-    /// entry of each node's column blocks, building and scanning the
-    /// split histograms from those sums, and partitioning rows.
+    /// entry of the column blocks of each node that builds its
+    /// histograms (after a split, the child with fewer rows), building
+    /// those histograms from the sums, deriving its sibling's as the
+    /// parent's minus its own, scanning them, and partitioning rows.
     pub split_search_ms: f64,
     /// End-to-end `fit` wall time (ms).
     pub total_ms: f64,
@@ -114,8 +116,11 @@ pub struct TrainingLog {
     /// split-search jobs. `busy / wall` approximates the achieved
     /// parallel speedup of the split phase.
     pub split_search_busy_ms: f64,
-    /// Wall time of the serial per-round predict/residual update (ms) —
-    /// the portion of `total_ms` that does not parallelize.
+    /// Wall time of the serial per-round prediction and residual
+    /// update (ms), the portion of `total_ms` that does not
+    /// parallelize: adding each leaf's weight to the rows of its range
+    /// in the tree's partitioned row list, walking the new tree for the
+    /// rows a subsample left out, and summing the squared error.
     pub predict_update_ms: f64,
     /// Trees carried over from a previous model by
     /// [`GbdtRegressor::warm_fit`]; 0 for a cold fit. `default` so old
@@ -304,12 +309,13 @@ impl GbdtRegressor {
             }
         }
         let rounds = params.n_estimators - reused.len();
-        let all_rows: Vec<usize> = (0..n).collect();
         let mut trees = Vec::with_capacity(params.n_estimators);
         trees.extend_from_slice(reused);
         let mut round_train_rmse = Vec::with_capacity(rounds);
         let mut split_search_ms = 0.0f64;
         let mut predict_update_ms = 0.0f64;
+        let (mut hists_built, mut hists_derived) = (0u64, 0u64);
+        let mut scratch = FitScratch::default();
         let pool = gdcm_par::pool();
         let threads_used = pool.threads();
         let pool_busy_at_start_ms = pool.total_busy_ms();
@@ -323,14 +329,14 @@ impl GbdtRegressor {
                 .map(|(&p, &target)| p - target as f64)
                 .collect();
 
-            let rows: Vec<usize> = if params.subsample < 1.0 {
+            // The tree's rows, and the rows a subsample leaves out.
+            let mut rows: Vec<usize> = (0..n).collect();
+            let left_out = if params.subsample < 1.0 {
                 let k = ((n as f32 * params.subsample).round() as usize).max(1);
-                let mut sampled = all_rows.clone();
-                sampled.shuffle(&mut rng);
-                sampled.truncate(k);
-                sampled
+                rows.shuffle(&mut rng);
+                rows.split_off(k)
             } else {
-                all_rows.clone()
+                Vec::new()
             };
 
             let feats: Vec<usize> = if params.colsample_bytree < 1.0 {
@@ -346,19 +352,41 @@ impl GbdtRegressor {
             // Hot loop: accumulate raw `Instant` deltas locally instead
             // of opening a span per round (see gdcm-obs docs).
             let split_start = Instant::now();
-            let mut tree = Tree::fit_shared(&binned, &grad, &rows, &feats, &tree_params);
+            let mut grown = Tree::grow(
+                &binned,
+                Some(&binned),
+                &grad,
+                rows,
+                &feats,
+                &tree_params,
+                &mut scratch,
+            );
             split_search_ms += split_start.elapsed().as_secs_f64() * 1e3;
-            tree.scale_leaves(params.learning_rate);
+            hists_built += grown.hists_built;
+            hists_derived += grown.hists_derived;
+            grown.tree.scale_leaves(params.learning_rate);
+            // Each row gets its leaf's weight once: from the leaf ranges
+            // of the tree's partition, or, for a row the subsample left
+            // out, from a walk. Both reach the same leaf (see the tree
+            // module's "Leaf ranges"). The squared error is then summed
+            // in row order, as a walk over every row would sum it.
             let update_start = Instant::now();
+            for (weight, rows) in grown.leaf_rows() {
+                for &i in rows {
+                    preds[i] += weight as f64;
+                }
+            }
+            for &i in &left_out {
+                preds[i] += grown.tree.predict_with(|f| x.get(i, f)) as f64;
+            }
             let mut sq_err = 0.0f64;
-            for i in 0..n {
-                preds[i] += tree.predict_with(|f| x.get(i, f)) as f64;
-                let residual = preds[i] - y[i] as f64;
+            for (&pred, &target) in preds.iter().zip(y) {
+                let residual = pred - target as f64;
                 sq_err += residual * residual;
             }
             predict_update_ms += update_start.elapsed().as_secs_f64() * 1e3;
             round_train_rmse.push((sq_err / n as f64).sqrt() as f32);
-            trees.push(tree);
+            trees.push(grown.tree);
         }
 
         let log = TrainingLog {
@@ -374,6 +402,8 @@ impl GbdtRegressor {
             reused_trees: reused.len(),
         };
         gdcm_obs::counter("ml/gbdt/fits").incr();
+        gdcm_obs::counter("ml/tree/hist_built").add(hists_built);
+        gdcm_obs::counter("ml/tree/hist_derived").add(hists_derived);
         gdcm_obs::histogram("ml/gbdt/fit_ms").record(log.total_ms);
         if gdcm_obs::emitting() {
             // Successive fits append to one flat series; the
@@ -415,6 +445,8 @@ impl GbdtRegressor {
                         "reused_trees",
                         gdcm_obs::FieldValue::U64(log.reused_trees as u64),
                     ),
+                    ("hists_built", gdcm_obs::FieldValue::U64(hists_built)),
+                    ("hists_derived", gdcm_obs::FieldValue::U64(hists_derived)),
                 ],
             );
         }

@@ -15,50 +15,95 @@
 //! `n · max|g| · 2^s ≤ 2^62`, capped at 1022 so that `2^-s` is a normal
 //! f64, and each gradient becomes the `i64` `round(g · 2^s)`, ties away
 //! from zero. Every gradient sum the learner forms is an `i64` sum of
-//! these: a node's total, a table entry's, a histogram cell's, the
-//! scan's running left sum and the right sum `G − gl`. None can
-//! overflow, since a node holds at most `n` rows, which sum to at most
-//! `2^62 + n / 2` in magnitude. A sum becomes f64, as
-//! `sum as f64 · 2^-s`, only where a gain or a leaf weight needs it. A
-//! gradient already on the grid is taken exactly, so then every sum is
-//! the exact sum of the gradients.
+//! these: a node's total, a table entry's, a histogram cell's, a cell
+//! derived by subtraction, the scan's running left sum and the right sum
+//! `G − gl`. Each is the sum over some of one node's rows, and a node
+//! holds at most `n` rows (a repeated row counted each time), which sum
+//! to at most `2^62 + n / 2` in magnitude, so none can overflow. A sum
+//! becomes f64, as `sum as f64 · 2^-s`, only where a gain or a leaf
+//! weight needs it. A gradient already on the grid is taken exactly, so
+//! then every sum is the exact sum of the gradients.
 //!
 //! Integer addition is associative: a sum does not depend on the order or
 //! the grouping of its terms. That is what lets the search below add
-//! per-entry partial sums instead of rows, and lets the parallel search
-//! give the serial search's bits at any thread count.
+//! per-entry partial sums instead of rows, derive a child's histograms
+//! from its parent's, and give the serial search's bits at any thread
+//! count.
 //!
 //! # Entry histograms
 //!
 //! A [`BinnedMatrix`] stores a column block's codes once per table entry
-//! and maps rows to entries by id. For each node, one pass over its rows
-//! builds every block's *stream*: each table entry the rows reference,
-//! with the sum of their gradients and their count. An identity block's
-//! entries are the rows themselves, each with count 1. A feature's
-//! histogram then adds its block's stream, one `(entry, sum, count)` at a
-//! time, so a mapped block costs one add per referenced entry, not one
-//! per row. A node's streams are built once and shared by every feature
-//! and by every job of the parallel search.
+//! and maps rows to entries by id. For each node whose histograms are
+//! built, one pass over its rows builds every block's *stream*: each
+//! table entry the rows reference, with the sum of their gradients and
+//! their count. An identity block's entries are the rows themselves,
+//! each with count 1. A feature's histogram then adds its block's
+//! stream, one `(entry, sum, count)` at a time, so a mapped block costs
+//! one add per referenced entry, not one per row.
+//!
+//! # Sibling subtraction
+//!
+//! A node's histograms are one `i64` gradient sum and one `u32` row
+//! count per cell of every listed feature, a feature's cells being its
+//! bins. After a split, only the child with fewer rows (the left one on
+//! a tie) builds its histograms from its rows. The other child's are the
+//! parent's minus the built child's, cell by cell, written over the
+//! parent's, which the parent no longer needs.
+//!
+//! The difference is exact. A parent cell sums the gradients and counts
+//! the rows of the parent's rows in that cell, and each of those rows
+//! went to exactly one child, so the parent cell is the left child's
+//! cell plus the right child's, as integers. The difference is therefore
+//! the sibling's own sum and count: the integers a build from the
+//! sibling's rows would give. It is a sum over the sibling's rows, so the
+//! overflow bound above covers it, and a row listed more than once (a
+//! forest's bootstrap) counts as often in the parent as in its child. A
+//! cell with count 0 has sum 0, built or derived.
+//!
+//! A child that will not search, at `max_depth` or with fewer than
+//! `2 × min_samples_leaf` rows, gets no histograms; when only one child
+//! searches, it builds its own. Histogram sets come from a free list kept
+//! for the whole fit, across its trees, and at most one sibling per
+//! level waits for its turn, so a fit holds a few sets at a time.
 //!
 //! # Blocked split search
 //!
-//! The search cuts the caller's feature list at block boundaries and
+//! A build cuts the caller's feature list at block boundaries and
 //! builds histograms for [`LANES`] features of one block per pass over
 //! its stream, with a fixed-width inner loop. Most columns of the
 //! layer-wise encodings have two or three bins, so one feature at a time
 //! sends nearly every entry into the same cell, and each add waits on the
 //! one before it; eight features per pass give eight independent chains.
 //! A short last block pads its unused lanes with its last feature and
-//! ignores their histograms, so one loop builds every histogram. Each
-//! feature's bins are then scanned in the caller's feature order with a
-//! strictly-greater comparison, so ties go to the earliest listed
-//! feature.
+//! ignores their histograms, so one loop builds every histogram.
 //!
-//! Neither the per-entry sums nor the blocking changes a bit of any tree:
-//! a cell's integer sum is the same however its rows are grouped, and the
-//! scan visits candidates in the same order as a one-feature-at-a-time
-//! search over the rows.
+//! On a shared matrix ([`Tree::fit_shared`]) a large node's build runs
+//! on the `gdcm-par` pool: the feature list is cut into contiguous
+//! groups, and each job fills its group's slice of the node's
+//! histograms. The scan then runs once, serially, over every feature's
+//! bins in the caller's feature order, with a strictly-greater
+//! comparison, so ties go to the earliest listed feature at any thread
+//! count. It skips a bin with no rows: that bin repeats the previous
+//! candidate's sums, and a repeat never beats the best so far.
+//!
+//! Neither the per-entry sums, the blocking, the subtraction nor the
+//! jobs changes a bit of any tree: a cell's integer sum is the same
+//! however its rows are grouped, and the scan visits candidates in the
+//! same order as a one-feature-at-a-time search over the rows.
+//!
+//! # Leaf ranges
+//!
+//! A fit partitions its list of rows in place, node by node, so each
+//! leaf's rows end up as one range of the list. The crate's boosting
+//! loop takes the list and the ranges with the tree and adds each leaf's
+//! weight to the rows in its range, instead of walking every row through
+//! the new tree. The two agree row for row: the partition sends a row
+//! left when its code is at most the split's bin, the walker when its
+//! value is at most the threshold `cuts[bin]`, and the grid guarantees
+//! `code <= bin ⟺ value <= cuts[bin]` for every f32, the invariant that
+//! freezing a model onto the grid relies on.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -73,10 +118,10 @@ const LANES: usize = 8;
 const MAX_SHIFT: i32 = 1022;
 
 /// Minimum histogram adds, summed over the listed features of their
-/// block's stream length, below which the parallel split search is not
-/// worth the dispatch overhead and the serial scan runs instead. The
-/// decision depends only on the node, never on the thread count, and
-/// both paths produce identical candidates, so this is a pure
+/// block's stream length, below which a parallel build is not worth the
+/// dispatch overhead and the node's histograms are built on the calling
+/// thread instead. The decision depends only on the node, never on the
+/// thread count, and both paths fill the same cells, so this is a pure
 /// performance knob.
 const PAR_SPLIT_MIN_WORK: usize = 1 << 15;
 
@@ -166,16 +211,33 @@ type Streams = Vec<Vec<Entry>>;
 struct FitCtx<'a> {
     binned: &'a BinnedMatrix,
     /// The matrix again, shareable with the pool's `'static` jobs; `Some`
-    /// only when the caller opted into the parallel split search through
+    /// only when the caller opted into parallel histogram builds through
     /// [`Tree::fit_shared`].
     shared: Option<&'a Arc<BinnedMatrix>>,
     /// The caller's features that are not constant, in its order.
     features: Arc<[usize]>,
+    /// How the histograms are cut: one part, or on a shared matrix with
+    /// more than one thread, one part per build job.
+    parts: Vec<PartSpan>,
     grad: Quantized,
     params: &'a TreeParams,
 }
 
-/// Split-search buffers of one job: one gradient and one count
+impl FitCtx<'_> {
+    /// Whether a node of `rows` rows at `depth` searches for a split.
+    fn searches(&self, rows: usize, depth: usize) -> bool {
+        depth < self.params.max_depth && rows >= 2 * self.params.min_samples_leaf
+    }
+}
+
+/// One part of the histograms: the listed features it covers, as
+/// positions in the list, and their cells.
+struct PartSpan {
+    features: Range<usize>,
+    cells: usize,
+}
+
+/// Lane buffers of one histogram build: one gradient and one count
 /// histogram per lane. Bin codes are `u8`, so [`MAX_BINS`] cells hold
 /// every code without a bounds check.
 struct HistScratch {
@@ -192,14 +254,83 @@ impl HistScratch {
     }
 }
 
-/// A tree fit's buffers, allocated once and reused at every node: the
+/// One part of a node's histograms: the gradient sum and row count of
+/// every cell of its features, feature after feature.
+#[derive(Default)]
+struct HistPart {
+    sums: Vec<i64>,
+    counts: Vec<u32>,
+}
+
+/// A node's histograms (see the module docs), in the tree's parts, so
+/// that each job of a parallel build owns its slice.
+#[derive(Default)]
+struct Hist {
+    parts: Vec<HistPart>,
+}
+
+impl Hist {
+    /// Turns a parent's histograms into a child's sibling's: `self −
+    /// child`, cell by cell.
+    fn subtract(&mut self, child: &Hist) {
+        for (part, child) in self.parts.iter_mut().zip(&child.parts) {
+            for (sum, child) in part.sums.iter_mut().zip(&child.sums) {
+                *sum -= child;
+            }
+            for (count, child) in part.counts.iter_mut().zip(&child.counts) {
+                *count -= child;
+            }
+        }
+    }
+}
+
+/// A fit's buffers, reused at every node of every tree it grows: the
 /// node's streams, the mapped blocks' per-entry (sum, count) tallies,
-/// which stay zeroed between nodes, and one histogram scratch per search
-/// job.
-struct NodeScratch {
+/// which stay zeroed between nodes, one lane scratch per build job, and
+/// the free histogram sets.
+#[derive(Default)]
+pub(crate) struct FitScratch {
     streams: Arc<Streams>,
     tallies: Vec<Vec<(i64, u32)>>,
-    hists: Vec<HistScratch>,
+    lanes: Vec<HistScratch>,
+    free: Vec<Hist>,
+}
+
+/// A fitted tree with the partition its fit left, for the crate's
+/// boosting loop.
+pub(crate) struct Grown {
+    pub(crate) tree: Tree,
+    /// The listed rows, partitioned: each leaf's rows are one range.
+    rows: Vec<usize>,
+    /// Each leaf's node and its range in `rows`.
+    leaves: Vec<(usize, Range<usize>)>,
+    /// Histogram sets built from rows.
+    pub(crate) hists_built: u64,
+    /// Histogram sets derived as a parent's minus a sibling's.
+    pub(crate) hists_derived: u64,
+}
+
+impl Grown {
+    /// Each leaf's weight, as the tree holds it now, and the listed rows
+    /// that reach it (see "Leaf ranges" in the module docs).
+    pub(crate) fn leaf_rows(&self) -> impl Iterator<Item = (f32, &[usize])> {
+        self.leaves
+            .iter()
+            .map(|(node, range)| match self.tree.nodes[*node] {
+                TreeNode::Leaf { weight } => (weight, &self.rows[range.clone()]),
+                TreeNode::Split { .. } => unreachable!("node {node} was recorded as a leaf"),
+            })
+    }
+}
+
+/// The state of one tree's growth.
+struct Grower<'a, 's> {
+    ctx: FitCtx<'a>,
+    scratch: &'s mut FitScratch,
+    nodes: Vec<TreeNode>,
+    leaves: Vec<(usize, Range<usize>)>,
+    hists_built: u64,
+    hists_derived: u64,
 }
 
 /// Hyper-parameters of a single tree.
@@ -279,14 +410,24 @@ impl Tree {
         active_features: &[usize],
         params: &TreeParams,
     ) -> Self {
-        Self::fit_ctx(binned, None, grad, rows, active_features, params)
+        let scratch = &mut FitScratch::default();
+        Self::grow(
+            binned,
+            None,
+            grad,
+            rows.to_vec(),
+            active_features,
+            params,
+            scratch,
+        )
+        .tree
     }
 
     /// Like [`Tree::fit`], but on a shared matrix, so that large nodes
-    /// can search split features in parallel on the global `gdcm-par`
+    /// can build their histograms in parallel on the global `gdcm-par`
     /// pool. Produces a bit-identical tree to `fit` at any thread count
-    /// (the candidate merge preserves the serial scan's first-best
-    /// tie-break).
+    /// (the jobs fill disjoint cells with exact integer sums, and one
+    /// serial scan reads them).
     ///
     /// # Panics
     ///
@@ -298,17 +439,31 @@ impl Tree {
         active_features: &[usize],
         params: &TreeParams,
     ) -> Self {
-        Self::fit_ctx(binned, Some(binned), grad, rows, active_features, params)
+        let scratch = &mut FitScratch::default();
+        Self::grow(
+            binned,
+            Some(binned),
+            grad,
+            rows.to_vec(),
+            active_features,
+            params,
+            scratch,
+        )
+        .tree
     }
 
-    fn fit_ctx(
+    /// [`Tree::fit`] (`shared == None`) or [`Tree::fit_shared`] over the
+    /// row list `rows`, with a fit's reusable `scratch`, returning the
+    /// tree with its partition of `rows` and its histogram counts.
+    pub(crate) fn grow(
         binned: &BinnedMatrix,
         shared: Option<&Arc<BinnedMatrix>>,
         grad: &[f64],
-        rows: &[usize],
+        mut rows: Vec<usize>,
         active_features: &[usize],
         params: &TreeParams,
-    ) -> Self {
+        scratch: &mut FitScratch,
+    ) -> Grown {
         assert_eq!(grad.len(), binned.n_rows(), "grad length mismatch");
         // The integer sums' overflow bound holds for at most n rows.
         assert!(
@@ -322,85 +477,61 @@ impl Tree {
             "{} rows overflow a u32 entry id",
             binned.n_rows()
         );
-        let ctx = FitCtx {
-            binned,
-            shared,
-            features: active_features
-                .iter()
-                .copied()
-                .filter(|&f| !binned.is_constant(f))
-                .collect(),
-            grad: Quantized::new(grad),
-            params,
+        let features: Arc<[usize]> = active_features
+            .iter()
+            .copied()
+            .filter(|&f| !binned.is_constant(f))
+            .collect();
+        let threads = gdcm_par::pool().threads();
+        let group_len = if shared.is_some() && threads > 1 && features.len() >= 2 {
+            let groups = threads.min(features.len());
+            features.len().div_ceil(groups).next_multiple_of(LANES)
+        } else {
+            features.len().max(1)
         };
-        let mut tree = Tree { nodes: Vec::new() };
-        let mut rows = rows.to_vec();
-        let mut scratch = NodeScratch {
-            streams: Arc::new(Vec::new()),
-            tallies: Vec::new(),
-            hists: Vec::new(),
+        let parts = (0..features.len().max(1))
+            .step_by(group_len)
+            .map(|start| {
+                let span = start..(start + group_len).min(features.len());
+                let cells = features[span.clone()]
+                    .iter()
+                    .map(|&f| binned.n_bins(f))
+                    .sum();
+                PartSpan {
+                    features: span,
+                    cells,
+                }
+            })
+            .collect();
+        let mut grower = Grower {
+            ctx: FitCtx {
+                binned,
+                shared,
+                features,
+                parts,
+                grad: Quantized::new(grad),
+                params,
+            },
+            scratch,
+            nodes: Vec::new(),
+            leaves: Vec::new(),
+            hists_built: 0,
+            hists_derived: 0,
         };
-        tree.grow(&ctx, &mut rows, 0, &mut scratch);
-        tree
-    }
-
-    /// Recursively grows the subtree over `rows`, returning its node index.
-    fn grow(
-        &mut self,
-        ctx: &FitCtx<'_>,
-        rows: &mut [usize],
-        depth: usize,
-        scratch: &mut NodeScratch,
-    ) -> usize {
-        let params = ctx.params;
-        let node = NodeTotals {
-            rows: rows.len(),
-            g_sum: rows.iter().map(|&r| ctx.grad.q[r]).sum(),
-            unit: ctx.grad.unit,
-        };
-
-        let make_leaf = |nodes: &mut Vec<TreeNode>| {
-            let h_sum = rows.len() as f64;
-            let weight = (-node.value(node.g_sum) / (h_sum + params.lambda)) as f32;
-            nodes.push(TreeNode::Leaf { weight });
-            nodes.len() - 1
-        };
-
-        if depth >= params.max_depth || rows.len() < 2 * params.min_samples_leaf {
-            return make_leaf(&mut self.nodes);
+        let hist = grower
+            .ctx
+            .searches(rows.len(), 0)
+            .then(|| grower.build(&rows, None));
+        grower.grow(&mut rows, 0, 0, hist);
+        Grown {
+            tree: Tree {
+                nodes: grower.nodes,
+            },
+            rows,
+            leaves: grower.leaves,
+            hists_built: grower.hists_built,
+            hists_derived: grower.hists_derived,
         }
-
-        let best = find_best_split(ctx, rows, node, scratch);
-        let Some(split) = best else {
-            return make_leaf(&mut self.nodes);
-        };
-
-        // Partition rows in place: left block first.
-        let column = ctx.binned.column(split.feature);
-        let mut mid = 0;
-        for i in 0..rows.len() {
-            if column.code(rows[i]) <= split.bin {
-                rows.swap(i, mid);
-                mid += 1;
-            }
-        }
-        debug_assert!(
-            mid > 0 && mid < rows.len(),
-            "degenerate split survived checks"
-        );
-
-        let node_idx = self.nodes.len();
-        self.nodes.push(TreeNode::Leaf { weight: 0.0 }); // placeholder
-        let (left_rows, right_rows) = rows.split_at_mut(mid);
-        let left = self.grow(ctx, left_rows, depth + 1, scratch);
-        let right = self.grow(ctx, right_rows, depth + 1, scratch);
-        self.nodes[node_idx] = TreeNode::Split {
-            feature: split.feature,
-            threshold: ctx.binned.threshold(split.feature, split.bin),
-            left,
-            right,
-        };
-        node_idx
     }
 
     /// Predicts the tree output for one raw feature row.
@@ -485,6 +616,164 @@ impl Tree {
     }
 }
 
+impl Grower<'_, '_> {
+    /// Grows the subtree over `rows`, which start at position `start` of
+    /// the tree's row list, and returns its node index. `hist` holds the
+    /// node's histograms exactly when the node searches.
+    fn grow(
+        &mut self,
+        rows: &mut [usize],
+        start: usize,
+        depth: usize,
+        hist: Option<Hist>,
+    ) -> usize {
+        let ctx = &self.ctx;
+        let node = NodeTotals {
+            rows: rows.len(),
+            g_sum: rows.iter().map(|&r| ctx.grad.q[r]).sum(),
+            unit: ctx.grad.unit,
+        };
+        let best = hist.and_then(|hist| match best_split(ctx, &hist, node) {
+            Some(split) => Some((split, hist)),
+            None => {
+                self.scratch.free.push(hist);
+                None
+            }
+        });
+        let Some((split, hist)) = best else {
+            let h_sum = rows.len() as f64;
+            let weight = (-node.value(node.g_sum) / (h_sum + ctx.params.lambda)) as f32;
+            self.nodes.push(TreeNode::Leaf { weight });
+            self.leaves
+                .push((self.nodes.len() - 1, start..start + rows.len()));
+            return self.nodes.len() - 1;
+        };
+
+        // Partition rows in place: left block first.
+        let column = ctx.binned.column(split.feature);
+        let mut mid = 0;
+        for i in 0..rows.len() {
+            if column.code(rows[i]) <= split.bin {
+                rows.swap(i, mid);
+                mid += 1;
+            }
+        }
+        debug_assert!(
+            mid > 0 && mid < rows.len(),
+            "degenerate split survived checks"
+        );
+        let threshold = ctx.binned.threshold(split.feature, split.bin);
+
+        let (left_rows, right_rows) = rows.split_at_mut(mid);
+        let (left_hist, right_hist) = self.child_hists(left_rows, right_rows, depth + 1, hist);
+        let node_idx = self.nodes.len();
+        self.nodes.push(TreeNode::Leaf { weight: 0.0 }); // placeholder
+        let left = self.grow(left_rows, start, depth + 1, left_hist);
+        let right = self.grow(right_rows, start + mid, depth + 1, right_hist);
+        self.nodes[node_idx] = TreeNode::Split {
+            feature: split.feature,
+            threshold,
+            left,
+            right,
+        };
+        node_idx
+    }
+
+    /// The children's histograms, from their parent's (see "Sibling
+    /// subtraction" in the module docs): `None` for a child that will not
+    /// search.
+    fn child_hists(
+        &mut self,
+        left: &[usize],
+        right: &[usize],
+        depth: usize,
+        parent: Hist,
+    ) -> (Option<Hist>, Option<Hist>) {
+        match (
+            self.ctx.searches(left.len(), depth),
+            self.ctx.searches(right.len(), depth),
+        ) {
+            (true, true) => {
+                let left_smaller = left.len() <= right.len();
+                let built = self.build(if left_smaller { left } else { right }, None);
+                let mut derived = parent;
+                derived.subtract(&built);
+                self.hists_derived += 1;
+                if left_smaller {
+                    (Some(built), Some(derived))
+                } else {
+                    (Some(derived), Some(built))
+                }
+            }
+            (true, false) => (Some(self.build(left, Some(parent))), None),
+            (false, true) => (None, Some(self.build(right, Some(parent)))),
+            (false, false) => {
+                self.scratch.free.push(parent);
+                (None, None)
+            }
+        }
+    }
+
+    /// Builds the histograms of `rows` into `into`, or into a set from
+    /// the free list: the node's streams first, then every part, by pool
+    /// jobs when the matrix is shared and the node is large enough.
+    fn build(&mut self, rows: &[usize], into: Option<Hist>) -> Hist {
+        let mut hist = into.unwrap_or_else(|| self.free_hist());
+        self.hists_built += 1;
+        let ctx = &self.ctx;
+        let FitScratch {
+            streams,
+            tallies,
+            lanes,
+            ..
+        } = &mut *self.scratch;
+        fill_streams(
+            ctx.binned,
+            &ctx.grad.q,
+            rows,
+            tallies,
+            Arc::make_mut(streams),
+        );
+        let features = &ctx.features;
+        let parallel = |binned: &BinnedMatrix| {
+            hist.parts.len() > 1
+                && features
+                    .iter()
+                    .map(|&f| streams[binned.block_of(f)].len())
+                    .sum::<usize>()
+                    >= PAR_SPLIT_MIN_WORK
+        };
+        match ctx.shared {
+            Some(binned) if parallel(binned) => {
+                build_parallel(binned, streams, features, &ctx.parts, &mut hist, lanes);
+            }
+            _ => {
+                if lanes.is_empty() {
+                    lanes.push(HistScratch::new());
+                }
+                for (part, span) in hist.parts.iter_mut().zip(&ctx.parts) {
+                    let features = &features[span.features.clone()];
+                    fill_part(ctx.binned, streams, features, part, &mut lanes[0]);
+                }
+            }
+        }
+        hist
+    }
+
+    /// A histogram set from the free list, or a new one, shaped to this
+    /// tree's parts. Every build or subtraction writes each of its cells.
+    fn free_hist(&mut self) -> Hist {
+        let mut hist = self.scratch.free.pop().unwrap_or_default();
+        hist.parts
+            .resize_with(self.ctx.parts.len(), HistPart::default);
+        for (part, span) in hist.parts.iter_mut().zip(&self.ctx.parts) {
+            part.sums.resize(span.cells, 0);
+            part.counts.resize(span.cells, 0);
+        }
+        hist
+    }
+}
+
 struct SplitCandidate {
     feature: usize,
     bin: u8,
@@ -511,7 +800,7 @@ fn fill_streams(
     for (b, (stream, tally)) in streams.iter_mut().zip(tallies.iter_mut()).enumerate() {
         stream.clear();
         let Some(ids) = binned.block_ids(b) else {
-            // Rows are below 2^32, checked in `fit_ctx`.
+            // Rows are below 2^32, checked in `Tree::grow`.
             stream.extend(rows.iter().map(|&r| Entry {
                 id: r as u32,
                 count: 1,
@@ -538,132 +827,59 @@ fn fill_streams(
     }
 }
 
-/// Builds the node's streams, then dispatches between the serial scan
-/// and the feature-parallel search. Parallelism kicks in only for
-/// shared-state fits on nodes with enough histogram adds; both paths
-/// return the same candidate.
-fn find_best_split(
-    ctx: &FitCtx<'_>,
-    rows: &[usize],
-    node: NodeTotals,
-    scratch: &mut NodeScratch,
-) -> Option<SplitCandidate> {
-    let NodeScratch {
-        streams,
-        tallies,
-        hists,
-    } = scratch;
-    fill_streams(
-        ctx.binned,
-        &ctx.grad.q,
-        rows,
-        tallies,
-        Arc::make_mut(streams),
-    );
-    let features = &ctx.features;
-    if let Some(binned) = ctx.shared {
-        let pool = gdcm_par::pool();
-        let work = || -> usize {
-            features
-                .iter()
-                .map(|&f| streams[binned.block_of(f)].len())
-                .sum()
-        };
-        if pool.threads() > 1 && features.len() >= 2 && work() >= PAR_SPLIT_MIN_WORK {
-            return find_best_split_parallel(
-                binned, streams, features, pool, ctx.params, node, hists,
-            );
-        }
-    }
-    if hists.is_empty() {
-        hists.push(HistScratch::new());
-    }
-    best_split_over(
-        ctx.binned,
-        streams,
-        features,
-        ctx.params,
-        node,
-        &mut hists[0],
-    )
-}
-
-/// Feature-parallel split search: the features are cut into contiguous
-/// groups (in the caller's order, whole [`LANES`]-wide blocks where
-/// possible), each group scanned by a pool job, and the per-group
-/// winners merged **in submission order** with a strictly-greater
-/// comparison. Ties on gain therefore resolve to the earliest listed
-/// feature — exactly the serial scan's tie-break — so the result is
-/// bit-identical at any thread count. Every job reads the node's one set
-/// of streams, and each borrows a histogram scratch from `hists` and
-/// hands it back with its result.
-fn find_best_split_parallel(
+/// The parallel build: one pool job per part, each filling its part
+/// from the node's one set of streams with a lane scratch borrowed from
+/// `lanes`, and handing both back.
+fn build_parallel(
     binned: &Arc<BinnedMatrix>,
     streams: &Arc<Streams>,
     features: &Arc<[usize]>,
-    pool: &gdcm_par::Pool,
-    params: &TreeParams,
-    node: NodeTotals,
-    hists: &mut Vec<HistScratch>,
-) -> Option<SplitCandidate> {
-    let groups = pool.threads().min(features.len());
-    let group_len = features.len().div_ceil(groups).next_multiple_of(LANES);
-    let params = *params;
-    let jobs: Vec<gdcm_par::Job<(Option<SplitCandidate>, HistScratch)>> = (0..features.len())
-        .step_by(group_len)
-        .map(|start| {
-            let group = start..(start + group_len).min(features.len());
+    spans: &[PartSpan],
+    hist: &mut Hist,
+    lanes: &mut Vec<HistScratch>,
+) {
+    let jobs: Vec<gdcm_par::Job<(HistPart, HistScratch)>> = hist
+        .parts
+        .iter_mut()
+        .zip(spans)
+        .map(|(part, span)| {
             let (binned, streams, features) = (
                 Arc::clone(binned),
                 Arc::clone(streams),
                 Arc::clone(features),
             );
-            let mut hist = hists.pop().unwrap_or_else(HistScratch::new);
+            let group = span.features.clone();
+            let mut part = std::mem::take(part);
+            let mut lane = lanes.pop().unwrap_or_else(HistScratch::new);
             let job: gdcm_par::Job<_> = Box::new(move || {
-                let best = best_split_over(
-                    &binned,
-                    &streams,
-                    &features[group],
-                    &params,
-                    node,
-                    &mut hist,
-                );
-                (best, hist)
+                fill_part(&binned, &streams, &features[group], &mut part, &mut lane);
+                (part, lane)
             });
             job
         })
         .collect();
-    let mut best: Option<SplitCandidate> = None;
-    for (candidate, hist) in pool.run(jobs) {
-        hists.push(hist);
-        let Some(candidate) = candidate else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|b| candidate.gain > b.gain) {
-            best = Some(candidate);
-        }
+    for (slot, (part, lane)) in hist.parts.iter_mut().zip(gdcm_par::pool().run(jobs)) {
+        *slot = part;
+        lanes.push(lane);
     }
-    best
 }
 
-/// The serial split scan over one list of non-constant features — the
-/// shared core of both execution paths. Builds the histograms of
-/// [`LANES`] features of one column block per pass over the block's
-/// stream (see the module docs), then scans each feature's bins in list
-/// order.
-fn best_split_over(
+/// Builds the histograms of one part's `features` from the node's
+/// streams, [`LANES`] features of one column block per pass over the
+/// block's stream (see the module docs), and writes each feature's cells
+/// into `part`, in list order.
+fn fill_part(
     binned: &BinnedMatrix,
     streams: &Streams,
     features: &[usize],
-    params: &TreeParams,
-    node: NodeTotals,
+    part: &mut HistPart,
     scratch: &mut HistScratch,
-) -> Option<SplitCandidate> {
+) {
     let HistScratch {
         g: hist_g,
         c: hist_c,
     } = scratch;
-    let mut best: Option<SplitCandidate> = None;
+    let mut cell = 0;
     let mut rest = features;
     while let Some(&head) = rest.first() {
         // The run of listed features in `head`'s column block.
@@ -697,23 +913,37 @@ fn best_split_over(
                 }
             }
             for (lane, &f) in block.iter().enumerate() {
-                let n_bins = binned.n_bins(f);
-                scan_bins(
-                    f,
-                    &hist_g[lane][..n_bins],
-                    &hist_c[lane][..n_bins],
-                    params,
-                    node,
-                    &mut best,
-                );
+                let cells = cell..cell + binned.n_bins(f);
+                part.sums[cells.clone()].copy_from_slice(&hist_g[lane][..cells.len()]);
+                part.counts[cells.clone()].copy_from_slice(&hist_c[lane][..cells.len()]);
+                cell = cells.end;
             }
+        }
+    }
+}
+
+/// The serial scan of a node's histograms: every listed feature's bins,
+/// in list order, keeping the first best candidate.
+fn best_split(ctx: &FitCtx<'_>, hist: &Hist, node: NodeTotals) -> Option<SplitCandidate> {
+    let params = ctx.params;
+    let parent_score = score(node.value(node.g_sum), node.rows as f64, params.lambda);
+    let mut best = None;
+    for (part, span) in hist.parts.iter().zip(&ctx.parts) {
+        let mut cell = 0;
+        for &f in &ctx.features[span.features.clone()] {
+            let cells = cell..cell + ctx.binned.n_bins(f);
+            cell = cells.end;
+            let (sums, counts) = (&part.sums[cells.clone()], &part.counts[cells]);
+            scan_bins(f, sums, counts, params, node, parent_score, &mut best);
         }
     }
     best
 }
 
 /// Scans one feature's histogram for the best split point, replacing
-/// `best` only on a strictly greater gain. The left and right sums stay
+/// `best` only on a strictly greater gain. A bin with no rows is
+/// skipped: its candidate repeats the previous bin's, which cannot be
+/// strictly greater than the best so far. The left and right sums stay
 /// integers; each is made f64 once, for its score.
 fn scan_bins(
     feature: usize,
@@ -721,20 +951,20 @@ fn scan_bins(
     hist_c: &[u32],
     params: &TreeParams,
     node: NodeTotals,
+    parent_score: f64,
     best: &mut Option<SplitCandidate>,
 ) {
     let n_rows = node.rows;
-    let parent_score = score(node.value(node.g_sum), n_rows as f64, params.lambda);
     let mut gl = 0i64;
     let mut cl = 0u32;
     // The last bin can never be a split point (right side empty).
     for b in 0..hist_g.len() - 1 {
+        if hist_c[b] == 0 {
+            continue;
+        }
         gl += hist_g[b];
         cl += hist_c[b];
         let cr = n_rows as u32 - cl;
-        if cl == 0 {
-            continue;
-        }
         if cr == 0 {
             break;
         }
@@ -772,6 +1002,102 @@ mod tests {
         let rows: Vec<usize> = (0..y.len()).collect();
         let feats: Vec<usize> = (0..x.n_cols()).collect();
         Tree::fit(&binned, &grad, &rows, &feats, &params)
+    }
+
+    /// The node a walk on a row's raw values reaches.
+    fn leaf_of(tree: &Tree, value: impl Fn(usize) -> f32) -> usize {
+        let mut idx = 0;
+        while let TreeNode::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        } = tree.nodes[idx]
+        {
+            idx = if value(feature) <= threshold {
+                left
+            } else {
+                right
+            };
+        }
+        idx
+    }
+
+    #[test]
+    fn leaf_ranges_cover_the_listed_rows_and_match_the_walker() {
+        // A three-bin column, a wide one, one with NaN and ±inf cells,
+        // and a constant one.
+        let rows: Vec<Vec<f32>> = (0..300)
+            .map(|i| {
+                let special = match i % 11 {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    2 => f32::NEG_INFINITY,
+                    k => k as f32,
+                };
+                vec![(i % 3) as f32, ((i * 37) % 101) as f32 * 0.5, special, 1.0]
+            })
+            .collect();
+        let x = DenseMatrix::from_rows(&rows);
+        let grad: Vec<f64> = (0..300)
+            .map(|i| -(((i * 13) % 17) as f64 + (i % 11) as f64 * 0.25))
+            .collect();
+        let binned = Arc::new(BinnedMatrix::from_matrix(&x, 64));
+        let params = TreeParams {
+            max_depth: 5,
+            lambda: 0.0,
+            min_samples_leaf: 2,
+            ..TreeParams::default()
+        };
+        // A forest's bootstrap list, with repeats, and a subsample in
+        // shuffled order, without.
+        let bootstrap: Vec<usize> = (0..300).map(|i| (i * i * 7 + 3) % 300).collect();
+        let subsample: Vec<usize> = (0..300)
+            .map(|i| (i * 7) % 300)
+            .filter(|i| i % 4 != 1)
+            .collect();
+        for listed in [bootstrap, subsample] {
+            let feats = [0, 1, 2, 3];
+            let grown = Tree::grow(
+                &binned,
+                Some(&binned),
+                &grad,
+                listed.clone(),
+                &feats,
+                &params,
+                &mut FitScratch::default(),
+            );
+            assert_eq!(
+                grown.tree,
+                Tree::fit(&binned, &grad, &listed, &feats, &params)
+            );
+            assert!(grown.tree.n_leaves() >= 8, "{:?}", grown.tree);
+            assert!(grown.hists_derived > 0);
+            // The ranges tile the partitioned list, one per leaf.
+            let mut ranges: Vec<_> = grown.leaves.iter().map(|(_, r)| r.clone()).collect();
+            ranges.sort_by_key(|r| r.start);
+            assert_eq!(ranges.len(), grown.tree.n_leaves());
+            assert_eq!(ranges.first().map(|r| r.start), Some(0));
+            assert_eq!(ranges.last().map(|r| r.end), Some(listed.len()));
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            // The partition is the listed rows, each as often as listed.
+            let mut partitioned = grown.rows.clone();
+            let mut want = listed.clone();
+            partitioned.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(partitioned, want);
+            // Each row's leaf is where a walk on its raw values ends.
+            for (node, range) in &grown.leaves {
+                for &r in &grown.rows[range.clone()] {
+                    assert_eq!(leaf_of(&grown.tree, |f| x.get(r, f)), *node, "row {r}");
+                }
+            }
+            for (weight, rows) in grown.leaf_rows() {
+                for &r in rows {
+                    assert_eq!(grown.tree.predict_row(x.row(r)).to_bits(), weight.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

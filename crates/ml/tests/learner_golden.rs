@@ -15,7 +15,8 @@
 //! exactly and must resolve to the earliest listed feature.
 
 use gdcm_ml::{
-    DenseMatrix, GbdtParams, GbdtRegressor, RandomForestRegressor, Tree, TreeNode, MAX_BINS,
+    ColumnBlock, DenseMatrix, FactoredMatrix, GbdtParams, GbdtRegressor, RandomForestRegressor,
+    Tree, TreeNode, MAX_BINS,
 };
 
 const ROWS: usize = 2400;
@@ -241,6 +242,104 @@ fn gbdt_rounded_gradients_digest() {
     y[1] = -1e9;
     let model = GbdtRegressor::fit(&DenseMatrix::from_rows(&rows), &y, &params());
     assert_eq!(gbdt_digest(&model), 0x3F1845F3B53618BF);
+}
+
+/// Rows, encoding table entries and device table entries of the
+/// two-block matrix below.
+const FACTORED_ROWS: usize = 3000;
+const ENCODINGS: usize = 61;
+const DEVICES: usize = 24;
+/// The encoding entry no row references.
+const UNREFERENCED: usize = 37;
+
+/// The paper's layout as two mapped blocks: a network encoding block of
+/// 30 columns, mostly two or three bins and two constant, and a device
+/// block of 5 wide columns. Rows pair an encoding with a device, so
+/// every entry is referenced many times, except encoding
+/// [`UNREFERENCED`], which no row names. Values and targets are small
+/// integers or dyadic fractions, as in [`matrix`].
+fn factored_matrix() -> (FactoredMatrix<'static>, Vec<f32>) {
+    const ENC_WIDTH: usize = 30;
+    const DEV_WIDTH: usize = 5;
+    let enc = |e: usize, j: usize| cell(e, 0x40 | j);
+    let dev = |d: usize, j: usize| cell(d, 0x80 | j);
+    let mut encodings = Vec::with_capacity(ENCODINGS * ENC_WIDTH);
+    for e in 0..ENCODINGS {
+        for j in 0..ENC_WIDTH {
+            encodings.push(match j {
+                0 | 17 => 1.0,                             // constant
+                5 | 11 | 23 => (enc(e, j) % 5) as f32,     // five bins
+                _ if j % 3 == 0 => (enc(e, j) % 3) as f32, // three bins
+                _ => (enc(e, j) % 2) as f32 * 0.5,         // two bins
+            });
+        }
+    }
+    let mut devices = Vec::with_capacity(DEVICES * DEV_WIDTH);
+    for d in 0..DEVICES {
+        for j in 0..DEV_WIDTH {
+            devices.push((dev(d, j) % 4096) as f32 * 0.125);
+        }
+    }
+    let (mut enc_ids, mut dev_ids, mut y) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..FACTORED_ROWS {
+        let mut e = (mix(i as u64 ^ 0x5151) % (ENCODINGS as u64 - 1)) as usize;
+        if e >= UNREFERENCED {
+            e += 1;
+        }
+        let d = (mix(i as u64 ^ 0xA2A2) % DEVICES as u64) as usize;
+        let target = 5 * (enc(e, 5) % 5) as i64
+            + 4 * (enc(e, 1) % 2) as i64
+            + 3 * (enc(e, 3) % 3) as i64
+            + (enc(e, 7) % 2) as i64 * (enc(e, 9) % 3) as i64
+            + (dev(d, 0) % 4096) as i64 / 256
+            + (dev(d, 2) % 4096) as i64 / 1024 * (enc(e, 11) % 5) as i64
+            + (mix(i as u64 ^ 0x7777) % 7) as i64;
+        enc_ids.push(e as u32);
+        dev_ids.push(d as u32);
+        y.push(target as f32 * 0.25);
+    }
+    let x = FactoredMatrix::new(
+        FACTORED_ROWS,
+        vec![
+            ColumnBlock::mapped(encodings, ENC_WIDTH, enc_ids),
+            ColumnBlock::mapped(devices, DEV_WIDTH, dev_ids),
+        ],
+    );
+    (x, y)
+}
+
+/// A deep, subsampled fit on mapped column blocks: depth 6, 80% of rows
+/// and 70% of columns per tree, 40 trees. The digests pin the model and
+/// the per-round training RMSE, which the learner computes from its own
+/// running predictions.
+#[test]
+fn gbdt_factored_deep_digest() {
+    let (x, y) = factored_matrix();
+    let p = GbdtParams {
+        n_estimators: 40,
+        max_depth: 6,
+        subsample: 0.8,
+        colsample_bytree: 0.7,
+        seed: 11,
+        ..params()
+    };
+    let (model, grid) = GbdtRegressor::fit_factored(&x, &y, &p);
+    let active = (0..x.n_cols()).filter(|&f| !grid.is_constant(f)).count();
+    assert_eq!(active, 33, "two encoding columns are constant");
+    assert!(
+        model.trees().iter().any(|t| t.len() > 31),
+        "some tree is deeper than 4"
+    );
+    let mut rmse = Fnv::new();
+    for r in &model
+        .training_log()
+        .expect("a fit keeps its log")
+        .round_train_rmse
+    {
+        rmse.word(u64::from(r.to_bits()));
+    }
+    assert_eq!(gbdt_digest(&model), 0x10F31EC9FC419EB0);
+    assert_eq!(rmse.0, 0x7DA29B30C7FAF69A);
 }
 
 #[test]
